@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import glob
 import json
 import os
@@ -221,11 +222,8 @@ def _precondition_obj(pre) -> dict:
 
 
 def _sufficient_obj(suff, actual_verdict: str | None) -> dict:
-    verdict = suff.coprime_scaling_verdict
     if suff.coprime and actual_verdict is not None:
-        verdict = actual_verdict
-    guaranteed = (suff.rect_kernel or suff.square_kernel or suff.ratio_kernel
-                  or (suff.coprime and verdict == VERDICT_CONVERGED))
+        suff = dataclasses.replace(suff, coprime_scaling_verdict=actual_verdict)
     return {
         "kernel_dim": suff.kernel_dim,
         "marginals_pd": suff.marginals_pd,
@@ -233,8 +231,8 @@ def _sufficient_obj(suff, actual_verdict: str | None) -> dict:
         "square_kernel": suff.square_kernel,
         "ratio_kernel": suff.ratio_kernel,
         "coprime": suff.coprime,
-        "coprime_scaling_verdict": verdict,
-        "guaranteed": guaranteed,
+        "coprime_scaling_verdict": suff.coprime_scaling_verdict,
+        "guaranteed": suff.guaranteed,
     }
 
 

@@ -2,8 +2,8 @@
 
 A matrix file is ``{"rows": r, "cols": c, "data": [...]}`` with ``data``
 row-major; each element is either ``[re, im]`` or a bare number for real
-entries.  Emitted numbers round-trip bit-for-bit (shortest decimal that
-re-parses to the same double, capped at 17 significant digits).
+entries.  Emitted numbers round-trip bit-for-bit: ``json`` writes each
+double as the shortest decimal that re-parses to the same double.
 
 A state file wraps a matrix: ``{"k": ..., "m": ..., "matrix": {...}}``; the
 matrix must be Hermitian within 1e-8 and is symmetrized and trace normalized
@@ -30,18 +30,11 @@ class ValidationError(ValueError):
     """Malformed or inconsistent input file."""
 
 
-def _format_float(x: float) -> float:
-    # float -> shortest repr -> float is the identity on finite doubles, so
-    # plain json serialization of Python floats already round-trips exactly;
-    # this helper exists to make that contract explicit and testable.
-    return float(format(float(x), ".17g"))
-
-
 def matrix_to_obj(M) -> dict[str, Any]:
     M = np.asarray(M, dtype=np.complex128)
     data: list[Any] = []
     for value in M.reshape(-1):
-        re, im = _format_float(value.real), _format_float(value.imag)
+        re, im = float(value.real), float(value.imag)
         data.append(re if im == 0.0 else [re, im])
     return {"rows": int(M.shape[0]), "cols": int(M.shape[1]), "data": data}
 

@@ -118,7 +118,7 @@ def herm_eig(H) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalFailure(f"eigen-solver did not converge: {exc}") from exc
     w = w[::-1].copy()
     V = V[:, ::-1].copy()
-    residual = frob(V @ np.diag(w) @ V.conj().T - H)
+    residual = frob((V * w) @ V.conj().T - H)
     limit = dim * max(frob(H), 1e-300) * _EIG_RECON_REL
     if residual > limit:
         raise NumericalFailure(
@@ -127,28 +127,32 @@ def herm_eig(H) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def pd_inv_sqrt(H, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def pd_inv_sqrt(H, tol: Tolerances = DEFAULT_TOL,
+                what: str = "matrix") -> tuple[np.ndarray, float]:
     """Inverse square root of a positive definite Hermitian matrix.
 
-    Positive definiteness is decided relative to the top eigenvalue: the
-    smallest eigenvalue must exceed ``tol.pd_min`` times the largest.
+    Returns ``(S, logsum)`` with ``S = H^(-1/2)`` and ``logsum`` the sum of
+    the logs of the eigenvalues of H, i.e. ``log det H``.  Positive
+    definiteness is decided relative to the top eigenvalue: the smallest
+    eigenvalue must exceed ``tol.pd_min`` times the largest; eigenvalues are
+    never clamped.  ``what`` names H in the error messages.
     """
     w, V = herm_eig(H)
     top, bottom = float(w[0]), float(w[-1])
     if top <= 0.0 or bottom <= tol.pd_min * top:
         raise NotPositiveDefinite(
-            f"matrix not positive definite: eigenvalue {bottom:.6e} "
+            f"{what} not positive definite: eigenvalue {bottom:.6e} "
             f"vs largest {top:.6e} (floor {tol.pd_min:g} relative)",
             min_eigenvalue=bottom, max_eigenvalue=top)
-    S = hermitian_part(V @ np.diag(w ** -0.5) @ V.conj().T)
+    S = hermitian_part((V * w ** -0.5) @ V.conj().T)
     dim = H.shape[0]
     residual = frob(S @ hermitian_part(H) @ S - np.eye(dim))
     limit = dim * _INV_SQRT_RECON_REL
     if residual > limit:
         raise NumericalFailure(
-            f"inverse square root residual {residual:.3e} exceeds contract {limit:.3e}",
-            residual=residual)
-    return S
+            f"{what} inverse square root residual {residual:.3e} exceeds "
+            f"contract {limit:.3e}", residual=residual)
+    return S, float(np.sum(np.log(w)))
 
 
 def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

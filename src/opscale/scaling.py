@@ -5,7 +5,9 @@ iteration keeps a pair of invertible filters: ``in_filter`` acting on inputs
 and ``out_filter`` acting on outputs, so that the scaled map is
 ``X -> out_filter T(in_filter X in_filter*) out_filter*``.  Each step
 renormalizes one marginal exactly; convergence of both marginal residuals
-means the scaled map is doubly stochastic.  The tracked log-determinant
+means the scaled map is doubly stochastic.  ``init`` and ``step`` run the
+same update: ``init`` runs it once from the identity filter pair, ``step``
+from the previous iterate.  The tracked log-determinant
 ``m*log|det in_filter| + k*log|det out_filter|`` never decreases, stays
 bounded when the map's pattern has support in every basis pair, and grows
 without bound otherwise, which is the divergence heuristic.
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import (DEFAULT_TOL, NotPositiveDefinite, NumericalFailure,
-                        Tolerances, frob, herm_eig, hermitian_part)
+from .numkernel import (DEFAULT_TOL, NumericalFailure, Tolerances, frob,
+                        hermitian_part, pd_inv_sqrt)
 from .posmap import BlockCertificate, ChoiMap, invariance_defect
 
 VERDICT_CONVERGED = "converged-ds"
@@ -39,23 +41,6 @@ class PreconditionFailed(ValueError):
         super().__init__(message)
         self.marginal = marginal
         self.min_eigenvalue = min_eigenvalue
-
-
-def _pd_inv_sqrt_logdet(H, tol: Tolerances, what: str):
-    """Inverse square root plus sum of eigenvalue logs, with the PD floor.
-
-    The eigenvalue log sum feeds the incremental log-determinant update; the
-    floor failure is loud, eigenvalues are never clamped.
-    """
-    w, V = herm_eig(H)
-    top, bottom = float(w[0]), float(w[-1])
-    if top <= 0.0 or bottom <= tol.pd_min * top:
-        raise NotPositiveDefinite(
-            f"{what} lost positive definiteness: eigenvalue {bottom:.6e} "
-            f"vs largest {top:.6e}",
-            min_eigenvalue=bottom, max_eigenvalue=top)
-    S = hermitian_part(V @ np.diag(w ** -0.5) @ V.conj().T)
-    return S, float(np.sum(np.log(w)))
 
 
 @dataclass(frozen=True)
@@ -81,10 +66,6 @@ class ScalingState:
     marginal_defect: float
     in_marginal_eig_logsum: float
 
-    @property
-    def converged(self) -> bool:  # against the default threshold only
-        return max(self.in_residual, self.out_residual) <= DEFAULT_TOL.conv_eps
-
     def trace_defects(self, k: int, m: int) -> tuple[float, float]:
         """Distance of tr(in_marginal) from sqrt(k) and tr(out_marginal)
         from sqrt(m); both are exact invariants of the iteration."""
@@ -92,20 +73,54 @@ class ScalingState:
                 abs(float(np.trace(self.out_marginal).real) - math.sqrt(m)))
 
 
-def _residuals(A, B, k: int, m: int) -> tuple[float, float]:
-    return (frob(math.sqrt(k) * A - np.eye(k)),
-            frob(math.sqrt(m) * B - np.eye(m)))
+def _advance(T: ChoiMap, n: int, X, Y, B, logdet: float, in_logsum: float,
+             tol: Tolerances) -> ScalingState:
+    """The scaling update: renormalize the output marginal ``B`` of the
+    filter pair ``(X, Y)``, recompute the input marginal, and prepare the
+    next input filter.  ``in_logsum`` is the eigenvalue log-sum of the input
+    marginal that ``X`` already absorbed."""
+    k, m = T.k, T.m
+
+    B_is, B_logsum = pd_inv_sqrt(B, tol, "output-side marginal")
+    Y1 = m ** -0.25 * (B_is @ Y)
+
+    A1 = hermitian_part(
+        X.conj().T @ T.apply_adjoint((Y1.conj().T * (1 / math.sqrt(m))) @ Y1) @ X)
+    A1_is, A1_logsum = pd_inv_sqrt(A1, tol, "input-side marginal")
+    X2 = k ** -0.25 * (X @ A1_is)
+    B1 = hermitian_part(Y1 @ T.apply((X2 * (1 / math.sqrt(k))) @ X2.conj().T) @ Y1.conj().T)
+
+    # det X advances by det(A)^(-1/2) * k^(-k/4), det Y by det(B)^(-1/2) * m^(-m/4).
+    logdet += m * (-0.5 * in_logsum - (k / 4.0) * math.log(k))
+    logdet += k * (-0.5 * B_logsum - (m / 4.0) * math.log(m))
+
+    defect = frob(Y1 @ T.apply(X @ X.conj().T / math.sqrt(k)) @ Y1.conj().T
+                  - np.eye(m) / math.sqrt(m))
+    state = ScalingState(
+        n=n, in_filter=X, out_filter=Y1, in_marginal=A1, out_marginal=B1,
+        in_filter_next=X2, logdet=logdet,
+        in_residual=frob(math.sqrt(k) * A1 - np.eye(k)),
+        out_residual=frob(math.sqrt(m) * B1 - np.eye(m)),
+        marginal_defect=defect, in_marginal_eig_logsum=A1_logsum)
+    if defect > _STEP_DEFECT_LIMIT:
+        raise NumericalFailure(
+            f"renormalized marginal drifted to defect {defect:.3e}",
+            residual=defect)
+    drift = max(state.trace_defects(k, m))
+    if drift > _STEP_DEFECT_LIMIT:
+        raise NumericalFailure(
+            f"marginal trace invariant drifted to {drift:.3e}", residual=drift)
+    return state
 
 
 def init(T: ChoiMap, tol: Tolerances = DEFAULT_TOL) -> ScalingState:
-    """First iterate.  Raises PreconditionFailed unless T(Id) and T*(Id) are
-    positive definite at the relative floor."""
-    k, m = T.k, T.m
-    eye_k = np.eye(k)
-    eye_m = np.eye(m)
+    """First iterate: the scaling update run from the identity filter pair.
 
-    fwd = hermitian_part(T.apply(eye_k / math.sqrt(k)))      # T(Id/sqrt(k))
-    adj = hermitian_part(T.apply_adjoint(eye_m))             # T*(Id)
+    Raises PreconditionFailed unless T(Id) and T*(Id) are positive definite
+    at the relative floor."""
+    k, m = T.k, T.m
+    fwd = hermitian_part(T.apply(np.eye(k) / math.sqrt(k)))   # T(Id/sqrt(k))
+    adj = hermitian_part(T.apply_adjoint(np.eye(m)))          # T*(Id)
     for name, M in (("T(Id)", fwd), ("T*(Id)", adj)):
         w = np.linalg.eigvalsh(M)
         if w[-1] <= 0.0 or w[0] <= tol.pd_min * w[-1]:
@@ -113,69 +128,18 @@ def init(T: ChoiMap, tol: Tolerances = DEFAULT_TOL) -> ScalingState:
                 f"{name} is not positive definite: eigenvalue {w[0]:.6e} "
                 f"vs largest {w[-1]:.6e}", marginal=name,
                 min_eigenvalue=float(w[0]))
-
-    fwd_is, fwd_logsum = _pd_inv_sqrt_logdet(fwd, tol, "T(Id/sqrt(k))")
-    X0 = eye_k.astype(complex)
-    Y0 = m ** -0.25 * fwd_is
-    # logdet of the (X0, Y0) pair, from the eigenvalues of T(Id/sqrt(k)).
-    logdet0 = k * (-(m / 4.0) * math.log(m) - 0.5 * fwd_logsum)
-
-    A0 = hermitian_part(T.apply_adjoint(Y0.conj().T @ (eye_m / math.sqrt(m)) @ Y0))
-    A0_is, A0_logsum = _pd_inv_sqrt_logdet(A0, tol, "input-side marginal")
-    X1 = k ** -0.25 * (X0 @ A0_is)
-    B0 = hermitian_part(Y0 @ T.apply(X1 @ (eye_k / math.sqrt(k)) @ X1.conj().T) @ Y0.conj().T)
-
-    in_res, out_res = _residuals(A0, B0, k, m)
-    defect = frob(Y0 @ T.apply(X0 @ X0.conj().T / math.sqrt(k)) @ Y0.conj().T
-                  - eye_m / math.sqrt(m))
-    return ScalingState(n=0, in_filter=X0, out_filter=Y0,
-                        in_marginal=A0, out_marginal=B0, in_filter_next=X1,
-                        logdet=logdet0, in_residual=in_res, out_residual=out_res,
-                        marginal_defect=float(defect),
-                        in_marginal_eig_logsum=A0_logsum)
+    # The identity input filter counts as already normalized: this log-sum
+    # makes the update add exactly zero for the input side.
+    return _advance(T, 0, np.eye(k, dtype=complex), np.eye(m, dtype=complex),
+                    fwd, 0.0, -(k / 2.0) * math.log(k), tol)
 
 
 def step(state: ScalingState, T: ChoiMap, tol: Tolerances = DEFAULT_TOL) -> ScalingState:
     """Advance one iteration: renormalize the output marginal, recompute the
     input marginal, and prepare the next input filter."""
-    k, m = T.k, T.m
-    eye_k = np.eye(k)
-    eye_m = np.eye(m)
-
-    B_is, B_logsum = _pd_inv_sqrt_logdet(state.out_marginal, tol, "output-side marginal")
-    Y1 = m ** -0.25 * (B_is @ state.out_filter)
-    X1 = state.in_filter_next
-
-    A1 = hermitian_part(
-        X1.conj().T @ T.apply_adjoint(Y1.conj().T @ (eye_m / math.sqrt(m)) @ Y1) @ X1)
-    A1_is, A1_logsum = _pd_inv_sqrt_logdet(A1, tol, "input-side marginal")
-    X2 = k ** -0.25 * (X1 @ A1_is)
-    B1 = hermitian_part(Y1 @ T.apply(X2 @ (eye_k / math.sqrt(k)) @ X2.conj().T) @ Y1.conj().T)
-
-    # det X advances by det(A)^(-1/2) * k^(-k/4), det Y by det(B)^(-1/2) * m^(-m/4).
-    logdet = state.logdet
-    logdet += m * (-0.5 * state.in_marginal_eig_logsum - (k / 4.0) * math.log(k))
-    logdet += k * (-0.5 * B_logsum - (m / 4.0) * math.log(m))
-
-    in_res, out_res = _residuals(A1, B1, k, m)
-    defect = frob(Y1 @ T.apply(X1 @ X1.conj().T / math.sqrt(k)) @ Y1.conj().T
-                  - eye_m / math.sqrt(m))
-    if defect > _STEP_DEFECT_LIMIT:
-        raise NumericalFailure(
-            f"renormalized marginal drifted to defect {defect:.3e}",
-            residual=float(defect))
-    tr_in = abs(float(np.trace(A1).real) - math.sqrt(k))
-    tr_out = abs(float(np.trace(B1).real) - math.sqrt(m))
-    if max(tr_in, tr_out) > _STEP_DEFECT_LIMIT:
-        raise NumericalFailure(
-            f"marginal trace invariant drifted to {max(tr_in, tr_out):.3e}",
-            residual=float(max(tr_in, tr_out)))
-
-    return ScalingState(n=state.n + 1, in_filter=X1, out_filter=Y1,
-                        in_marginal=A1, out_marginal=B1, in_filter_next=X2,
-                        logdet=logdet, in_residual=in_res, out_residual=out_res,
-                        marginal_defect=float(defect),
-                        in_marginal_eig_logsum=A1_logsum)
+    return _advance(T, state.n + 1, state.in_filter_next, state.out_filter,
+                    state.out_marginal, state.logdet,
+                    state.in_marginal_eig_logsum, tol)
 
 
 @dataclass(frozen=True)
@@ -234,30 +198,25 @@ def run(T: ChoiMap, tol: Tolerances = DEFAULT_TOL, max_iter: int = 10000,
             history.append(IterationRecord(state.n, state.in_residual,
                                            state.out_residual, state.logdet))
         if max(state.in_residual, state.out_residual) <= tol.conv_eps:
-            ds_map = T.conjugated(state.in_filter, state.out_filter)
-            return ScalingReport(
-                verdict=VERDICT_CONVERGED, iterations=state.n,
-                in_residual=state.in_residual, out_residual=state.out_residual,
-                logdet=state.logdet, in_filter=state.in_filter,
-                out_filter=state.out_filter, ds_map=ds_map,
-                history=tuple(history))
+            verdict, reason = VERDICT_CONVERGED, None
+            break
         if state.logdet > threshold:
-            return ScalingReport(
-                verdict=VERDICT_NO_SUPPORT, iterations=state.n,
-                in_residual=state.in_residual, out_residual=state.out_residual,
-                logdet=state.logdet, in_filter=state.in_filter,
-                out_filter=state.out_filter, ds_map=None,
-                history=tuple(history),
-                failure_reason=f"log-determinant {state.logdet:.3f} exceeded {threshold:.3f}")
+            verdict = VERDICT_NO_SUPPORT
+            reason = f"log-determinant {state.logdet:.3f} exceeded {threshold:.3f}"
+            break
         if state.n >= max_iter:
-            return ScalingReport(
-                verdict=VERDICT_INCONCLUSIVE, iterations=state.n,
-                in_residual=state.in_residual, out_residual=state.out_residual,
-                logdet=state.logdet, in_filter=state.in_filter,
-                out_filter=state.out_filter, ds_map=None,
-                history=tuple(history),
-                failure_reason=f"residuals above {tol.conv_eps:g} after {max_iter} iterations")
+            verdict = VERDICT_INCONCLUSIVE
+            reason = f"residuals above {tol.conv_eps:g} after {max_iter} iterations"
+            break
         state = step(state, T, tol)
+    ds_map = None
+    if verdict == VERDICT_CONVERGED:
+        ds_map = T.conjugated(state.in_filter, state.out_filter)
+    return ScalingReport(
+        verdict=verdict, iterations=state.n, in_residual=state.in_residual,
+        out_residual=state.out_residual, logdet=state.logdet,
+        in_filter=state.in_filter, out_filter=state.out_filter, ds_map=ds_map,
+        history=tuple(history), failure_reason=reason)
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,23 @@ class TestFnfCommand:
         assert rep["outcome"] == "precondition-failed"
         assert (tmp_path / "x.report.json").exists()
 
+    def test_coprime_scaling_verdict_guarantees_fnf(self, capsys, tmp_path):
+        # 2x3 with a 2-dim kernel: no kernel condition applies, so only the
+        # coprime branch's scaling verdict guarantees the normal form.
+        rng = np.random.default_rng(5)
+        rho = fixtures.random_state_matrix(2, 3, rng, kernel_dim=2)
+        path = tmp_path / "ker2.json"
+        atomic_write_json(str(path), state_to_obj(BipartiteState(2, 3, rho)))
+        code, rep = run_cli_json(capsys, "fnf", str(path),
+                                 "--out", str(tmp_path / "z"))
+        assert code == 0
+        suff = rep["sufficient_conditions"]
+        assert suff["kernel_dim"] == 2 and suff["coprime"] is True
+        assert not (suff["rect_kernel"] or suff["square_kernel"]
+                    or suff["ratio_kernel"])
+        assert suff["coprime_scaling_verdict"] == "converged-ds"
+        assert suff["guaranteed"] is True
+
     def test_inconclusive_exit_4(self, capsys, workspace, tmp_path):
         code, rep = run_cli_json(capsys, "fnf", str(workspace["state"]),
                                  "--out", str(tmp_path / "y"),

@@ -91,9 +91,12 @@ class TestPdInvSqrt:
         for _ in range(30):
             dim = int(rng.integers(1, 7))
             H = random_spd(rng, dim)
-            S = pd_inv_sqrt(H)
+            S, logsum = pd_inv_sqrt(H)
             assert frob(S @ H @ S - np.eye(dim)) < 1e-9
             assert frob(S - S.conj().T) < 1e-12 * frob(S)
+            sign, logdet = np.linalg.slogdet(H)
+            assert sign.real > 0.0
+            assert abs(logsum - logdet) < 1e-12 * max(1.0, abs(logdet))
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):

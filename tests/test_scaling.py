@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opscale import fixtures
 from opscale.numkernel import NumericalFailure, Tolerances, frob, kron
@@ -93,6 +95,24 @@ class TestStep:
         for _ in range(20):
             state = step(state, T)
         assert max(state.in_residual, state.out_residual) < first * 1e-3
+
+
+@pytest.mark.parametrize("k, m", [(k, m) for k in range(1, 5) for m in range(1, 5)])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 4))
+def test_init_and_steps_keep_invariants(k, m, seed, n_steps):
+    T = fixtures.random_cp_map(k, m, np.random.default_rng(seed))
+    state, prev = init(T), -math.inf
+    for n in range(n_steps + 1):
+        if n:
+            state = step(state, T)
+        din, dout = state.trace_defects(k, m)
+        assert din < 1e-10 and dout < 1e-10
+        assert state.marginal_defect < 1e-10
+        oracle = logdet_oracle(state, k, m)
+        assert abs(state.logdet - oracle) < 1e-9 * max(1.0, abs(oracle))
+        assert state.logdet >= prev - 1e-9
+        prev = state.logdet
 
 
 class TestRun:
