@@ -61,7 +61,8 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
-# Reconstruction contracts, relative to dim * frobenius norm.
+# Reconstruction contracts, relative to dim * frobenius norm (eigendecomposition
+# and SVD) or to dim * condition number (inverse square root).
 _EIG_RECON_REL = 1e-12
 _INV_SQRT_RECON_REL = 1e-10
 
@@ -135,7 +136,10 @@ def pd_inv_sqrt(H, tol: Tolerances = DEFAULT_TOL,
     the logs of the eigenvalues of H, i.e. ``log det H``.  Positive
     definiteness is decided relative to the top eigenvalue: the smallest
     eigenvalue must exceed ``tol.pd_min`` times the largest; eigenvalues are
-    never clamped.  ``what`` names H in the error messages.
+    never clamped.  The residual ``S H S - I`` grows like machine epsilon
+    times the condition number of H, so its contract scales with that number
+    and the floor alone decides which matrices are accepted.  ``what`` names
+    H in the error messages.
     """
     w, V = herm_eig(H)
     top, bottom = float(w[0]), float(w[-1])
@@ -147,7 +151,7 @@ def pd_inv_sqrt(H, tol: Tolerances = DEFAULT_TOL,
     S = hermitian_part((V * w ** -0.5) @ V.conj().T)
     dim = H.shape[0]
     residual = frob(S @ hermitian_part(H) @ S - np.eye(dim))
-    limit = dim * _INV_SQRT_RECON_REL
+    limit = dim * _INV_SQRT_RECON_REL * (top / bottom)
     if residual > limit:
         raise NumericalFailure(
             f"{what} inverse square root residual {residual:.3e} exceeds "

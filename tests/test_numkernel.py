@@ -98,6 +98,18 @@ class TestPdInvSqrt:
             assert sign.real > 0.0
             assert abs(logsum - logdet) < 1e-12 * max(1.0, abs(logdet))
 
+    def test_accepts_ill_conditioned_above_floor(self):
+        # The floor (pd_min = 1e-10 relative) decides; the reconstruction
+        # contract must not reject a condition number below 1e10.
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            dim = int(rng.integers(2, 7))
+            U, _ = np.linalg.qr(random_complex(rng, dim, dim))
+            cond = 10.0 ** rng.uniform(6.0, 9.9)
+            w = np.geomspace(1.0, 1.0 / cond, dim)
+            S, _ = pd_inv_sqrt((U * w) @ U.conj().T)
+            assert np.isfinite(S).all()
+
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             pd_inv_sqrt(np.diag([1.0, -1.0]))
