@@ -80,14 +80,20 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _witness_obj(witness, entry=None):
-    if witness is None:
-        return None
-    obj = {"alpha": list(witness.alpha), "beta": list(witness.beta),
-           "weight": witness.weight, "tight_violation": witness.tight_violation}
-    if entry is not None:
-        obj["entry"] = list(entry)
-    return obj
+def _to_json(value):
+    """The JSON form of a report value.  A dataclass becomes its fields, then
+    its own properties, in declaration order; tuples and lists become lists;
+    arrays become matrix objects; anything else passes through."""
+    if dataclasses.is_dataclass(value):
+        names = [f.name for f in dataclasses.fields(value)]
+        names += [name for name, attr in vars(type(value)).items()
+                  if isinstance(attr, property)]
+        return {name: _to_json(getattr(value, name)) for name in names}
+    if isinstance(value, (tuple, list)):
+        return [_to_json(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return matrix_to_obj(value)
+    return value
 
 
 def _add_common(sub, batch: bool = False):
@@ -118,11 +124,13 @@ def _support_job(path: str, args, seed: int, tol: Tolerances) -> tuple[dict, int
                    "zero_eps": pattern.zero_eps})
     sup = has_support(pattern)
     report["support"] = sup.has_support
-    report["witness"] = _witness_obj(sup.witness)
+    report["witness"] = _to_json(sup.witness)
     if args.total:
         tot = has_total_support(pattern)
         report["total_support"] = tot.has_total_support
-        report["total_witness"] = _witness_obj(tot.witness, tot.failing_entry)
+        report["total_witness"] = _to_json(tot.witness)
+        if tot.failing_entry is not None:
+            report["total_witness"]["entry"] = list(tot.failing_entry)
     if args.oracle:
         try:
             oracle = {"support": has_support_bruteforce(pattern)}
@@ -150,6 +158,8 @@ def cmd_support(args) -> int:
 # ------------------------------------------------------------------ scale
 
 def _scaling_obj(report) -> dict:
+    # Explicit, not _to_json: the filters have contract names of their own,
+    # and ds_map and history are not part of the report.
     obj = {
         "verdict": report.verdict,
         "iterations": report.iterations,
@@ -174,18 +184,10 @@ def _scale_job(path: str, args, seed: int, tol: Tolerances,
     report.update(_scaling_obj(result))
     if result.converged:
         check = is_doubly_stochastic(result.ds_map, 10.0 * tol.conv_eps)
-        report["ds_check"] = {
-            "is_doubly_stochastic": check.is_doubly_stochastic,
-            "forward_defect": check.forward_defect,
-            "adjoint_defect": check.adjoint_defect,
-        }
+        report["ds_check"] = _to_json(check)
     if history_path:
-        atomic_write_json(history_path, {
-            "input": path,
-            "history": [{"n": rec.n, "in_residual": rec.in_residual,
-                         "out_residual": rec.out_residual, "logdet": rec.logdet}
-                        for rec in result.history],
-        })
+        atomic_write_json(history_path, {"input": path,
+                                         "history": _to_json(result.history)})
         report["history_file"] = history_path
     return report, _VERDICT_EXIT[result.verdict]
 
@@ -209,49 +211,10 @@ def cmd_scale(args) -> int:
 
 # -------------------------------------------------------------------- fnf
 
-def _precondition_obj(pre) -> dict:
-    return {
-        "first_factor": {"is_pd": pre.first_factor.is_pd,
-                         "min_eigenvalue": pre.first_factor.min_eigenvalue,
-                         "max_eigenvalue": pre.first_factor.max_eigenvalue},
-        "second_factor": {"is_pd": pre.second_factor.is_pd,
-                          "min_eigenvalue": pre.second_factor.min_eigenvalue,
-                          "max_eigenvalue": pre.second_factor.max_eigenvalue},
-        "ok": pre.ok,
-    }
-
-
 def _sufficient_obj(suff, actual_verdict: str | None) -> dict:
     if suff.coprime and actual_verdict is not None:
         suff = dataclasses.replace(suff, coprime_scaling_verdict=actual_verdict)
-    return {
-        "kernel_dim": suff.kernel_dim,
-        "marginals_pd": suff.marginals_pd,
-        "rect_kernel": suff.rect_kernel,
-        "square_kernel": suff.square_kernel,
-        "ratio_kernel": suff.ratio_kernel,
-        "coprime": suff.coprime,
-        "coprime_scaling_verdict": suff.coprime_scaling_verdict,
-        "guaranteed": suff.guaranteed,
-    }
-
-
-def _verification_obj(ver) -> dict:
-    def check(c):
-        return {"passed": c.passed, "defect": c.defect, "limit": c.limit}
-    obj = {
-        "leading_pair": check(ver.leading_pair),
-        "coefficients": check(ver.coefficients),
-        "orthonormal_first": check(ver.orthonormal_first),
-        "orthonormal_second": check(ver.orthonormal_second),
-        "reconstruction": check(ver.reconstruction),
-        "marginals": check(ver.marginals),
-        "filters_invertible": check(ver.filters_invertible),
-        "passed": ver.passed,
-    }
-    if ver.filtered_state is not None:
-        obj["filtered_state"] = check(ver.filtered_state)
-    return obj
+    return _to_json(suff)
 
 
 def _fnf_job(path: str, args, seed: int, tol: Tolerances,
@@ -260,7 +223,7 @@ def _fnf_job(path: str, args, seed: int, tol: Tolerances,
     prefix = out_prefix if out_prefix is not None else os.path.splitext(path)[0]
     report = _envelope(seed, tol)
     report.update({"input": path, "k": state.k, "m": state.m})
-    report["preconditions"] = _precondition_obj(check_preconditions(state, tol))
+    report["preconditions"] = _to_json(check_preconditions(state, tol))
     suff = sufficient_conditions(state, tol, run_coprime_scaling=False)
 
     try:
@@ -283,7 +246,7 @@ def _fnf_job(path: str, args, seed: int, tol: Tolerances,
     report["sufficient_conditions"] = _sufficient_obj(
         suff, result.scaling_report.verdict)
     report["scaling"] = _scaling_obj(result.scaling_report)
-    report["verification"] = _verification_obj(verification)
+    report["verification"] = _to_json(verification)
     report["outcome"] = "fnf-computed"
     report["schmidt_rank"] = len(result.schmidt)
     report["coefficients"] = [t.coeff for t in result.schmidt]
@@ -372,29 +335,13 @@ def cmd_certificate(args) -> int:
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     report = _envelope(seed, tol)
-
-    def cond(c):
-        return {"passed": c.passed, "sampled": c.sampled, "detail": c.detail,
-                "worst_defect": c.worst_defect}
-
-    report.update({
-        "map": args.map, "certificate": args.cert,
-        "decomposition": cond(result.decomposition),
-        "invariance": cond(result.invariance),
-        "strict_rank_increase": cond(result.strict_rank_increase),
-        "rank_ratio": cond(result.rank_ratio),
-        "passed": result.passed,
-    })
+    report.update({"map": args.map, "certificate": args.cert})
+    report.update(_to_json(result))
     passed = result.passed
     if args.commutation_steps > 0:
         comm = block_commutation_check(T, cert, n_steps=args.commutation_steps,
                                        tol=tol)
-        report["commutation"] = {
-            "passed": comm.passed,
-            "precondition_ok": comm.precondition_ok,
-            "steps_run": comm.steps_run,
-            "first_failure": list(comm.first_failure) if comm.first_failure else None,
-        }
+        report["commutation"] = _to_json(comm)
         passed = passed and comm.passed
     _emit(report)
     return 0 if passed else 5

@@ -53,14 +53,17 @@ def obj_to_matrix(obj) -> np.ndarray:
         raise ValidationError(
             f"matrix data must list {rows * cols} row-major entries")
     values = np.empty(rows * cols, dtype=np.complex128)
-    for idx, cell in enumerate(data):
-        if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-            values[idx] = float(cell)
-        elif (isinstance(cell, list) and len(cell) == 2
-              and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in cell)):
-            values[idx] = complex(float(cell[0]), float(cell[1]))
-        else:
-            raise ValidationError(f"matrix entry {idx} must be a number or [re, im]")
+    try:
+        for idx, cell in enumerate(data):
+            if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+                values[idx] = float(cell)
+            elif (isinstance(cell, list) and len(cell) == 2
+                  and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in cell)):
+                values[idx] = complex(float(cell[0]), float(cell[1]))
+            else:
+                raise ValidationError(f"matrix entry {idx} must be a number or [re, im]")
+    except OverflowError as exc:
+        raise ValidationError(f"matrix entry {idx} does not fit a double: {exc}") from exc
     M = values.reshape(rows, cols)
     try:
         return as_complex_matrix(M)
@@ -74,7 +77,8 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the stack.
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -274,18 +274,17 @@ def _forced_entry_witness(pattern: NonnegPattern, i: int, j: int) -> ZeroSubmatr
 def has_total_support(pattern: NonnegPattern) -> TotalSupportResult:
     """Decide total support.
 
-    Checks support first, then that each structural nonzero can carry a unit
-    of some maximum flow: either the base flow already routes through it, or
-    the residual graph contains a rerouting cycle for it.  The first entry
-    that fails is reported together with a zero-submatrix witness from the
-    forced-unit flow problem.
+    Runs one maximum flow.  Without support the result carries the same cut
+    witness as :func:`has_support`.  Otherwise each structural nonzero must
+    carry a unit of some maximum flow: either the base flow already routes
+    through it, or the residual graph contains a rerouting cycle for it.
+    The first entry that fails is reported together with a zero-submatrix
+    witness from the forced-unit flow problem.
     """
-    support = has_support(pattern)
-    if not support:
-        return TotalSupportResult(False, support.witness, None)
     k, m = pattern.k, pattern.m
     net, arc, source, sink = _build_net(pattern, [m] * k, [k] * m)
-    net.max_flow(source, sink)
+    if net.max_flow(source, sink) != k * m:
+        return TotalSupportResult(False, _cut_witness(pattern, net, source), None)
     big = k * m + 1
     for (i, j), eid in arc.items():
         if net.cap[eid] < big:  # residual below capacity: carries flow already

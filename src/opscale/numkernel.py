@@ -129,11 +129,12 @@ def herm_eig(H) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pd_inv_sqrt(H, tol: Tolerances = DEFAULT_TOL,
-                what: str = "matrix") -> tuple[np.ndarray, float]:
+                what: str = "matrix") -> tuple[np.ndarray, float, float]:
     """Inverse square root of a positive definite Hermitian matrix.
 
-    Returns ``(S, logsum)`` with ``S = H^(-1/2)`` and ``logsum`` the sum of
-    the logs of the eigenvalues of H, i.e. ``log det H``.  Positive
+    Returns ``(S, logsum, residual)`` with ``S = H^(-1/2)``, ``logsum`` the
+    sum of the logs of the eigenvalues of H, i.e. ``log det H``, and
+    ``residual`` the Frobenius norm of ``S H S - I``.  Positive
     definiteness is decided relative to the top eigenvalue: the smallest
     eigenvalue must exceed ``tol.pd_min`` times the largest; eigenvalues are
     never clamped.  The residual ``S H S - I`` grows like machine epsilon
@@ -156,7 +157,7 @@ def pd_inv_sqrt(H, tol: Tolerances = DEFAULT_TOL,
         raise NumericalFailure(
             f"{what} inverse square root residual {residual:.3e} exceeds "
             f"contract {limit:.3e}", residual=residual)
-    return S, float(np.sum(np.log(w)))
+    return S, float(np.sum(np.log(w))), residual
 
 
 def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -129,6 +129,18 @@ class TestSupportCommand:
         assert code == 2
         assert "error" in rep
 
+    @pytest.mark.parametrize("content", [
+        b'{"rows": 1, "cols": 1, "data": [' + b"9" * 400 + b"]}",
+        b'{"rows": 1, "cols": 1, "data": [1\xff]}',
+        b"[" * 100000,
+    ], ids=["huge-integer-entry", "non-utf8-byte", "deep-nesting"])
+    def test_malformed_file_is_exit_2(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, rep = run_cli_json(capsys, "support", str(path))
+        assert code == 2
+        assert "error" in rep
+
 
 class TestScaleCommand:
     def test_converged_exit_0(self, capsys, workspace):
@@ -324,6 +336,145 @@ class TestBatchMode:
         code, rep = run_cli_json(capsys, "support",
                                  str(tmp_path / "missing"), "--batch")
         assert code == 2
+
+
+def key_tree(obj):
+    """The nested key set of a JSON value: a dict maps each key to the tree
+    of its value, a list of objects becomes a one-element list of their
+    common tree, and anything else is None."""
+    if isinstance(obj, dict):
+        return {key: key_tree(value) for key, value in obj.items()}
+    if isinstance(obj, list) and obj and all(isinstance(v, dict) for v in obj):
+        trees = [key_tree(v) for v in obj]
+        assert all(t == trees[0] for t in trees)
+        return [trees[0]]
+    return None
+
+
+def leaves(*names):
+    return dict.fromkeys(names)
+
+
+MATRIX = leaves("rows", "cols", "data")
+ENVELOPE = {"version": None, "seed": None,
+            "tolerances": leaves("rank_rel", "pd_min", "conv_eps")}
+WITNESS = leaves("alpha", "beta", "weight", "tight_violation")
+SCALING = {**leaves("verdict", "iterations", "in_residual", "out_residual",
+                    "logdet", "failure_reason"),
+           "input_filter": MATRIX, "output_filter": MATRIX}
+MARGINAL = leaves("is_pd", "min_eigenvalue", "max_eigenvalue")
+FNF_CHECK = leaves("passed", "defect", "limit")
+FNF_REPORT = {
+    **ENVELOPE, **leaves("input", "k", "m"),
+    "preconditions": {"first_factor": MARGINAL, "second_factor": MARGINAL,
+                      "ok": None},
+    "sufficient_conditions": leaves(
+        "kernel_dim", "marginals_pd", "rect_kernel", "square_kernel",
+        "ratio_kernel", "coprime", "coprime_scaling_verdict", "guaranteed"),
+    "scaling": SCALING,
+    "verification": {**{name: FNF_CHECK for name in (
+        "leading_pair", "coefficients", "orthonormal_first",
+        "orthonormal_second", "reconstruction", "marginals",
+        "filters_invertible", "filtered_state")}, "passed": None},
+    **leaves("outcome", "schmidt_rank", "coefficients"),
+}
+CONDITION = leaves("passed", "sampled", "detail", "worst_defect")
+
+
+class TestReportContract:
+    """The field names of every report and written file, at every depth.
+    Key order is not part of the contract."""
+
+    def test_support(self, capsys, workspace):
+        _, rep = run_cli_json(capsys, "support", str(workspace["pattern"]),
+                              "--total", "--oracle")
+        assert key_tree(rep) == {
+            **ENVELOPE, **leaves("input", "k", "m", "zero_eps", "support",
+                                 "witness", "total_support"),
+            "total_witness": {**WITNESS, "entry": None},
+            "oracle": leaves("support", "total_support", "agrees"),
+        }
+
+    def test_scale_with_history(self, capsys, workspace, tmp_path):
+        hist = tmp_path / "hist.json"
+        code, rep = run_cli_json(capsys, "scale", str(workspace["map"]),
+                                 "--history", str(hist))
+        assert code == 0
+        assert key_tree(rep) == {
+            **ENVELOPE, **leaves("input", "k", "m"), **SCALING,
+            "ds_check": leaves("is_doubly_stochastic", "forward_defect",
+                               "adjoint_defect"),
+            "history_file": None,
+        }
+        assert key_tree(load_json(str(hist))) == {
+            "input": None,
+            "history": [leaves("n", "in_residual", "out_residual", "logdet")],
+        }
+
+    def test_fnf_and_its_files(self, capsys, workspace, tmp_path):
+        prefix = str(tmp_path / "result")
+        code, rep = run_cli_json(capsys, "fnf", str(workspace["state"]),
+                                 "--out", prefix)
+        assert code == 0
+        assert key_tree(rep) == {**FNF_REPORT, "files": None}
+        files = {
+            ".filters.json": {"k": None, "m": None, "filter_first": MATRIX,
+                              "filter_second": MATRIX},
+            ".state.json": {"k": None, "m": None, "matrix": MATRIX},
+            ".schmidt.json": {"k": None, "m": None, "coefficients": None,
+                              "first_factors": [MATRIX],
+                              "second_factors": [MATRIX]},
+            ".report.json": FNF_REPORT,
+        }
+        for suffix, tree in files.items():
+            assert key_tree(load_json(prefix + suffix)) == tree, suffix
+
+    def test_fnf_batch_summary(self, capsys, tmp_path):
+        rng = np.random.default_rng(5)
+        indir = tmp_path / "jobs"
+        os.makedirs(indir)
+        for idx in range(2):
+            state = BipartiteState(2, 2, fixtures.random_state_matrix(2, 2, rng))
+            atomic_write_json(str(indir / f"s{idx}.json"), state_to_obj(state))
+        _, rep = run_cli_json(capsys, "fnf", str(indir), "--batch",
+                              "--out", str(tmp_path / "out"))
+        assert key_tree(rep) == {
+            **ENVELOPE, **leaves("batch_dir", "jobs", "failed"),
+            "results": [leaves("input", "exit_code", "report", "error")],
+        }
+
+    def test_tilde_check(self, capsys, workspace, tmp_path):
+        _, rep = run_cli_json(capsys, "tilde", str(workspace["map"]),
+                              "--out", str(tmp_path / "lift.json"), "--check")
+        assert key_tree(rep) == {
+            **ENVELOPE, **leaves("input", "output", "k", "m", "lifted_k",
+                                 "lifted_m"),
+            "check": leaves("original_verdict", "lifted_verdict",
+                            "category_match"),
+        }
+
+    def test_certificate_with_commutation(self, capsys, tmp_path):
+        rng = np.random.default_rng(4)
+        parts = [fixtures.random_cp_map(2, 2, rng), fixtures.random_cp_map(1, 1, rng)]
+        T, cert = fixtures.direct_sum_map(parts)
+        atomic_write_json(str(tmp_path / "m.json"), map_to_obj(T))
+        atomic_write_json(str(tmp_path / "c.json"), {
+            "input_projectors": [matrix_to_obj(p) for p in cert.input_projectors],
+            "output_projectors": [matrix_to_obj(p) for p in cert.output_projectors],
+        })
+        code, rep = run_cli_json(capsys, "certificate", str(tmp_path / "m.json"),
+                                 str(tmp_path / "c.json"),
+                                 "--commutation-steps", "5")
+        assert code == 0
+        assert key_tree(rep) == {
+            **ENVELOPE, "map": None, "certificate": None,
+            **{name: CONDITION for name in ("decomposition", "invariance",
+                                            "strict_rank_increase",
+                                            "rank_ratio")},
+            "passed": None,
+            "commutation": leaves("passed", "precondition_ok", "steps_run",
+                                  "first_failure"),
+        }
 
 
 class TestSelftest:

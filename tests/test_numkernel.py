@@ -91,8 +91,9 @@ class TestPdInvSqrt:
         for _ in range(30):
             dim = int(rng.integers(1, 7))
             H = random_spd(rng, dim)
-            S, logsum = pd_inv_sqrt(H)
+            S, logsum, residual = pd_inv_sqrt(H)
             assert frob(S @ H @ S - np.eye(dim)) < 1e-9
+            assert abs(residual - frob(S @ H @ S - np.eye(dim))) < 1e-12
             assert frob(S - S.conj().T) < 1e-12 * frob(S)
             sign, logdet = np.linalg.slogdet(H)
             assert sign.real > 0.0
@@ -107,7 +108,7 @@ class TestPdInvSqrt:
             U, _ = np.linalg.qr(random_complex(rng, dim, dim))
             cond = 10.0 ** rng.uniform(6.0, 9.9)
             w = np.geomspace(1.0, 1.0 / cond, dim)
-            S, _ = pd_inv_sqrt((U * w) @ U.conj().T)
+            S, _, _ = pd_inv_sqrt((U * w) @ U.conj().T)
             assert np.isfinite(S).all()
 
     def test_rejects_indefinite(self):

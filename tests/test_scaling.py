@@ -109,6 +109,11 @@ def test_init_and_steps_keep_invariants(k, m, seed, n_steps):
         din, dout = state.trace_defects(k, m)
         assert din < 1e-10 and dout < 1e-10
         assert state.marginal_defect < 1e-10
+        # independent recomputation of the renormalized output marginal
+        X, Y = state.in_filter, state.out_filter
+        defect = frob(Y @ T.apply(X @ X.conj().T / math.sqrt(k)) @ Y.conj().T
+                      - np.eye(m) / math.sqrt(m))
+        assert abs(defect - state.marginal_defect) < 1e-10
         oracle = logdet_oracle(state, k, m)
         assert abs(state.logdet - oracle) < 1e-9 * max(1.0, abs(oracle))
         assert state.logdet >= prev - 1e-9
