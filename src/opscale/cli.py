@@ -295,7 +295,6 @@ def cmd_tilde(args) -> int:
     report.update({"input": args.path, "output": out,
                    "k": T.k, "m": T.m,
                    "lifted_k": lifted.k, "lifted_m": lifted.m})
-    code = 0
     if args.check:
         ra = run(T, tol, max_iter=args.max_iter, divergence_logdet=args.divergence)
         rb = run(lifted, tol, max_iter=args.max_iter)
@@ -305,7 +304,7 @@ def cmd_tilde(args) -> int:
             "category_match": ra.verdict == rb.verdict,
         }
     _emit(report)
-    return code
+    return 0
 
 
 # ------------------------------------------------------------ certificate
@@ -549,10 +548,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        _emit({"version": __version__, "error": str(exc)})
-        return 2
-    except (NotPositiveDefinite, NumericalFailure) as exc:
+    except (ValidationError, NotPositiveDefinite, NumericalFailure) as exc:
         _emit({"version": __version__, "error": str(exc)})
         return 2
 

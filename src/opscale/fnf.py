@@ -21,8 +21,8 @@ import numpy as np
 
 from . import scaling
 from .numkernel import (DEFAULT_TOL, NumericalFailure, Tolerances,
-                        as_complex_matrix, frob, hermitian_part, kron,
-                        partial_trace_first, partial_trace_second, rank_tol,
+                        as_complex_matrix, frob, hermitian_part, kernel_dim,
+                        kron, partial_trace_first, partial_trace_second,
                         realign, svd)
 from .posmap import ChoiMap, from_state
 
@@ -139,7 +139,7 @@ def sufficient_conditions(state: BipartiteState, tol: Tolerances = DEFAULT_TOL,
     which is probed numerically by scaling.
     """
     k, m = state.k, state.m
-    ker = k * m - rank_tol(state.rho, tol)
+    ker = kernel_dim(state.rho, tol)
     pre = check_preconditions(state, tol)
     coprime = math.gcd(k, m) == 1
     verdict = None

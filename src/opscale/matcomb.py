@@ -16,6 +16,12 @@ Flow arcs get capacity k*m + 1 rather than the tight min(k, m): the flow
 through an arc is already limited by its endpoints, so the max-flow value is
 unchanged, and min cuts then never cross a nonzero arc, which makes every cut
 a zero-submatrix witness.
+
+Total support needs the same one flow plus at most one residual search per
+column: a nonzero (i, j) without flow lies on a positive diagonal iff row i
+is reachable from column j.  When it is not, the reached rows and the
+unreached columns are the witness, because reached rows keep all their
+nonzeros inside the reached set and so send all their flow into it.
 """
 
 from __future__ import annotations
@@ -200,19 +206,16 @@ class _FlowNet:
                     queue.append(v)
         return seen
 
-    def has_residual_path(self, u: int, v: int) -> bool:
-        return self.residual_reachable(u)[v]
 
-
-def _build_net(pattern: NonnegPattern, row_caps, col_caps):
+def _build_net(pattern: NonnegPattern):
     """Nodes: 0 = source, 1..k rows, k+1..k+m cols, k+m+1 = sink."""
     k, m = pattern.k, pattern.m
     net = _FlowNet(k + m + 2)
     source, sink = 0, k + m + 1
     for i in range(k):
-        net.add_edge(source, 1 + i, row_caps[i])
+        net.add_edge(source, 1 + i, m)
     for j in range(m):
-        net.add_edge(1 + k + j, sink, col_caps[j])
+        net.add_edge(1 + k + j, sink, k)
     arc = {}
     big = k * m + 1
     mask = pattern.nonzero_mask()
@@ -223,15 +226,13 @@ def _build_net(pattern: NonnegPattern, row_caps, col_caps):
     return net, arc, source, sink
 
 
-def _cut_witness(pattern: NonnegPattern, net: _FlowNet, source: int) -> ZeroSubmatrixWitness:
-    """Zero-submatrix witness from residual reachability after a max-flow.
+def _cut_witness(pattern: NonnegPattern, seen: list[bool]) -> ZeroSubmatrixWitness:
+    """Zero-submatrix witness from a residual reach set after a max-flow.
 
-    Rows still reachable from the source and columns not reachable form a
-    zero submatrix: a nonzero arc leaving the reachable set would have
-    residual capacity and extend it.
+    Rows reached and columns not reached form a zero submatrix: a nonzero arc
+    leaving a reached row always has residual capacity and would extend it.
     """
     k, m = pattern.k, pattern.m
-    seen = net.residual_reachable(source)
     alpha = tuple(i for i in range(k) if seen[1 + i])
     beta = tuple(j for j in range(m) if not seen[1 + k + j])
     weight = len(alpha) * m + len(beta) * k
@@ -247,28 +248,11 @@ def _cut_witness(pattern: NonnegPattern, net: _FlowNet, source: int) -> ZeroSubm
 def has_support(pattern: NonnegPattern) -> SupportResult:
     """Decide support.  On failure the result carries a zero-submatrix witness."""
     k, m = pattern.k, pattern.m
-    net, _, source, sink = _build_net(pattern, [m] * k, [k] * m)
+    net, _, source, sink = _build_net(pattern)
     value = net.max_flow(source, sink)
     if value == k * m:
         return SupportResult(True, None)
-    return SupportResult(False, _cut_witness(pattern, net, source))
-
-
-def _forced_entry_witness(pattern: NonnegPattern, i: int, j: int) -> ZeroSubmatrixWitness:
-    """Witness for entry (i, j) lying on no positive diagonal.
-
-    Forcing one matched unit through (i, j) leaves a flow problem with row-i
-    and column-j capacities reduced by one and demand k*m - 1; the residual
-    cut of that problem is the witness.
-    """
-    k, m = pattern.k, pattern.m
-    row_caps = [m] * k
-    col_caps = [k] * m
-    row_caps[i] -= 1
-    col_caps[j] -= 1
-    net, _, source, sink = _build_net(pattern, row_caps, col_caps)
-    net.max_flow(source, sink)
-    return _cut_witness(pattern, net, source)
+    return SupportResult(False, _cut_witness(pattern, net.residual_reachable(source)))
 
 
 def has_total_support(pattern: NonnegPattern) -> TotalSupportResult:
@@ -277,21 +261,26 @@ def has_total_support(pattern: NonnegPattern) -> TotalSupportResult:
     Runs one maximum flow.  Without support the result carries the same cut
     witness as :func:`has_support`.  Otherwise each structural nonzero must
     carry a unit of some maximum flow: either the base flow already routes
-    through it, or the residual graph contains a rerouting cycle for it.
-    The first entry that fails is reported together with a zero-submatrix
-    witness from the forced-unit flow problem.
+    through it, or row i is reachable from column j in the residual graph,
+    which closes a rerouting cycle.  One residual search per column serves
+    all of its entries.  The first entry that fails is reported, and that
+    column's reach set is its witness: reached rows send all their flow into
+    reached columns, so the witness has weight exactly k*m.
     """
     k, m = pattern.k, pattern.m
-    net, arc, source, sink = _build_net(pattern, [m] * k, [k] * m)
+    net, arc, source, sink = _build_net(pattern)
     if net.max_flow(source, sink) != k * m:
-        return TotalSupportResult(False, _cut_witness(pattern, net, source), None)
+        witness = _cut_witness(pattern, net.residual_reachable(source))
+        return TotalSupportResult(False, witness, None)
     big = k * m + 1
+    reach: dict[int, list[bool]] = {}
     for (i, j), eid in arc.items():
         if net.cap[eid] < big:  # residual below capacity: carries flow already
             continue
-        if net.has_residual_path(1 + k + j, 1 + i):
-            continue
-        return TotalSupportResult(False, _forced_entry_witness(pattern, i, j), (i, j))
+        if j not in reach:
+            reach[j] = net.residual_reachable(1 + k + j)
+        if not reach[j][1 + i]:
+            return TotalSupportResult(False, _cut_witness(pattern, reach[j]), (i, j))
     return TotalSupportResult(True, None, None)
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcomb import (NonnegPattern, SupportResult, TotalSupportResult,
-                      ZeroSubmatrixWitness, has_support, has_total_support)
+from .matcomb import (NonnegPattern, TotalSupportResult, ZeroSubmatrixWitness,
+                      has_total_support)
 from .numkernel import (DEFAULT_TOL, Tolerances, as_complex_matrix, frob,
                         herm_eig, hermitian_part, kron, partial_trace_first,
                         rank_tol)
@@ -253,7 +253,8 @@ def sampled_support_falsifier(T: ChoiMap, trials: int = 20,
     Trial 0 uses the canonical bases when ``include_canonical`` is set; the
     rest are Haar random.  Support of the induced map requires support of the
     pattern matrix in every orthonormal basis pair, so one failing pattern is
-    a proof of failure.
+    a proof of failure.  One :func:`has_total_support` call per trial decides
+    both: a refusal without a failing entry is a support refusal.
     """
     rng = rng if rng is not None else np.random.default_rng(_CHECK_SEED)
     support_cex = None
@@ -264,13 +265,11 @@ def sampled_support_falsifier(T: ChoiMap, trials: int = 20,
             V, W = np.eye(T.k, dtype=complex), np.eye(T.m, dtype=complex)
         else:
             V, W = haar_unitary(T.k, rng), haar_unitary(T.m, rng)
-        pat = pattern_matrix(T, V, W)
-        sup: SupportResult = has_support(pat)
-        if not sup and support_cex is None:
+        tot: TotalSupportResult = has_total_support(pattern_matrix(T, V, W))
+        if not tot and tot.failing_entry is None and support_cex is None:
             support_cex = BasisCounterexample(
                 trial=trial, canonical=canonical, basis_in=V, basis_out=W,
-                witness=sup.witness, failing_entry=None)
-        tot: TotalSupportResult = has_total_support(pat)
+                witness=tot.witness, failing_entry=None)
         if not tot and total_cex is None:
             total_cex = BasisCounterexample(
                 trial=trial, canonical=canonical, basis_in=V, basis_out=W,

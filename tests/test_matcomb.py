@@ -3,12 +3,17 @@
 The library decides support by max-flow on a compact graph and provides a
 subset-enumeration oracle.  The tests add a third, independent decision path:
 build the explicit ones-block lift of the pattern and run augmenting-path
-matchings on it, forcing single edges for the total-support case.
+matchings on it, forcing single edges for the total-support case.  The
+failing entry's witness is checked against the residual cut of a second,
+forced-unit flow problem.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
+from opscale import matcomb
 from opscale.matcomb import (NonnegPattern, SizeGuardError, ZeroSubmatrixWitness,
                              has_support, has_support_bruteforce,
                              has_total_support, has_total_support_bruteforce,
@@ -70,6 +75,41 @@ def lift_total_support_oracle(pattern):
             if max_matching(L, n, forced=forced) != n:
                 return False
     return True
+
+
+def forced_unit_witness(pattern, i, j):
+    """Source-side residual cut after forcing one matched unit through (i, j).
+
+    The forced problem lowers the capacities of row i and column j by one;
+    its reached rows and unreached columns form the zero submatrix.
+    """
+    k, m = pattern.k, pattern.m
+    mask = pattern.nonzero_mask()
+    net = matcomb._FlowNet(k + m + 2)
+    source, sink = 0, k + m + 1
+    for r in range(k):
+        net.add_edge(source, 1 + r, m - (r == i))
+    for c in range(m):
+        net.add_edge(1 + k + c, sink, k - (c == j))
+    for r, c in zip(*np.nonzero(mask)):
+        net.add_edge(1 + int(r), 1 + k + int(c), k * m + 1)
+    net.max_flow(source, sink)
+    seen = net.residual_reachable(source)
+    rows = [seen[1 + r] for r in range(k)]
+    cols = [seen[1 + k + c] for c in range(m)]
+    alpha = tuple(r for r in range(k) if rows[r])
+    beta = tuple(c for c in range(m) if not cols[c])
+    weight = len(alpha) * m + len(beta) * k
+    outside = mask[np.ix_([not x for x in rows], cols)]
+    return ZeroSubmatrixWitness(alpha=alpha, beta=beta, weight=weight,
+                                tight_violation=bool(weight == k * m and outside.any()))
+
+
+def all_01_patterns(max_dim):
+    for k in range(1, max_dim + 1):
+        for m in range(1, max_dim + 1):
+            for bits in itertools.product((0.0, 1.0), repeat=k * m):
+                yield NonnegPattern(np.array(bits).reshape(k, m))
 
 
 def random_pattern(rng, max_dim=4):
@@ -157,12 +197,13 @@ class TestOracleAgreement:
 
 
 class TestWitnesses:
-    def test_every_refusal_carries_a_valid_witness(self):
+    @pytest.mark.parametrize("max_dim, trials", [(4, 500), (10, 1500)])
+    def test_every_refusal_carries_a_valid_witness(self, max_dim, trials):
         rng = np.random.default_rng(102)
         seen_support_refusal = 0
         seen_total_refusal = 0
-        for _ in range(500):
-            pat = random_pattern(rng)
+        for _ in range(trials):
+            pat = random_pattern(rng, max_dim)
             sup = has_support(pat)
             if not sup:
                 seen_support_refusal += 1
@@ -191,11 +232,12 @@ class TestWitnesses:
                                    tight_violation=good.tight_violation)
         assert not bad.check(pat)
 
-    def test_failing_entry_is_off_every_positive_diagonal(self):
+    @pytest.mark.parametrize("max_dim, trials", [(4, 400), (10, 1200)])
+    def test_failing_entry_is_off_every_positive_diagonal(self, max_dim, trials):
         rng = np.random.default_rng(103)
         checked = 0
-        for _ in range(400):
-            pat = random_pattern(rng)
+        for _ in range(trials):
+            pat = random_pattern(rng, max_dim)
             tot = has_total_support(pat)
             if tot or tot.failing_entry is None:
                 continue
@@ -205,6 +247,51 @@ class TestWitnesses:
             assert max_matching(L, n, forced=(i * pat.m, j * pat.k)) < n
             checked += 1
         assert checked > 20
+
+
+class TestOneFlow:
+    """Total support from one max-flow and one residual search per column."""
+
+    @staticmethod
+    def check_forced_unit_witness(pat):
+        tot = has_total_support(pat)
+        if tot or tot.failing_entry is None:
+            return False
+        assert tot.witness == forced_unit_witness(pat, *tot.failing_entry)
+        return True
+
+    def test_witness_matches_forced_unit_cut_exhaustive(self):
+        checked = sum(self.check_forced_unit_witness(pat) for pat in all_01_patterns(4))
+        assert checked > 30000
+
+    def test_witness_matches_forced_unit_cut_random(self):
+        rng = np.random.default_rng(105)
+        checked = sum(self.check_forced_unit_witness(random_pattern(rng, 10))
+                      for _ in range(1500))
+        assert checked > 20
+
+    def test_one_flow_and_one_search_per_column(self, monkeypatch):
+        calls = {"max_flow": 0, "residual_reachable": 0}
+
+        def counted(name):
+            original = getattr(matcomb._FlowNet, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(matcomb._FlowNet, name, counted(name))
+        rng = np.random.default_rng(106)
+        patterns = [NonnegPattern(np.ones((6, 6))), NonnegPattern(np.ones((3, 8)))]
+        patterns += [random_pattern(rng, 10) for _ in range(300)]
+        for pat in patterns:
+            for name in calls:
+                calls[name] = 0
+            has_total_support(pat)
+            assert calls["max_flow"] == 1
+            assert calls["residual_reachable"] <= pat.m + 1
 
 
 class TestZeroFraction:
