@@ -2,14 +2,23 @@
 
 A matrix file is ``{"rows": r, "cols": c, "data": [...]}`` with ``data``
 row-major; each element is either ``[re, im]`` or a bare number for real
-entries.  Emitted numbers round-trip bit-for-bit: ``json`` writes each
-double as the shortest decimal that re-parses to the same double.
+entries.  Emitted numbers round-trip bit-for-bit, a negative zero real part
+included: ``json`` writes each double as the shortest decimal that re-parses
+to the same double.  An entry whose imaginary part is zero, of either sign,
+is written as a bare number.  Decoding makes one Python pass that
+type-checks every cell and lays out its real and imaginary parts, then
+builds the matrix in one NumPy conversion; encoding goes through
+``tolist()``.
 
 A state file wraps a matrix: ``{"k": ..., "m": ..., "matrix": {...}}``; the
-matrix must be Hermitian within 1e-8 and is symmetrized and trace normalized
-on load.  A map file is ``{"k": ..., "m": ..., "choi": {...}}`` holding the
-block storage, or ``{"kind": "state", ...}`` with state-file fields to load
-the map induced by a state.
+matrix must be Hermitian within 1e-8 and positive semidefinite, and is
+symmetrized and trace normalized on load.  A map file is
+``{"k": ..., "m": ..., "choi": {...}}`` holding the block storage, or
+``{"kind": "state", ...}`` with state-file fields to load the map induced by
+a state.  A map's positivity is proved from a positive semidefinite storage
+by one Cholesky factorization, and sampled only when that proof fails (see
+:mod:`opscale.posmap`); a state's map needs neither, since the state's own
+check already proved its storage positive semidefinite.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import numpy as np
 
 from .fnf import BipartiteState
 from .numkernel import as_complex_matrix
-from .posmap import ChoiMap, from_state
+from .posmap import ChoiMap
 
 
 class ValidationError(ValueError):
@@ -32,11 +41,26 @@ class ValidationError(ValueError):
 
 def matrix_to_obj(M) -> dict[str, Any]:
     M = np.asarray(M, dtype=np.complex128)
-    data: list[Any] = []
-    for value in M.reshape(-1):
-        re, im = float(value.real), float(value.imag)
-        data.append(re if im == 0.0 else [re, im])
+    # Row by row, so that only one row's parts exist as spare Python floats.
+    data = [re if im == 0.0 else [re, im]
+            for row in M for re, im in zip(row.real.tolist(), row.imag.tolist())]
     return {"rows": int(M.shape[0]), "cols": int(M.shape[1]), "data": data}
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _cell_parts(cell, idx: int) -> tuple[float, float]:
+    """``(re, im)`` of a cell of any accepted kind, as doubles."""
+    try:
+        if _is_real(cell):
+            return float(cell), 0.0
+        if isinstance(cell, list) and len(cell) == 2 and all(map(_is_real, cell)):
+            return float(cell[0]), float(cell[1])
+    except OverflowError as exc:
+        raise ValidationError(f"matrix entry {idx} does not fit a double: {exc}") from exc
+    raise ValidationError(f"matrix entry {idx} must be a number or [re, im]")
 
 
 def obj_to_matrix(obj) -> np.ndarray:
@@ -52,19 +76,25 @@ def obj_to_matrix(obj) -> np.ndarray:
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ValidationError(
             f"matrix data must list {rows * cols} row-major entries")
-    values = np.empty(rows * cols, dtype=np.complex128)
-    try:
-        for idx, cell in enumerate(data):
-            if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                values[idx] = float(cell)
-            elif (isinstance(cell, list) and len(cell) == 2
-                  and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in cell)):
-                values[idx] = complex(float(cell[0]), float(cell[1]))
-            else:
-                raise ValidationError(f"matrix entry {idx} must be a number or [re, im]")
-    except OverflowError as exc:
-        raise ValidationError(f"matrix entry {idx} does not fit a double: {exc}") from exc
-    M = values.reshape(rows, cols)
+    # One pass type-checks the cells and lays out re, im pairs; plain floats
+    # and pairs of floats, all that matrix_to_obj writes, skip the general
+    # check.  The float64 buffer viewed as complex128 keeps the sign of a
+    # zero real part, which re + 1j * im would lose.
+    parts: list[float] = []
+    push = parts.append
+    for cell in data:
+        if type(cell) is float:
+            push(cell)
+            push(0.0)
+        elif (type(cell) is list and len(cell) == 2
+              and type(cell[0]) is float and type(cell[1]) is float):
+            push(cell[0])
+            push(cell[1])
+        else:
+            re, im = _cell_parts(cell, len(parts) // 2)
+            push(re)
+            push(im)
+    M = np.array(parts, dtype=np.float64).view(np.complex128).reshape(rows, cols)
     try:
         return as_complex_matrix(M)
     except ValueError as exc:
@@ -141,9 +171,10 @@ def parse_map(obj, rng: np.random.Generator | None = None) -> ChoiMap:
     if not isinstance(obj, dict):
         raise ValidationError("map must be a JSON object")
     if obj.get("kind") == "state":
+        # parse_state has checked that rho is PSD, which proves the map
+        # positive; from_state would repeat that check.
         state = parse_state(obj)
-        G, _ = from_state(state.rho, state.k, state.m)
-        return G
+        return ChoiMap(state.k, state.m, state.rho, check_positivity=False)
     k, m = _shape_fields(obj)
     if "choi" not in obj:
         raise ValidationError('map file needs a "choi" field (or "kind": "state")')

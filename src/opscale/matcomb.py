@@ -207,36 +207,36 @@ class _FlowNet:
         return seen
 
 
-def _build_net(pattern: NonnegPattern):
-    """Nodes: 0 = source, 1..k rows, k+1..k+m cols, k+m+1 = sink."""
-    k, m = pattern.k, pattern.m
+def _build_net(mask: np.ndarray):
+    """Nodes: 0 = source, 1..k rows, k+1..k+m cols, k+m+1 = sink.
+
+    ``mask`` is the pattern's structural-nonzero mask; its arcs are added in
+    row-major order.
+    """
+    k, m = mask.shape
     net = _FlowNet(k + m + 2)
     source, sink = 0, k + m + 1
     for i in range(k):
         net.add_edge(source, 1 + i, m)
     for j in range(m):
         net.add_edge(1 + k + j, sink, k)
-    arc = {}
     big = k * m + 1
-    mask = pattern.nonzero_mask()
-    for i in range(k):
-        for j in range(m):
-            if mask[i, j]:
-                arc[(i, j)] = net.add_edge(1 + i, 1 + k + j, big)
+    rows, cols = np.nonzero(mask)
+    arc = {(i, j): net.add_edge(1 + i, 1 + k + j, big)
+           for i, j in zip(rows.tolist(), cols.tolist())}
     return net, arc, source, sink
 
 
-def _cut_witness(pattern: NonnegPattern, seen: list[bool]) -> ZeroSubmatrixWitness:
+def _cut_witness(mask: np.ndarray, seen: list[bool]) -> ZeroSubmatrixWitness:
     """Zero-submatrix witness from a residual reach set after a max-flow.
 
     Rows reached and columns not reached form a zero submatrix: a nonzero arc
     leaving a reached row always has residual capacity and would extend it.
     """
-    k, m = pattern.k, pattern.m
+    k, m = mask.shape
     alpha = tuple(i for i in range(k) if seen[1 + i])
     beta = tuple(j for j in range(m) if not seen[1 + k + j])
     weight = len(alpha) * m + len(beta) * k
-    mask = pattern.nonzero_mask()
     rows_c = [i for i in range(k) if not seen[1 + i]]
     cols_c = [j for j in range(m) if seen[1 + k + j]]
     tight = False
@@ -248,11 +248,12 @@ def _cut_witness(pattern: NonnegPattern, seen: list[bool]) -> ZeroSubmatrixWitne
 def has_support(pattern: NonnegPattern) -> SupportResult:
     """Decide support.  On failure the result carries a zero-submatrix witness."""
     k, m = pattern.k, pattern.m
-    net, _, source, sink = _build_net(pattern)
+    mask = pattern.nonzero_mask()
+    net, _, source, sink = _build_net(mask)
     value = net.max_flow(source, sink)
     if value == k * m:
         return SupportResult(True, None)
-    return SupportResult(False, _cut_witness(pattern, net.residual_reachable(source)))
+    return SupportResult(False, _cut_witness(mask, net.residual_reachable(source)))
 
 
 def has_total_support(pattern: NonnegPattern) -> TotalSupportResult:
@@ -268,9 +269,10 @@ def has_total_support(pattern: NonnegPattern) -> TotalSupportResult:
     reached columns, so the witness has weight exactly k*m.
     """
     k, m = pattern.k, pattern.m
-    net, arc, source, sink = _build_net(pattern)
+    mask = pattern.nonzero_mask()
+    net, arc, source, sink = _build_net(mask)
     if net.max_flow(source, sink) != k * m:
-        witness = _cut_witness(pattern, net.residual_reachable(source))
+        witness = _cut_witness(mask, net.residual_reachable(source))
         return TotalSupportResult(False, witness, None)
     big = k * m + 1
     reach: dict[int, list[bool]] = {}
@@ -280,7 +282,7 @@ def has_total_support(pattern: NonnegPattern) -> TotalSupportResult:
         if j not in reach:
             reach[j] = net.residual_reachable(1 + k + j)
         if not reach[j][1 + i]:
-            return TotalSupportResult(False, _cut_witness(pattern, reach[j]), (i, j))
+            return TotalSupportResult(False, _cut_witness(mask, reach[j]), (i, j))
     return TotalSupportResult(True, None, None)
 
 

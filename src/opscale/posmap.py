@@ -9,9 +9,17 @@ The transpose places a bipartite density matrix A and the map it induces,
 ``X -> sum_l B_l * tr(A_l X)`` for ``A = sum_l kron(A_l, B_l)``, into exact
 correspondence: :func:`from_state` stores A itself, the block trace of the
 storage equals the partial trace of A, and the normalized maximally entangled
-state induces ``X -> transpose(X) / k``.  Positivity of a map is not a
-property of the storage matrix (the identity map is stored as the swap
-operator), so construction checks it by sampling.
+state induces ``X -> transpose(X) / k``.
+
+Positivity of a map is not a property of the storage matrix: the identity
+map is stored as the swap operator, which has a negative eigenvalue.  A
+positive semidefinite storage does prove it, since
+``T(v v*) = (v (x) Id)* C (v (x) Id)``.  Every map induced by a state, the
+transpose and the random maps of :mod:`opscale.fixtures` have one; the
+identity and every sandwich map ``X -> S X S*`` with rank S >= 2 do not.
+Construction first tries that proof with one Cholesky factorization of the
+storage, and samples rank-one images only when the proof does not go
+through.
 """
 
 from __future__ import annotations
@@ -27,13 +35,39 @@ from .numkernel import (DEFAULT_TOL, Tolerances, as_complex_matrix, frob,
                         rank_tol)
 
 _HERM_REL = 1e-8          # allowed block-Hermiticity defect, relative
-_POSITIVITY_REL = 1e-8    # allowed negative eigenvalue in sampled images
+_POSITIVITY_REL = 1e-8    # allowed negative eigenvalue in images T(v v*)
 _POSITIVITY_TRIALS = 200
 _CHECK_SEED = 42
 
 
 class PositivityViolation(ValueError):
     """Sampled check found a unit vector v with T(v v*) not PSD."""
+
+
+def _storage_proves_positivity(C: np.ndarray) -> bool:
+    """Prove that the map stored in the Hermitian matrix C is positive.
+
+    For a unit vector v, ``T(v v*) = (v (x) Id)* C (v (x) Id)`` has smallest
+    eigenvalue at least ``lambda_min(C)``.  If the Cholesky factorization of
+    ``A = C + delta*Id`` with ``delta = _POSITIVITY_REL / 2`` succeeds, its
+    computed factor R satisfies ``R* R = A + E`` with
+    ``|E| <= gamma_(n+1) |R*| |R|`` (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm. 10.3), so ``lambda_min(C) >= -delta - ||E||_2``
+    where ``||E||_2 <= gamma_(n+1) ||R||_F^2`` is about ``(n + 1) * eps/2 * tr(A)``.
+    The proof counts when twice that bound, ``(n + 1) * eps * tr(A)``, stays
+    below the other half of ``_POSITIVITY_REL``: every image then has all
+    eigenvalues above ``-_POSITIVITY_REL``, the least negative floor the
+    sampled check can use.  Draws no random numbers.
+    """
+    n = C.shape[0]
+    delta = 0.5 * _POSITIVITY_REL
+    A = C.copy()
+    A[np.diag_indices(n)] += delta
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return (n + 1) * np.finfo(np.float64).eps * float(np.trace(A).real) < delta
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -55,9 +89,11 @@ class ChoiMap:
 
     The storage matrix must be Hermitian (equivalently blockwise
     ``C[j][i] = C[i][j]*``); it is symmetrized on construction and kept
-    read-only.  Unless ``check_positivity`` is disabled, construction samples
-    ``T(v v*)`` for random unit vectors and rejects on a negative eigenvalue
-    beyond tolerance.
+    read-only.  Unless ``check_positivity`` is disabled, construction checks
+    positivity: one Cholesky factorization proves it when the storage is
+    positive semidefinite within tolerance.  Otherwise ``T(v v*)`` is sampled
+    for random unit vectors and the map is rejected on a negative eigenvalue
+    beyond tolerance.  Only the sampling draws from ``rng``.
     """
 
     def __init__(self, k: int, m: int, choi, *, check_positivity: bool = True,
@@ -77,7 +113,7 @@ class ChoiMap:
         self.m = int(m)
         self.choi = C
         self._blocks = C.reshape(k, m, k, m)  # [i, p, j, q] = C[i][j][p, q]
-        if check_positivity:
+        if check_positivity and not _storage_proves_positivity(C):
             self._sampled_positivity_check(rng)
 
     def _sampled_positivity_check(self, rng: np.random.Generator | None):

@@ -5,6 +5,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from opscale import cli, fixtures
 from opscale.fnf import BipartiteState
@@ -54,11 +57,73 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValidationError):
             obj_to_matrix({"rows": 0, "cols": 1, "data": []})
 
+    @pytest.mark.parametrize("cell, message", [
+        (True, "matrix entry 3 must be a number or [re, im]"),
+        ([1.0], "matrix entry 3 must be a number or [re, im]"),
+        ([1.0, "x"], "matrix entry 3 must be a number or [re, im]"),
+        ([True, 0.0], "matrix entry 3 must be a number or [re, im]"),
+        (None, "matrix entry 3 must be a number or [re, im]"),
+        ([[1, 2]], "matrix entry 3 must be a number or [re, im]"),
+        (10**400, "matrix entry 3 does not fit a double: "),
+        ([0.0, -10**400], "matrix entry 3 does not fit a double: "),
+        (float("nan"), "matrix contains non-finite entries"),
+        ([0.0, float("inf")], "matrix contains non-finite entries"),
+    ])
+    def test_malformed_cell_message(self, cell, message):
+        obj = {"rows": 2, "cols": 2, "data": [1.0, [2.0, 3.0], 4, cell]}
+        with pytest.raises(ValidationError) as info:
+            obj_to_matrix(obj)
+        assert str(info.value).startswith(message)
+
     def test_pattern_rejects_complex_and_negative(self):
         with pytest.raises(ValidationError):
             parse_pattern_matrix(matrix_to_obj(np.array([[1j]])))
         with pytest.raises(ValidationError):
             parse_pattern_matrix(matrix_to_obj(np.array([[-1.0]])))
+
+
+def _decode_by_loop(obj):
+    """Entry-by-entry decoder: the reference for obj_to_matrix."""
+    values = np.empty(len(obj["data"]), dtype=np.complex128)
+    for idx, cell in enumerate(obj["data"]):
+        re, im = (cell, 0.0) if not isinstance(cell, list) else cell
+        values[idx] = complex(float(re), float(im))
+    return values.reshape(obj["rows"], obj["cols"])
+
+
+def _bits(M):
+    return np.ascontiguousarray(M, dtype=np.complex128).view(np.uint64)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_json_number = st.one_of(_finite, st.integers(-10**308, 10**308))
+_json_cell = st.one_of(_json_number, st.lists(_json_number, min_size=2, max_size=2))
+
+
+class TestMatrixCodecProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5).map(lambda c: 2 * c)),
+                  elements=_finite))
+    def test_round_trip_bit_for_bit(self, parts):
+        # Every bit survives except the sign of a zero imaginary part: an
+        # entry with imaginary part -0.0 is written as a bare real number.
+        M = parts.view(np.complex128)
+        expected = M.copy()
+        expected.imag[expected.imag == 0.0] = 0.0
+        back = obj_to_matrix(json.loads(json.dumps(matrix_to_obj(M))))
+        assert np.array_equal(_bits(back), _bits(expected))
+
+    def test_round_trip_keeps_negative_zero_real_parts(self):
+        M = np.array([[-0.0, complex(-0.0, 1.0)], [2.0, complex(-0.0, -0.0)]])
+        back = obj_to_matrix(json.loads(json.dumps(matrix_to_obj(M))))
+        assert np.signbit(back.real).tolist() == [[True, True], [False, True]]
+        assert np.signbit(back.imag).tolist() == [[False, False], [False, False]]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(_json_cell, min_size=1, max_size=12))
+    def test_decode_matches_entry_loop(self, cells):
+        obj = json.loads(json.dumps({"rows": 1, "cols": len(cells), "data": cells}))
+        assert np.array_equal(_bits(obj_to_matrix(obj)), _bits(_decode_by_loop(obj)))
 
 
 class TestStateAndMapFiles:

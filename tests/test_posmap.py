@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opscale import fixtures
+from opscale import fixtures, posmap
 from opscale.numkernel import (Tolerances, frob, kron, partial_trace_first,
                                partial_trace_second)
 from opscale.posmap import (BlockCertificate, ChoiMap, PositivityViolation,
@@ -34,12 +36,89 @@ class TestChoiMapValidation:
             ChoiMap(2, 3, np.eye(4))
 
     def test_sampled_positivity_catches_negative_direction(self):
-        with pytest.raises(PositivityViolation):
+        with pytest.raises(PositivityViolation,
+                           match=r"^map sent a rank-one projector to eigenvalue -4\.996e-01$"):
             ChoiMap(2, 2, np.diag([1.0, 1.0, 1.0, -1.0]))
 
     def test_positivity_check_can_be_skipped(self):
         T = ChoiMap(2, 2, np.diag([1.0, 1.0, 1.0, -1.0]), check_positivity=False)
         assert T.k == 2 and T.m == 2
+
+
+def _no_sampling(monkeypatch):
+    def refuse(dim, rng):
+        raise AssertionError("positivity was sampled, not proved")
+    monkeypatch.setattr(posmap, "random_unit_vector", refuse)
+
+
+def _count_samples(monkeypatch):
+    calls = []
+    draw = posmap.random_unit_vector
+
+    def counted(dim, rng):
+        calls.append(dim)
+        return draw(dim, rng)
+    monkeypatch.setattr(posmap, "random_unit_vector", counted)
+    return calls
+
+
+def classical_lift(A):
+    """Storage of ``X -> sum_ij A[i, j] X[j, j] E_ii`` for A >= 0."""
+    k, m = A.shape[1], A.shape[0]
+    blocks = np.zeros((k, m, k, m), dtype=complex)
+    for j in range(k):
+        blocks[j, :, j, :] = np.diag(A[:, j])
+    return blocks.reshape(k * m, k * m)
+
+
+class TestPositivityProof:
+    @pytest.mark.parametrize("rank", [1, None])
+    def test_psd_storage_is_proved_without_sampling(self, monkeypatch, rank):
+        rng = np.random.default_rng(11)
+        _no_sampling(monkeypatch)
+        for k in range(1, 5):
+            for m in range(1, 5):
+                C = fixtures.random_cp_map(k, m, rng, rank=rank).choi
+                T = ChoiMap(k, m, C)
+                assert np.array_equal(T.choi, C)
+
+    def test_state_maps_and_classical_lift_are_proved(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        _no_sampling(monkeypatch)
+        ChoiMap(3, 4, fixtures.random_state_matrix(3, 4, rng, kernel_dim=5))
+        ChoiMap(3, 3, fixtures.max_entangled_state(3))     # transpose / 3
+        ChoiMap(3, 2, classical_lift(rng.random((2, 3)) * (rng.random((2, 3)) < 0.5)))
+
+    @pytest.mark.parametrize("storage", [
+        fixtures.identity_map(3).choi,      # swap operator: not PSD
+        1e8 * np.eye(9),                    # PSD, but past the rounding bound
+    ], ids=["identity", "huge-trace"])
+    def test_falls_back_to_sampling(self, monkeypatch, storage):
+        calls = _count_samples(monkeypatch)
+        T = ChoiMap(3, 3, storage)
+        assert (T.k, T.m) == (3, 3)
+        assert len(calls) == 200
+
+    def test_proof_draws_nothing_from_the_rng(self):
+        rng = np.random.default_rng(13)
+        ChoiMap(2, 3, fixtures.random_cp_map(2, 3, np.random.default_rng(0)).choi, rng=rng)
+        assert rng.random() == np.random.default_rng(13).random()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 3), m=st.integers(1, 3), rank=st.integers(1, 9),
+           scale=st.floats(1e-3, 1e3), t=st.floats(0.0, 1.5e-8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_proof_accepts_only_what_sampling_accepts(self, k, m, rank, scale, t, seed):
+        rng = np.random.default_rng(seed)
+        n = k * m
+        G = random_complex(rng, n, min(rank, n))
+        C = scale * (G @ G.conj().T) / n - t * np.eye(n)
+        T = ChoiMap(k, m, C, check_positivity=False)
+        proved = posmap._storage_proves_positivity(T.choi)
+        if rank < n and t > 0.6e-8:     # lambda_min(C) = -t, below the shift
+            assert not proved
+        if proved:
+            T._sampled_positivity_check(rng)
 
 
 class TestApplyConventions:
