@@ -33,8 +33,8 @@ from .fnf import (BipartiteState, FnfPreconditionFailed, ScalingInconclusive,
 from .io import (ValidationError, atomic_write_json, load_json, map_to_obj,
                  matrix_to_obj, obj_to_matrix, parse_map, parse_pattern_matrix,
                  parse_state, state_to_obj)
-from .matcomb import (NonnegPattern, SizeGuardError, has_support,
-                      has_support_bruteforce, has_total_support,
+from .matcomb import (NonnegPattern, SizeGuardError, SupportResult,
+                      has_support, has_support_bruteforce, has_total_support,
                       has_total_support_bruteforce)
 from .numkernel import (NotPositiveDefinite, NumericalFailure, Tolerances,
                         frob, kron, realign, unrealign)
@@ -122,11 +122,17 @@ def _support_job(path: str, args, seed: int, tol: Tolerances) -> tuple[dict, int
     report = _envelope(seed, tol)
     report.update({"input": path, "k": pattern.k, "m": pattern.m,
                    "zero_eps": pattern.zero_eps})
-    sup = has_support(pattern)
+    if args.total:
+        # One flow decides both: a refusal without a failing entry is a
+        # support refusal, and its witness is has_support's source-side cut.
+        tot = has_total_support(pattern)
+        no_support = not tot and tot.failing_entry is None
+        sup = SupportResult(not no_support, tot.witness if no_support else None)
+    else:
+        sup = has_support(pattern)
     report["support"] = sup.has_support
     report["witness"] = _to_json(sup.witness)
     if args.total:
-        tot = has_total_support(pattern)
         report["total_support"] = tot.has_total_support
         report["total_witness"] = _to_json(tot.witness)
         if tot.failing_entry is not None:

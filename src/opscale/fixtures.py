@@ -55,7 +55,14 @@ def no_support_map() -> ChoiMap:
 def random_cp_map(k: int, m: int, rng: np.random.Generator,
                   rank: int | None = None) -> ChoiMap:
     """Random map with PSD block storage (hence positive) and, at full
-    storage rank, positive definite marginals."""
+    storage rank, positive definite marginals.
+
+    Despite the name, T need not be completely positive.  Block (i, j) of
+    the storage is T(E_ji), so the storage is the Choi matrix of
+    X -> T(transpose(X)): that map is completely positive, and T itself
+    need not be.  At rank 1 the Choi matrix of T usually has a negative
+    eigenvalue.
+    """
     n = k * m
     r = n if rank is None else rank
     G = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))

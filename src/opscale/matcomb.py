@@ -15,18 +15,21 @@ nonzero.  The lift has a positive diagonal iff the max-flow value is k*m.
 Flow arcs get capacity k*m + 1 rather than the tight min(k, m): the flow
 through an arc is already limited by its endpoints, so the max-flow value is
 unchanged, and min cuts then never cross a nonzero arc, which makes every cut
-a zero-submatrix witness.
+a zero-submatrix witness.  The flow is Dinic's: blocking flows on level
+graphs, over flat arc lists.
 
-Total support needs the same one flow plus at most one residual search per
-column: a nonzero (i, j) without flow lies on a positive diagonal iff row i
-is reachable from column j.  When it is not, the reached rows and the
-unreached columns are the witness, because reached rows keep all their
-nonzeros inside the reached set and so send all their flow into it.
+Total support needs the same one flow and one pass over the strongly
+connected components of its residual graph (Dulmage and Mendelsohn, 1958): a
+nonzero (i, j) lies on a positive diagonal iff row i and column j share a
+component.  For the first entry that fails, one residual search from its
+column gives the witness: the reached rows and the unreached columns, because
+reached rows keep all their nonzeros inside the reached set and so send all
+their flow into it.  Which maximum flow the solver finds changes none of
+this; :func:`has_total_support` says why.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +82,10 @@ class NonnegPattern:
 
     def row_bitmasks(self) -> list[int]:
         """Per-row bitmask of structural-nonzero columns (bit j = column j)."""
-        mask = self.nonzero_mask()
-        return [int(sum(1 << j for j in range(self.m) if mask[i, j]))
-                for i in range(self.k)]
+        rows = [0] * self.k
+        for i, j in zip(*(ix.tolist() for ix in np.nonzero(self.nonzero_mask()))):
+            rows[i] |= 1 << j
+        return rows
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,8 @@ class ZeroSubmatrixWitness:
         k, m = pattern.k, pattern.m
         if not self.alpha or not self.beta:
             return False
-        if len(set(self.alpha)) != len(self.alpha) or len(set(self.beta)) != len(self.beta):
+        alpha_set, beta_set = set(self.alpha), set(self.beta)
+        if len(alpha_set) != len(self.alpha) or len(beta_set) != len(self.beta):
             return False
         if not all(0 <= i < k for i in self.alpha):
             return False
@@ -115,8 +120,8 @@ class ZeroSubmatrixWitness:
         mask = pattern.nonzero_mask()
         if mask[np.ix_(self.alpha, self.beta)].any():
             return False
-        rows_c = [i for i in range(k) if i not in set(self.alpha)]
-        cols_c = [j for j in range(m) if j not in set(self.beta)]
+        rows_c = [i for i in range(k) if i not in alpha_set]
+        cols_c = [j for j in range(m) if j not in beta_set]
         complement_nonzero = bool(mask[np.ix_(rows_c, cols_c)].any()) if rows_c and cols_c else False
         if self.weight > k * m:
             return True
@@ -145,7 +150,11 @@ class TotalSupportResult:
 
 
 class _FlowNet:
-    """Integer max-flow via breadth-first augmenting paths."""
+    """Integer max-flow by Dinic's blocking flows on flat arc lists.
+
+    Arc ``e`` runs to ``to[e]`` with residual capacity ``cap[e]``; arcs come
+    in pairs, so ``e ^ 1`` is its reverse and ``to[e ^ 1]`` its tail.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -164,54 +173,131 @@ class _FlowNet:
         return eid
 
     def max_flow(self, s: int, t: int) -> int:
-        total = 0
+        """Augment to a maximum flow from s to t and return its value.
+
+        Each phase labels nodes by residual distance from s, stopping as soon
+        as t is labelled, then saturates that level graph with an iterative
+        depth-first search whose per-node arc pointers never revisit an arc.
+        The level and pointer lists are reset only where a phase touched them.
+        """
         to, cap, adj = self.to, self.cap, self.adj
+        level = [-1] * self.n
+        ptr = [0] * self.n
+        total = 0
         while True:
-            parent_edge = [-1] * self.n
-            parent_edge[s] = -2
-            queue = deque([s])
-            while queue and parent_edge[t] == -1:
-                u = queue.popleft()
-                for eid in adj[u]:
-                    v = to[eid]
-                    if cap[eid] > 0 and parent_edge[v] == -1:
-                        parent_edge[v] = eid
-                        queue.append(v)
-            if parent_edge[t] == -1:
+            level[s] = 0
+            labelled = [s]
+            for u in labelled:
+                below = level[u] + 1
+                for e in adj[u]:
+                    if cap[e] and level[to[e]] < 0:
+                        level[to[e]] = below
+                        labelled.append(to[e])
+                if level[t] >= 0:
+                    break
+            if level[t] < 0:
                 return total
-            bottleneck = None
-            v = t
-            while v != s:
-                eid = parent_edge[v]
-                bottleneck = cap[eid] if bottleneck is None else min(bottleneck, cap[eid])
-                v = to[eid ^ 1]
-            v = t
-            while v != s:
-                eid = parent_edge[v]
-                cap[eid] -= bottleneck
-                cap[eid ^ 1] += bottleneck
-                v = to[eid ^ 1]
-            total += bottleneck
+            path: list[int] = []
+            u = s
+            while True:
+                if u == t:
+                    push = cap[path[0]]
+                    for e in path:
+                        if cap[e] < push:
+                            push = cap[e]
+                    total += push
+                    cut = -1
+                    for idx, e in enumerate(path):
+                        cap[e] -= push
+                        cap[e ^ 1] += push
+                        if cut < 0 and not cap[e]:
+                            cut = idx
+                    del path[cut:]  # resume at the tail of the first saturated arc
+                    u = to[path[-1]] if path else s
+                    continue
+                arcs = adj[u]
+                p = ptr[u]
+                below = level[u] + 1
+                while p < len(arcs):
+                    e = arcs[p]
+                    if cap[e] and level[to[e]] == below:
+                        break
+                    p += 1
+                else:  # u is blocked: retreat and skip the arc into it
+                    ptr[u] = p
+                    if not path:
+                        break
+                    u = to[path.pop() ^ 1]
+                    ptr[u] += 1
+                    continue
+                ptr[u] = p
+                path.append(e)
+                u = to[e]
+            for u in labelled:
+                level[u] = -1
+                ptr[u] = 0
 
     def residual_reachable(self, s: int) -> list[bool]:
         seen = [False] * self.n
         seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for eid in self.adj[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
+        queue = [s]
+        to, cap, adj = self.to, self.cap, self.adj
+        for u in queue:
+            for e in adj[u]:
+                if cap[e] and not seen[to[e]]:
+                    seen[to[e]] = True
+                    queue.append(to[e])
         return seen
+
+    def residual_components(self) -> list[int]:
+        """Strongly connected component label of every node of the residual
+        graph, from one iterative Tarjan pass."""
+        to, cap, adj = self.to, self.cap, self.adj
+        index = [-1] * self.n
+        low = [0] * self.n
+        comp = [-1] * self.n
+        stack: list[int] = []
+        counter = labels = 0
+        for root in range(self.n):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            call = [(root, iter(adj[root]))]  # each node resumes its arc scan
+            while call:
+                u, arcs = call[-1]
+                for e in arcs:
+                    if cap[e]:
+                        v = to[e]
+                        if index[v] < 0:
+                            index[v] = low[v] = counter
+                            counter += 1
+                            stack.append(v)
+                            call.append((v, iter(adj[v])))
+                            break
+                        if comp[v] < 0 and index[v] < low[u]:  # v is on the stack
+                            low[u] = index[v]
+                else:
+                    call.pop()
+                    if call and low[u] < low[call[-1][0]]:
+                        low[call[-1][0]] = low[u]
+                    if low[u] == index[u]:
+                        while True:
+                            v = stack.pop()
+                            comp[v] = labels
+                            if v == u:
+                                break
+                        labels += 1
+        return comp
 
 
 def _build_net(mask: np.ndarray):
     """Nodes: 0 = source, 1..k rows, k+1..k+m cols, k+m+1 = sink.
 
-    ``mask`` is the pattern's structural-nonzero mask; its arcs are added in
-    row-major order.
+    ``mask`` is the pattern's structural-nonzero mask.  Its arcs follow the
+    k + m line arcs in row-major order, so they are arcs 2*(k+m), 2*(k+m) + 2,
+    and so on.
     """
     k, m = mask.shape
     net = _FlowNet(k + m + 2)
@@ -222,9 +308,9 @@ def _build_net(mask: np.ndarray):
         net.add_edge(1 + k + j, sink, k)
     big = k * m + 1
     rows, cols = np.nonzero(mask)
-    arc = {(i, j): net.add_edge(1 + i, 1 + k + j, big)
-           for i, j in zip(rows.tolist(), cols.tolist())}
-    return net, arc, source, sink
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        net.add_edge(1 + i, 1 + k + j, big)
+    return net, source, sink
 
 
 def _cut_witness(mask: np.ndarray, seen: list[bool]) -> ZeroSubmatrixWitness:
@@ -237,11 +323,11 @@ def _cut_witness(mask: np.ndarray, seen: list[bool]) -> ZeroSubmatrixWitness:
     alpha = tuple(i for i in range(k) if seen[1 + i])
     beta = tuple(j for j in range(m) if not seen[1 + k + j])
     weight = len(alpha) * m + len(beta) * k
-    rows_c = [i for i in range(k) if not seen[1 + i]]
-    cols_c = [j for j in range(m) if seen[1 + k + j]]
     tight = False
-    if weight == k * m and rows_c and cols_c:
-        tight = bool(mask[np.ix_(rows_c, cols_c)].any())
+    if weight == k * m:
+        rows_c = [i for i in range(k) if not seen[1 + i]]
+        cols_c = [j for j in range(m) if seen[1 + k + j]]
+        tight = bool(rows_c and cols_c and mask[np.ix_(rows_c, cols_c)].any())
     return ZeroSubmatrixWitness(alpha=alpha, beta=beta, weight=weight, tight_violation=tight)
 
 
@@ -249,7 +335,7 @@ def has_support(pattern: NonnegPattern) -> SupportResult:
     """Decide support.  On failure the result carries a zero-submatrix witness."""
     k, m = pattern.k, pattern.m
     mask = pattern.nonzero_mask()
-    net, _, source, sink = _build_net(mask)
+    net, source, sink = _build_net(mask)
     value = net.max_flow(source, sink)
     if value == k * m:
         return SupportResult(True, None)
@@ -260,29 +346,39 @@ def has_total_support(pattern: NonnegPattern) -> TotalSupportResult:
     """Decide total support.
 
     Runs one maximum flow.  Without support the result carries the same cut
-    witness as :func:`has_support`.  Otherwise each structural nonzero must
-    carry a unit of some maximum flow: either the base flow already routes
-    through it, or row i is reachable from column j in the residual graph,
-    which closes a rerouting cycle.  One residual search per column serves
-    all of its entries.  The first entry that fails is reported, and that
-    column's reach set is its witness: reached rows send all their flow into
-    reached columns, so the witness has weight exactly k*m.
+    witness as :func:`has_support`.  Otherwise a structural nonzero (i, j)
+    lies on a positive diagonal exactly when some maximum flow routes a unit
+    through it: either the flow found already does, or a residual path from
+    column j back to row i closes a rerouting cycle with the arc (i, j).  The
+    arc (i, j) always has residual capacity, so both cases say that row i and
+    column j share a strongly connected component of the residual graph, and
+    one Tarjan pass decides every entry.  The first failing entry in
+    row-major order is reported, with column j's residual reach set as its
+    witness: reached rows send all their flow into reached columns, so the
+    witness has weight exactly k*m.  That search runs only on failure.
+
+    None of this depends on which maximum flow the solver finds.  Two
+    maximum flows differ by a circulation, which splits into cycles of the
+    first flow's residual graph.  Pushing a unit around such a cycle removes
+    residual arcs only between nodes of the cycle and opens the reversed
+    cycle, so those nodes stay mutually reachable and every reach set, and
+    with it every strongly connected component, is unchanged.  The verdict,
+    ``failing_entry``, the source-side cut and column j's witness are thus
+    the same for every maximum flow.
     """
     k, m = pattern.k, pattern.m
     mask = pattern.nonzero_mask()
-    net, arc, source, sink = _build_net(mask)
+    net, source, sink = _build_net(mask)
     if net.max_flow(source, sink) != k * m:
         witness = _cut_witness(mask, net.residual_reachable(source))
         return TotalSupportResult(False, witness, None)
-    big = k * m + 1
-    reach: dict[int, list[bool]] = {}
-    for (i, j), eid in arc.items():
-        if net.cap[eid] < big:  # residual below capacity: carries flow already
-            continue
-        if j not in reach:
-            reach[j] = net.residual_reachable(1 + k + j)
-        if not reach[j][1 + i]:
-            return TotalSupportResult(False, _cut_witness(mask, reach[j]), (i, j))
+    comp = net.residual_components()
+    to = net.to
+    for e in range(2 * (k + m), len(to), 2):  # the nonzero arcs, row-major
+        row, col = to[e ^ 1], to[e]
+        if comp[row] != comp[col]:
+            witness = _cut_witness(mask, net.residual_reachable(col))
+            return TotalSupportResult(False, witness, (row - 1, col - 1 - k))
     return TotalSupportResult(True, None, None)
 
 
@@ -316,7 +412,7 @@ def has_support_bruteforce(pattern: NonnegPattern) -> bool:
             probe >>= 1
             i += 1
         beta &= full
-        if beta and a_size * m + bin(beta).count("1") * k > k * m:
+        if beta and a_size * m + beta.bit_count() * k > k * m:
             return False
     return True
 
@@ -324,13 +420,14 @@ def has_support_bruteforce(pattern: NonnegPattern) -> bool:
 def has_total_support_bruteforce(pattern: NonnegPattern) -> bool:
     """Ground-truth total-support oracle over all zero-submatrix pairs.
 
-    Enumerates every nonempty (alpha, beta) with A[alpha | beta] identically
-    zero; total support fails on weight > k*m, or weight == k*m with the
-    complementary submatrix not identically zero.  Small sizes only.
+    Total support fails when some nonempty (alpha, beta) with A[alpha | beta]
+    identically zero has weight > k*m, or weight == k*m with the
+    complementary submatrix not identically zero.  Every row subset alpha is
+    enumerated.  The weight grows with beta, so the maximal zero column set
+    decides for each alpha: a smaller beta that reaches k*m leaves the
+    maximal one above it.  Small sizes only.
     """
     _guard(pattern)
-    if not has_support_bruteforce(pattern):
-        return False
     k, m = pattern.k, pattern.m
     rows = pattern.row_bitmasks()
     full = (1 << m) - 1
@@ -338,24 +435,16 @@ def has_total_support_bruteforce(pattern: NonnegPattern) -> bool:
     for amask in range(1, 1 << k):
         zeros = full
         outside = 0
-        a_size = 0
         for i in range(k):
-            if amask & (1 << i):
+            if amask >> i & 1:
                 zeros &= ~rows[i]
-                a_size += 1
             else:
                 outside |= rows[i]
-        zeros &= full
         if not zeros:
             continue
-        bmask = zeros
-        while bmask:
-            weight = a_size * m + bin(bmask).count("1") * k
-            if weight > target:
-                return False
-            if weight == target and (outside & ~bmask & full):
-                return False
-            bmask = (bmask - 1) & zeros
+        weight = amask.bit_count() * m + zeros.bit_count() * k
+        if weight > target or (weight == target and outside & ~zeros):
+            return False
     return True
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from opscale import cli, fixtures
+from opscale import cli, fixtures, matcomb
 from opscale.fnf import BipartiteState
 from opscale.io import (ValidationError, atomic_write_json, load_json,
                         map_to_obj, matrix_to_obj, obj_to_matrix,
@@ -188,6 +188,36 @@ class TestSupportCommand:
         code, rep = run_cli_json(capsys, "support", str(path), "--total",
                                  "--zero-eps", "1e-9")
         assert rep["total_support"] is False
+
+    @pytest.mark.parametrize("A", [
+        np.eye(3),
+        np.array([[0.0, 1.0], [1.0, 1.0]]),
+        np.array([[1.0, 1.0], [0.0, 0.0]]),
+        np.kron(np.array([[0.0, 1.0], [1.0, 1.0]]), np.ones((15, 10))),
+        np.kron(np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 1.0]]), np.ones((10, 10))),
+    ], ids=["total", "no-total", "no-support", "no-total-30x20", "no-support-30x20"])
+    def test_total_runs_one_flow(self, capsys, tmp_path, monkeypatch, A):
+        path = tmp_path / "p.json"
+        atomic_write_json(str(path), matrix_to_obj(A))
+        _, plain = run_cli_json(capsys, "support", str(path))
+        calls = {"max_flow": 0, "residual_reachable": 0}
+
+        def counted(name):
+            original = getattr(matcomb._FlowNet, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(matcomb._FlowNet, name, counted(name))
+        code, rep = run_cli_json(capsys, "support", str(path), "--total")
+        assert code == 0
+        assert calls["max_flow"] == 1
+        assert calls["residual_reachable"] <= 1
+        assert rep["support"] == plain["support"]
+        assert rep["witness"] == plain["witness"]
 
     def test_missing_file_is_exit_2(self, capsys, tmp_path):
         code, rep = run_cli_json(capsys, "support", str(tmp_path / "none.json"))

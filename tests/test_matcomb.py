@@ -5,13 +5,17 @@ subset-enumeration oracle.  The tests add a third, independent decision path:
 build the explicit ones-block lift of the pattern and run augmenting-path
 matchings on it, forcing single edges for the total-support case.  The
 failing entry's witness is checked against the residual cut of a second,
-forced-unit flow problem.
+forced-unit flow problem.  On larger patterns the flow value is checked
+against scipy's maximum_flow, and the total-support verdict against one
+forced-unit flow per entry.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opscale import matcomb
 from opscale.matcomb import (NonnegPattern, SizeGuardError, ZeroSubmatrixWitness,
@@ -103,6 +107,32 @@ def forced_unit_witness(pattern, i, j):
     outside = mask[np.ix_([not x for x in rows], cols)]
     return ZeroSubmatrixWitness(alpha=alpha, beta=beta, weight=weight,
                                 tight_violation=bool(weight == k * m and outside.any()))
+
+
+def forced_unit_value(pattern, i, j):
+    """Max-flow value once row i and column j have lent one unit to (i, j)."""
+    k, m = pattern.k, pattern.m
+    net = matcomb._FlowNet(k + m + 2)
+    for r in range(k):
+        net.add_edge(0, 1 + r, m - (r == i))
+    for c in range(m):
+        net.add_edge(1 + k + c, k + m + 1, k - (c == j))
+    for r, c in zip(*np.nonzero(pattern.nonzero_mask())):
+        net.add_edge(1 + int(r), 1 + k + int(c), k * m + 1)
+    return net.max_flow(0, k + m + 1)
+
+
+def block_triangular_pattern(rng, a, b):
+    """2a x 2b pattern with an a x b zero block, rows and columns shuffled.
+
+    The block has weight a*2b + b*2a = k*m exactly, so whenever the pattern
+    has support, every nonzero outside both the block's rows and its columns
+    lies on no positive diagonal.
+    """
+    A = (rng.random((2 * a, 2 * b)) < rng.uniform(0.3, 0.9)).astype(float)
+    A[a:, b:] = 0.0
+    A[:a, :b] *= rng.random((a, b)) < rng.uniform(0.0, 0.3)
+    return NonnegPattern(A[rng.permutation(2 * a)][:, rng.permutation(2 * b)])
 
 
 def all_01_patterns(max_dim):
@@ -292,6 +322,66 @@ class TestOneFlow:
             has_total_support(pat)
             assert calls["max_flow"] == 1
             assert calls["residual_reachable"] <= pat.m + 1
+
+
+class TestSolverCrossChecks:
+    """The blocking-flow solver and the SCC rule against independent references."""
+
+    @staticmethod
+    def large_patterns(rng, count):
+        for t in range(count):
+            k = int(rng.integers(2, 121))
+            m = int(rng.integers(2, 101))
+            A = (rng.random((k, m)) < rng.uniform(0.02, 0.6)).astype(float)
+            if t % 2:  # a zero corner block, often past the support bound
+                A[:int(rng.integers(1, k)), :int(rng.integers(1, m))] = 0.0
+            yield NonnegPattern(A)
+
+    def test_support_matches_scipy_maximum_flow(self):
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        sparse = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(107)
+        verdicts = set()
+        for pat in self.large_patterns(rng, 60):
+            k, m = pat.k, pat.m
+            rows, cols = np.nonzero(pat.nonzero_mask())
+            tails = np.concatenate([np.zeros(k, int), 1 + k + np.arange(m), 1 + rows])
+            heads = np.concatenate([1 + np.arange(k), np.full(m, k + m + 1), 1 + k + cols])
+            caps = np.concatenate([np.full(k, m), np.full(m, k), np.full(len(rows), k * m + 1)])
+            graph = sparse.csr_matrix((caps.astype(np.int32), (tails, heads)),
+                                      shape=(k + m + 2, k + m + 2))
+            value = csgraph.maximum_flow(graph, 0, k + m + 1).flow_value
+            net = matcomb._build_net(pat.nonzero_mask())[0]
+            assert net.max_flow(0, k + m + 1) == value
+            sup = has_support(pat)
+            assert bool(sup) == (value == k * m)
+            if not sup:
+                assert sup.witness.check(pat)
+            verdicts.add(bool(sup))
+        assert verdicts == {True, False}
+
+    def test_witness_matches_forced_unit_cut_larger(self):
+        rng = np.random.default_rng(108)
+        checked = sum(TestOneFlow.check_forced_unit_witness(
+            block_triangular_pattern(rng, *rng.integers(6, 16, 2).tolist()))
+            for _ in range(100))
+        assert checked > 50
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 7).flatmap(lambda k: st.integers(1, 7).flatmap(
+        lambda m: st.lists(st.booleans(), min_size=k * m, max_size=k * m).map(
+            lambda bits: np.array(bits, dtype=float).reshape(k, m)))))
+    def test_total_support_matches_per_entry_reference(self, A):
+        pat = NonnegPattern(A)
+        k, m = pat.k, pat.m
+        tot = has_total_support(pat)
+        if not lift_support_oracle(pat):
+            assert not tot and tot.failing_entry is None
+            return
+        failing = [(int(i), int(j)) for i, j in zip(*np.nonzero(pat.nonzero_mask()))
+                   if forced_unit_value(pat, i, j) != k * m - 1]
+        assert bool(tot) == (not failing)
+        assert tot.failing_entry == (failing[0] if failing else None)
 
 
 class TestZeroFraction:
