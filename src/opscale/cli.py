@@ -10,14 +10,14 @@ a stable exit-code contract:
     5  certificate verification failed
 
 Batch mode (``--batch``) treats the input path as a directory of ``*.json``
-jobs, processes them on a bounded worker pool, writes one report per job
-atomically, and never lets one failing job abort the rest.
+jobs, runs them one at a time (``--jobs`` is accepted for compatibility),
+writes one report per job atomically, and never lets one failing job abort
+the rest.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import glob
 import json
@@ -109,7 +109,7 @@ def _add_common(sub, batch: bool = False):
         sub.add_argument("--batch", action="store_true",
                          help="treat the input path as a directory of *.json jobs")
         sub.add_argument("--jobs", type=int, default=4,
-                         help="worker pool size for batch mode")
+                         help="accepted for compatibility; jobs run one at a time")
         sub.add_argument("--out", default=None,
                          help="output directory (batch) or output prefix (fnf)")
 
@@ -460,7 +460,8 @@ def _run_batch(args, seed: int, tol: Tolerances, job) -> int:
         raise ValidationError(f"no *.json inputs found in {args.path!r}")
     outdir = _batch_outdir(args)
 
-    def safe(path):
+    rows = []
+    for path in inputs:
         try:
             report, code = job(path, args, seed, tol)
         except (ValidationError, NotPositiveDefinite, NumericalFailure) as exc:
@@ -470,12 +471,8 @@ def _run_batch(args, seed: int, tol: Tolerances, job) -> int:
                             "error": f"{type(exc).__name__}: {exc}"}, 2
         report_path = os.path.join(outdir, _stem(path) + ".report.json")
         atomic_write_json(report_path, report)
-        return {"input": path, "exit_code": code, "report": report_path,
-                "error": report.get("error")}
-
-    workers = max(1, int(args.jobs))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(safe, inputs))
+        rows.append({"input": path, "exit_code": code, "report": report_path,
+                     "error": report.get("error")})
     summary = _envelope(seed, tol)
     summary.update({
         "batch_dir": args.path,
@@ -550,8 +547,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, not per call: parsing leaves it unchanged.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, NotPositiveDefinite, NumericalFailure) as exc:

@@ -24,7 +24,7 @@ from .numkernel import (DEFAULT_TOL, NumericalFailure, Tolerances,
                         as_complex_matrix, frob, hermitian_part, kernel_dim,
                         kron, partial_trace_first, partial_trace_second,
                         realign, svd)
-from .posmap import ChoiMap, from_state
+from .posmap import ChoiMap
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,12 @@ class BipartiteState:
     def reduced_first(self) -> np.ndarray:
         """Reduced state on the first (k-dimensional) factor."""
         return partial_trace_second(self.rho, self.k, self.m)
+
+
+def _induced_map(state: BipartiteState) -> ChoiMap:
+    """The map induced by ``state``, whose storage is ``state.rho`` itself."""
+    # The state's own PSD check proves the map positive.
+    return ChoiMap(state.k, state.m, state.rho, check_positivity=False)
 
 
 class FnfPreconditionFailed(ValueError):
@@ -144,8 +150,8 @@ def sufficient_conditions(state: BipartiteState, tol: Tolerances = DEFAULT_TOL,
     coprime = math.gcd(k, m) == 1
     verdict = None
     if coprime and run_coprime_scaling and pre.ok:
-        G, _ = from_state(state.rho, k, m, tol)
-        verdict = scaling.run(G, tol, max_iter=max_iter, keep_history=False).verdict
+        verdict = scaling.run(_induced_map(state), tol, max_iter=max_iter,
+                              keep_history=False).verdict
     return SufficientReport(
         kernel_dim=ker,
         marginals_pd=pre.ok,
@@ -213,9 +219,10 @@ def compute_fnf(state: BipartiteState, tol: Tolerances = DEFAULT_TOL,
                 divergence_logdet: float | None = None) -> FnfResult:
     """Compute the filter normal form by scaling the induced map.
 
-    Raises FnfPreconditionFailed when a reduced state is singular and
+    Raises FnfPreconditionFailed when a reduced state is singular,
     ScalingInconclusive (carrying the scaling report) when the scaling does
-    not converge; no partial result is produced in either case.
+    not converge, and NumericalFailure when the filtered state fails its own
+    checks; no partial result is produced in any case.
     """
     k, m = state.k, state.m
     pre = check_preconditions(state, tol)
@@ -225,25 +232,27 @@ def compute_fnf(state: BipartiteState, tol: Tolerances = DEFAULT_TOL,
             f"first factor min eigenvalue {pre.first_factor.min_eigenvalue:.3e}, "
             f"second factor min eigenvalue {pre.second_factor.min_eigenvalue:.3e}")
 
-    G, _ = from_state(state.rho, k, m, tol)
-    report = scaling.run(G, tol, max_iter=max_iter,
+    report = scaling.run(_induced_map(state), tol, max_iter=max_iter,
                          divergence_logdet=divergence_logdet)
     if not report.converged:
         raise ScalingInconclusive(report)
 
     # The scaled map X -> out T(in X in*) out* is induced by the state
-    # filtered with (in* (x) out); absorb the trace normalization evenly.
-    filt_first = report.in_filter.conj().T
-    filt_second = report.out_filter
-    W = kron(filt_first, filt_second)
-    raw = hermitian_part(W @ state.rho @ W.conj().T)
+    # filtered with (in* (x) out), so its storage is the filtered state;
+    # absorb the trace normalization evenly into the filters.
+    raw = report.ds_map.choi
     tr = float(np.trace(raw).real)
     if tr <= 0.0:
         raise NumericalFailure("filtered state lost its trace")
     scale = tr ** -0.25
-    filt_first = scale * filt_first
-    filt_second = scale * filt_second
-    fnf_state = BipartiteState(k, m, raw / tr)
+    filt_first = scale * report.in_filter.conj().T
+    filt_second = scale * report.out_filter
+    try:
+        fnf_state = BipartiteState(k, m, raw / tr)
+    except ValueError as exc:
+        # Filtering can push an accepted state's tiny negative eigenvalue
+        # below the PSD floor.
+        raise NumericalFailure(f"filtered state rejected: {exc}") from exc
 
     eye_defect = max(
         frob(partial_trace_first(fnf_state.rho, k, m) - np.eye(m) / m),
@@ -287,12 +296,9 @@ class FnfVerification:
 
 
 def _gram_defect(factors: list[np.ndarray]) -> float:
-    n = len(factors)
-    gram = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            gram[a, b] = np.trace(factors[a] @ factors[b].conj().T)
-    return frob(gram - np.eye(n))
+    # tr(A B*) is the inner product of the flattened factors.
+    F = np.stack([f.ravel() for f in factors])
+    return frob(F @ F.conj().T - np.eye(len(factors)))
 
 
 def verify_fnf(result: FnfResult, tol: Tolerances = DEFAULT_TOL,

@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .fnf import BipartiteState
+from .fnf import BipartiteState, _induced_map
 from .numkernel import as_complex_matrix
 from .posmap import ChoiMap
 
@@ -171,10 +171,7 @@ def parse_map(obj, rng: np.random.Generator | None = None) -> ChoiMap:
     if not isinstance(obj, dict):
         raise ValidationError("map must be a JSON object")
     if obj.get("kind") == "state":
-        # parse_state has checked that rho is PSD, which proves the map
-        # positive; from_state would repeat that check.
-        state = parse_state(obj)
-        return ChoiMap(state.k, state.m, state.rho, check_positivity=False)
+        return _induced_map(parse_state(obj))
     k, m = _shape_fields(obj)
     if "choi" not in obj:
         raise ValidationError('map file needs a "choi" field (or "kind": "state")')

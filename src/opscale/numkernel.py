@@ -77,13 +77,6 @@ def as_complex_matrix(data) -> np.ndarray:
     return M
 
 
-def frozen_matrix(data) -> np.ndarray:
-    """Like :func:`as_complex_matrix` but read-only, for dataclass fields."""
-    M = as_complex_matrix(data)
-    M.setflags(write=False)
-    return M
-
-
 def hermitian_part(M) -> np.ndarray:
     """(M + M*) / 2.  Every stored Hermitian matrix is symmetrized this way."""
     M = np.asarray(M, dtype=np.complex128)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from opscale.io import (ValidationError, atomic_write_json, load_json,
                         map_to_obj, matrix_to_obj, obj_to_matrix,
                         parse_pattern_matrix, parse_state, state_to_obj)
 from opscale.numkernel import frob
+from opscale.posmap import haar_unitary
 
 
 def run_cli(capsys, *argv):
@@ -315,6 +317,25 @@ class TestFnfCommand:
         assert suff["coprime_scaling_verdict"] == "converged-ds"
         assert suff["guaranteed"] is True
 
+    @pytest.mark.parametrize("seed, exit_code", [(0, 2), (2, 0)])
+    def test_strict_rank_rel_keeps_exit_contract(self, capsys, tmp_path, seed,
+                                                 exit_code):
+        # An eigenvalue at -5e-10 of the largest passes the state's own check;
+        # a rank_rel of 1e-12 must not refuse the state a second time.  At
+        # seed 0 filtering pushes it below the floor: a JSON error, exit 2.
+        U = haar_unitary(6, np.random.default_rng(seed))
+        w = np.array([1.0, 0.8, 0.6, 0.5, 0.3, -5e-10])
+        path = tmp_path / "near.json"
+        state = BipartiteState(2, 3, (U * w) @ U.conj().T)
+        atomic_write_json(str(path), state_to_obj(state))
+        code, rep = run_cli_json(capsys, "fnf", str(path), "--rank-rel", "1e-12",
+                                 "--out", str(tmp_path / "n"))
+        assert code == exit_code
+        if code == 0:
+            assert rep["outcome"] == "fnf-computed"
+        else:
+            assert rep["error"].startswith("filtered state rejected")
+
     def test_inconclusive_exit_4(self, capsys, workspace, tmp_path):
         code, rep = run_cli_json(capsys, "fnf", str(workspace["state"]),
                                  "--out", str(tmp_path / "y"),
@@ -426,6 +447,29 @@ class TestBatchMode:
         assert rep["failed"] == 0
         assert (outdir / "s0.filters.json").exists()
         assert (outdir / "s1.schmidt.json").exists()
+
+    def test_fnf_batch_output_does_not_depend_on_jobs(self, capsys, tmp_path):
+        rng = np.random.default_rng(6)
+        indir = tmp_path / "jobs"
+        os.makedirs(indir)
+        for idx, (k, m) in enumerate([(2, 2), (2, 3), (3, 3)]):
+            state = BipartiteState(k, m, fixtures.random_state_matrix(k, m, rng))
+            atomic_write_json(str(indir / f"s{idx}.json"), state_to_obj(state))
+        rho = np.zeros((4, 4))
+        rho[0, 0] = rho[1, 1] = 0.5
+        atomic_write_json(str(indir / "singular.json"),
+                          state_to_obj(BipartiteState(2, 2, rho)))
+        atomic_write_json(str(indir / "broken.json"), {"nope": 1})
+        outdir = tmp_path / "out"
+        runs = []
+        for jobs in ("1", "2", "0"):
+            shutil.rmtree(outdir, ignore_errors=True)
+            code, out = run_cli(capsys, "fnf", str(indir), "--batch",
+                                "--jobs", jobs, "--out", str(outdir))
+            files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+            runs.append((code, out, files))
+        assert len(runs[0][2]) == 3 * 4 + 2
+        assert runs[0] == runs[1] == runs[2]
 
     def test_batch_on_missing_directory_is_exit_2(self, capsys, tmp_path):
         code, rep = run_cli_json(capsys, "support",
@@ -570,6 +614,16 @@ class TestReportContract:
             "commutation": leaves("passed", "precondition_ok", "steps_run",
                                   "first_failure"),
         }
+
+
+class TestParser:
+    def test_main_reuses_one_parser(self, capsys, workspace, monkeypatch):
+        def refuse():
+            raise AssertionError("main rebuilt the parser")
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        for _ in range(2):
+            code, rep = run_cli_json(capsys, "support", str(workspace["pattern"]))
+            assert code == 0 and rep["support"] is True
 
 
 class TestSelftest:

@@ -8,9 +8,11 @@ import pytest
 
 from opscale import fixtures
 from opscale.fnf import (BipartiteState, FnfPreconditionFailed,
-                         ScalingInconclusive, check_preconditions, compute_fnf,
-                         sufficient_conditions, verify_fnf)
-from opscale.numkernel import Tolerances, frob, kron
+                         ScalingInconclusive, _gram_defect, check_preconditions,
+                         compute_fnf, sufficient_conditions, verify_fnf)
+from opscale.numkernel import (NumericalFailure, Tolerances, frob,
+                               hermitian_part, kron)
+from opscale.posmap import haar_unitary
 from opscale.scaling import VERDICT_CONVERGED, VERDICT_NO_SUPPORT
 
 TOL = Tolerances()
@@ -25,6 +27,14 @@ def diagonal_blocked_state():
     rho[7, 7] = 1.0   # block (2, 2), entry E11
     rho[8, 8] = 1.0   # block (2, 2), entry E22
     return BipartiteState(3, 3, rho)
+
+
+def near_psd_state(seed):
+    """2x3 state with one eigenvalue at -5e-10 of the largest: inside
+    BipartiteState's -1e-9 floor, below a rank_rel of 1e-12."""
+    U = haar_unitary(6, np.random.default_rng(seed))
+    w = np.array([1.0, 0.8, 0.6, 0.5, 0.3, -5e-10])
+    return BipartiteState(2, 3, (U * w) @ U.conj().T)
 
 
 class TestBipartiteState:
@@ -191,6 +201,73 @@ class TestComputeFnf:
         state = BipartiteState(3, 3, fixtures.random_state_matrix(3, 3, rng))
         with pytest.raises(ScalingInconclusive):
             compute_fnf(state, max_iter=0)
+
+
+class TestAcceptedStatesAreNotRefusedAgain:
+    """A state BipartiteState accepted is never checked again at another
+    threshold; only the filtered state's own check can refuse it."""
+
+    TOL = Tolerances(rank_rel=1e-12)
+
+    def test_compute_fnf_raises_no_value_error(self):
+        outcomes = set()
+        for seed in range(6):
+            state = near_psd_state(seed)
+            try:
+                res = compute_fnf(state, self.TOL)
+            except NumericalFailure as exc:
+                assert "filtered state rejected" in str(exc)
+                outcomes.add("refused")
+            else:
+                assert verify_fnf(res, self.TOL, original=state).passed
+                outcomes.add("computed")
+        assert outcomes == {"computed", "refused"}
+
+    def test_coprime_scaling_runs(self):
+        suff = sufficient_conditions(near_psd_state(2), self.TOL)
+        assert suff.coprime and suff.coprime_scaling_verdict == VERDICT_CONVERGED
+
+
+class TestNormalFormIsTheScaledMap:
+    @pytest.mark.parametrize("k, m, ker, seed",
+                             [(2, 3, 0, 1), (3, 3, 0, 2), (3, 4, 2, 3), (4, 2, 1, 4)])
+    def test_state_equals_filtered_state_bit_for_bit(self, k, m, ker, seed):
+        rng = np.random.default_rng(seed)
+        state = BipartiteState(k, m, fixtures.random_state_matrix(k, m, rng, ker))
+        res = compute_fnf(state)
+        rep = res.scaling_report
+        W = kron(rep.in_filter.conj().T, rep.out_filter)
+        raw = hermitian_part(W @ state.rho @ W.conj().T)
+        tr = float(np.trace(raw).real)
+        assert np.array_equal(res.state_fnf.rho, BipartiteState(k, m, raw / tr).rho)
+        assert np.array_equal(res.filter_first, tr ** -0.25 * rep.in_filter.conj().T)
+        assert np.array_equal(res.filter_second, tr ** -0.25 * rep.out_filter)
+
+
+class TestGramDefect:
+    @staticmethod
+    def trace_loop(factors):
+        gram = np.array([[np.trace(a @ b.conj().T) for b in factors]
+                         for a in factors])
+        return frob(gram - np.eye(len(factors)))
+
+    def test_matches_trace_loop(self):
+        rng = np.random.default_rng(13)
+        state = BipartiteState(3, 4, fixtures.random_state_matrix(3, 4, rng))
+        res = compute_fnf(state)
+        families = [[t.first for t in res.schmidt], [t.second for t in res.schmidt],
+                    [0.5 * (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+                     for _ in range(5)]]
+        for factors in families:
+            assert abs(_gram_defect(factors) - self.trace_loop(factors)) <= 1e-14
+
+    def test_flags_one_perturbed_factor(self):
+        rng = np.random.default_rng(14)
+        state = BipartiteState(2, 3, fixtures.random_state_matrix(2, 3, rng))
+        factors = [t.second for t in compute_fnf(state).schmidt]
+        assert _gram_defect(factors) <= 1e-8   # verify_fnf's limit
+        factors[2] = factors[2] + 1e-6 * factors[1]
+        assert _gram_defect(factors) > 1e-8
 
 
 class TestVerifyFnfCatchesCorruption:
