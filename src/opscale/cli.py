@@ -247,6 +247,12 @@ def _fnf_job(path: str, args, seed: int, tol: Tolerances,
         report["outcome"] = exc.report.verdict
         atomic_write_json(prefix + ".report.json", report)
         return report, _VERDICT_EXIT[exc.report.verdict]
+    except NumericalFailure as exc:
+        report["sufficient_conditions"] = _sufficient_obj(suff, None)
+        report["outcome"] = "numerical-failure"
+        report["error"] = str(exc)
+        atomic_write_json(prefix + ".report.json", report)
+        return report, 2
 
     verification = verify_fnf(result, tol, original=state)
     report["sufficient_conditions"] = _sufficient_obj(

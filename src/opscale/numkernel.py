@@ -14,6 +14,7 @@ required to go through these helpers instead of hand-rolling index math:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +68,23 @@ _EIG_RECON_REL = 1e-12
 _INV_SQRT_RECON_REL = 1e-10
 
 
-def as_complex_matrix(data) -> np.ndarray:
-    """Coerce to a fresh 2-d complex128 array, rejecting non-finite entries."""
-    M = np.array(data, dtype=np.complex128, order="C")
+def _finite_matrix(M: np.ndarray) -> np.ndarray:
     if M.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {M.shape}")
     if M.size and not np.isfinite(M).all():
         raise ValueError("matrix contains non-finite entries")
     return M
+
+
+def as_complex_matrix(data) -> np.ndarray:
+    """Coerce to a fresh 2-d complex128 array, rejecting non-finite entries."""
+    return _finite_matrix(np.array(data, dtype=np.complex128, order="C"))
+
+
+def complex_operand(data) -> np.ndarray:
+    """The checks of :func:`as_complex_matrix` for an operand that is only
+    read: a complex128 array comes back as itself, not copied."""
+    return _finite_matrix(np.asarray(data, dtype=np.complex128))
 
 
 def hermitian_part(M) -> np.ndarray:
@@ -84,7 +94,22 @@ def hermitian_part(M) -> np.ndarray:
 
 
 def frob(M) -> float:
-    return float(np.linalg.norm(M))
+    """Frobenius norm by ``np.linalg.norm``'s own formula, ``sqrt(re.re + im.im)``
+    over the flattened array, so the result is bit-identical to it on double,
+    complex double and integer input, without its dispatch."""
+    x = np.asarray(M)
+    if x.dtype.kind == "c":
+        x = x.astype(np.complex128, copy=False).ravel(order="K")
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    x = x.astype(np.float64, copy=False).ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def subtract_identity(M: np.ndarray) -> np.ndarray:
+    """``M - Id`` for a square matrix, written into M itself."""
+    M.reshape(-1)[::M.shape[0] + 1] -= 1.0
+    return M
 
 
 def _require_square(M, what="matrix") -> np.ndarray:
@@ -110,9 +135,14 @@ def herm_eig(H) -> tuple[np.ndarray, np.ndarray]:
         w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigen-solver did not converge: {exc}") from exc
+    # The eigenvalues are copied out of the reversed view: on some inputs
+    # numpy's power and log round differently on a strided array than on a
+    # contiguous one, and pd_inv_sqrt applies both to w.
     w = w[::-1].copy()
-    V = V[:, ::-1].copy()
-    residual = frob((V * w) @ V.conj().T - H)
+    V = V[:, ::-1]
+    R = (V * w) @ V.conj().T
+    R -= H
+    residual = frob(R)
     limit = dim * max(frob(H), 1e-300) * _EIG_RECON_REL
     if residual > limit:
         raise NumericalFailure(
@@ -133,8 +163,11 @@ def pd_inv_sqrt(H, tol: Tolerances = DEFAULT_TOL,
     never clamped.  The residual ``S H S - I`` grows like machine epsilon
     times the condition number of H, so its contract scales with that number
     and the floor alone decides which matrices are accepted.  ``what`` names
-    H in the error messages.
+    H in the error messages.  The residual takes H as given, without a
+    second symmetrization, so H must be Hermitian, as every caller's is: an
+    anti-Hermitian part would show in the residual.
     """
+    H = np.asarray(H, dtype=np.complex128)
     w, V = herm_eig(H)
     top, bottom = float(w[0]), float(w[-1])
     if top <= 0.0 or bottom <= tol.pd_min * top:
@@ -143,14 +176,13 @@ def pd_inv_sqrt(H, tol: Tolerances = DEFAULT_TOL,
             f"vs largest {top:.6e} (floor {tol.pd_min:g} relative)",
             min_eigenvalue=bottom, max_eigenvalue=top)
     S = hermitian_part((V * w ** -0.5) @ V.conj().T)
-    dim = H.shape[0]
-    residual = frob(S @ hermitian_part(H) @ S - np.eye(dim))
-    limit = dim * _INV_SQRT_RECON_REL * (top / bottom)
+    residual = frob(subtract_identity(S @ H @ S))
+    limit = H.shape[0] * _INV_SQRT_RECON_REL * (top / bottom)
     if residual > limit:
         raise NumericalFailure(
             f"{what} inverse square root residual {residual:.3e} exceeds "
             f"contract {limit:.3e}", residual=residual)
-    return S, float(np.sum(np.log(w))), residual
+    return S, float(np.log(w).sum()), residual
 
 
 def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -20,19 +20,29 @@ identity and every sandwich map ``X -> S X S*`` with rank S >= 2 do not.
 Construction first tries that proof with one Cholesky factorization of the
 storage, and samples rank-one images only when the proof does not go
 through.
+
+The map and its adjoint are applied as one matrix product each with the
+realigned storage, the contiguous ``k^2 x m^2`` matrix
+
+    R[(j, i), (p, q)] = C[i][j][p, q],    T(X) = vec(X) R,    T*(Y) = conj(R conj(vec(Y))),
+
+with ``vec`` the row-major vectorization.  R is built on the first
+application, so a map that is never applied costs no second copy of its
+storage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .matcomb import (NonnegPattern, TotalSupportResult, ZeroSubmatrixWitness,
                       has_total_support)
-from .numkernel import (DEFAULT_TOL, Tolerances, as_complex_matrix, frob,
-                        herm_eig, hermitian_part, kron, partial_trace_first,
-                        rank_tol)
+from .numkernel import (DEFAULT_TOL, Tolerances, as_complex_matrix,
+                        complex_operand, frob, herm_eig, hermitian_part, kron,
+                        partial_trace_first, rank_tol)
 
 _HERM_REL = 1e-8          # allowed block-Hermiticity defect, relative
 _POSITIVITY_REL = 1e-8    # allowed negative eigenvalue in images T(v v*)
@@ -126,19 +136,28 @@ class ChoiMap:
                 raise PositivityViolation(
                     f"map sent a rank-one projector to eigenvalue {w[0]:.3e}")
 
+    @cached_property
+    def _realigned(self) -> np.ndarray:
+        """The realigned storage R, built on first use."""
+        R = np.ascontiguousarray(self._blocks.transpose(2, 0, 1, 3))
+        R = R.reshape(self.k * self.k, self.m * self.m)
+        R.setflags(write=False)
+        return R
+
     def apply(self, X) -> np.ndarray:
         """Evaluate T(X) = sum_ij X[j, i] * C[i][j]."""
-        X = as_complex_matrix(X)
+        X = complex_operand(X)
         if X.shape != (self.k, self.k):
             raise ValueError(f"expected input shape {(self.k, self.k)}, got {X.shape}")
-        return np.einsum("ji,ipjq->pq", X, self._blocks)
+        return (X.reshape(-1) @ self._realigned).reshape(self.m, self.m)
 
     def apply_adjoint(self, Y) -> np.ndarray:
         """Evaluate the adjoint for <T(X), Y> = <X, T*(Y)> with <A, B> = tr(A B*)."""
-        Y = as_complex_matrix(Y)
+        Y = complex_operand(Y)
         if Y.shape != (self.m, self.m):
             raise ValueError(f"expected input shape {(self.m, self.m)}, got {Y.shape}")
-        return np.einsum("pq,ipjq->ji", Y, self._blocks.conj())
+        out = self._realigned @ Y.reshape(-1).conj()
+        return np.conjugate(out, out=out).reshape(self.k, self.k)
 
     def adjoint(self) -> "ChoiMap":
         """The adjoint as a map ``M_m -> M_k`` in the same storage scheme."""

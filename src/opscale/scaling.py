@@ -11,6 +11,12 @@ from the previous iterate.  The tracked log-determinant
 ``m*log|det in_filter| + k*log|det out_filter|`` never decreases, stays
 bounded when the map's pattern has support in every basis pair, and grows
 without bound otherwise, which is the divergence heuristic.
+
+``init``, ``step`` and ``run`` use the map only through its dimensions
+``k`` and ``m`` and its methods ``apply`` (``M_k -> M_m``) and
+``apply_adjoint`` (``M_m -> M_k``); ``run`` also calls
+``conjugated(in_filter, out_filter)`` to build the final ``ds_map``.  Any
+object with those members can be scaled, without a dense storage.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import (DEFAULT_TOL, NumericalFailure, Tolerances, frob,
-                        hermitian_part, pd_inv_sqrt)
+                        hermitian_part, pd_inv_sqrt, subtract_identity)
 from .posmap import BlockCertificate, ChoiMap, invariance_defect
 
 VERDICT_CONVERGED = "converged-ds"
@@ -72,8 +78,8 @@ class ScalingState:
     def trace_defects(self, k: int, m: int) -> tuple[float, float]:
         """Distance of tr(in_marginal) from sqrt(k) and tr(out_marginal)
         from sqrt(m); both are exact invariants of the iteration."""
-        return (abs(float(np.trace(self.in_marginal).real) - math.sqrt(k)),
-                abs(float(np.trace(self.out_marginal).real) - math.sqrt(m)))
+        return (abs(float(self.in_marginal.trace().real) - math.sqrt(k)),
+                abs(float(self.out_marginal.trace().real) - math.sqrt(m)))
 
 
 def _advance(T: ChoiMap, n: int, X, Y, B, logdet: float, in_logsum: float,
@@ -100,8 +106,8 @@ def _advance(T: ChoiMap, n: int, X, Y, B, logdet: float, in_logsum: float,
     state = ScalingState(
         n=n, in_filter=X, out_filter=Y1, in_marginal=A1, out_marginal=B1,
         in_filter_next=X2, logdet=logdet,
-        in_residual=frob(math.sqrt(k) * A1 - np.eye(k)),
-        out_residual=frob(math.sqrt(m) * B1 - np.eye(m)),
+        in_residual=frob(subtract_identity(math.sqrt(k) * A1)),
+        out_residual=frob(subtract_identity(math.sqrt(m) * B1)),
         marginal_defect=B_residual / math.sqrt(m),
         in_marginal_eig_logsum=A1_logsum)
     drift = max(state.trace_defects(k, m))

@@ -17,6 +17,7 @@ from opscale.io import (ValidationError, atomic_write_json, load_json,
                         parse_pattern_matrix, parse_state, state_to_obj)
 from opscale.numkernel import frob
 from opscale.posmap import haar_unitary
+from test_fnf import near_psd_state
 
 
 def run_cli(capsys, *argv):
@@ -335,6 +336,22 @@ class TestFnfCommand:
             assert rep["outcome"] == "fnf-computed"
         else:
             assert rep["error"].startswith("filtered state rejected")
+
+    def test_numerical_failure_writes_full_report(self, capsys, tmp_path):
+        # Seed 0's filtered state falls below the PSD floor: compute_fnf
+        # raises NumericalFailure, and the report still lands in --out.
+        path = tmp_path / "near.json"
+        atomic_write_json(str(path), state_to_obj(near_psd_state(0)))
+        prefix = tmp_path / "out" / "near"
+        prefix.parent.mkdir()
+        code, rep = run_cli_json(capsys, "fnf", str(path), "--out", str(prefix))
+        assert code == 2
+        assert rep["outcome"] == "numerical-failure"
+        assert rep["error"].startswith("filtered state rejected")
+        assert rep["preconditions"]["ok"] is True
+        assert "guaranteed" in rep["sufficient_conditions"]
+        assert load_json(str(prefix) + ".report.json") == rep
+        assert sorted(os.listdir(prefix.parent)) == ["near.report.json"]
 
     def test_inconclusive_exit_4(self, capsys, workspace, tmp_path):
         code, rep = run_cli_json(capsys, "fnf", str(workspace["state"]),

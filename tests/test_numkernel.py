@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from opscale.numkernel import (NotPositiveDefinite, Tolerances,
+from opscale import numkernel
+from opscale.numkernel import (DEFAULT_TOL, NotPositiveDefinite,
+                               NumericalFailure, Tolerances,
                                as_complex_matrix, frob, herm_eig,
                                hermitian_part, kernel_dim, kron,
                                partial_trace_first, partial_trace_second,
@@ -120,6 +125,136 @@ class TestPdInvSqrt:
             pd_inv_sqrt(np.diag([1.0, 0.0]))
         with pytest.raises(NotPositiveDefinite):
             pd_inv_sqrt(np.diag([1.0, 1e-14]))
+
+
+def reference_herm_eig(H):
+    """herm_eig as written before it dropped its copies, with numpy's norm."""
+    H = hermitian_part(np.asarray(H, dtype=np.complex128))
+    w, V = np.linalg.eigh(H)
+    w = w[::-1].copy()
+    V = V[:, ::-1].copy()
+    residual = float(np.linalg.norm((V * w) @ V.conj().T - H))
+    limit = H.shape[0] * max(float(np.linalg.norm(H)), 1e-300) * numkernel._EIG_RECON_REL
+    if residual > limit:
+        raise NumericalFailure("eigendecomposition residual", residual=residual)
+    return w, V
+
+
+def reference_pd_inv_sqrt(H, tol=DEFAULT_TOL):
+    """pd_inv_sqrt as written before it dropped its second symmetrization
+    and its identity matrix."""
+    w, V = reference_herm_eig(H)
+    top, bottom = float(w[0]), float(w[-1])
+    if top <= 0.0 or bottom <= tol.pd_min * top:
+        raise NotPositiveDefinite("not positive definite",
+                                  min_eigenvalue=bottom, max_eigenvalue=top)
+    S = hermitian_part((V * w ** -0.5) @ V.conj().T)
+    dim = H.shape[0]
+    residual = float(np.linalg.norm(S @ hermitian_part(H) @ S - np.eye(dim)))
+    limit = dim * numkernel._INV_SQRT_RECON_REL * (top / bottom)
+    if residual > limit:
+        raise NumericalFailure("inverse square root residual", residual=residual)
+    return S, float(np.sum(np.log(w))), residual
+
+
+def conditioned_hermitian(rng, dim, cond, definite=True):
+    """Hermitian matrix with a Haar eigenbasis and condition number ``cond``;
+    with ``definite`` False the smallest eigenvalue flips sign."""
+    U, _ = np.linalg.qr(random_complex(rng, dim, dim))
+    w = np.geomspace(1.0, 1.0 / cond, dim) * 10.0 ** rng.uniform(-3, 3)
+    if not definite:
+        w[-1] = -w[-1]
+    return hermitian_part((U * w) @ U.conj().T)
+
+
+def outcome(f, H):
+    try:
+        return f(H)
+    except (NotPositiveDefinite, NumericalFailure) as exc:
+        return type(exc), getattr(exc, "residual", None), getattr(exc, "min_eigenvalue", None)
+
+
+def assert_same_outcome(got, want):
+    assert type(got[0]) is type(want[0])
+    if isinstance(got[0], type):
+        assert got == want
+    else:
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+class TestKernelsBitForBit:
+    """frob, herm_eig and pd_inv_sqrt give exactly the results of the
+    formulas they replaced."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(
+        arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(0, 6)),
+               elements=st.floats(-1e150, 1e150)),
+        arrays(np.complex128, st.tuples(st.integers(0, 6), st.integers(0, 6)),
+               elements=st.complex_numbers(max_magnitude=1e150, allow_nan=False,
+                                           allow_infinity=False)),
+        arrays(np.int64, st.tuples(st.integers(0, 6), st.integers(0, 6)),
+               elements=st.integers(-2**40, 2**40))))
+    def test_frob_is_numpy_norm(self, M):
+        want = float(np.linalg.norm(M))
+        assert frob(M) == want
+        assert frob(M.T) == float(np.linalg.norm(M.T))
+        assert frob(M.tolist()) == want
+
+    def test_frob_on_strided_views_and_empty(self):
+        rng = np.random.default_rng(20)
+        M = random_complex(rng, 7, 5)
+        for view in (M, M.T, M[::2, 1::2], M[:, ::-1], M.real, M.imag[::-1], M[:0]):
+            assert frob(view) == float(np.linalg.norm(view))
+        assert frob(np.zeros((0, 0))) == 0.0
+        assert frob([[1, 2], [3, 4]]) == float(np.linalg.norm([[1, 2], [3, 4]]))
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_herm_eig(self, dim):
+        rng = np.random.default_rng([21, dim])
+        for trial in range(25):
+            H = random_complex(rng, dim, dim) if trial % 5 == 0 else random_hermitian(rng, dim)
+            w, V = herm_eig(H)
+            w0, V0 = reference_herm_eig(H)
+            assert np.array_equal(w, w0) and np.array_equal(V, V0)
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_pd_inv_sqrt(self, dim):
+        rng = np.random.default_rng([22, dim])
+        for trial in range(40):
+            cond = 10.0 ** rng.uniform(0.0, 9.0)
+            H = conditioned_hermitian(rng, dim, cond) if trial % 4 else random_spd(rng, dim)
+            H = hermitian_part(H)
+            S, logsum, residual = pd_inv_sqrt(H)
+            S0, logsum0, residual0 = reference_pd_inv_sqrt(H)
+            assert np.array_equal(S, S0)
+            assert logsum == logsum0 and residual == residual0
+
+    @pytest.mark.parametrize("eig_rel, inv_sqrt_rel", [
+        (None, None),                   # the contracts as shipped
+        (1e-17, None),                  # herm_eig's check fails on some inputs
+        (None, 1e-17),                  # pd_inv_sqrt's check fails on some
+    ])
+    def test_same_refusals(self, monkeypatch, eig_rel, inv_sqrt_rel):
+        if eig_rel is not None:
+            monkeypatch.setattr(numkernel, "_EIG_RECON_REL", eig_rel)
+        if inv_sqrt_rel is not None:
+            monkeypatch.setattr(numkernel, "_INV_SQRT_RECON_REL", inv_sqrt_rel)
+        rng = np.random.default_rng(23)
+        seen = set()
+        for trial in range(240):
+            dim = 1 + trial % 8
+            # condition numbers around the 1e10 floor, and indefinite inputs
+            H = conditioned_hermitian(rng, dim, 10.0 ** rng.uniform(0.0, 12.0),
+                                      definite=trial % 7 != 0)
+            got = outcome(pd_inv_sqrt, H)
+            assert_same_outcome(got, outcome(reference_pd_inv_sqrt, H))
+            seen.add(got[0] if isinstance(got[0], type) else "ok")
+            assert_same_outcome(outcome(herm_eig, H), outcome(reference_herm_eig, H))
+        assert "ok" in seen and NotPositiveDefinite in seen
+        if eig_rel is not None or inv_sqrt_rel is not None:
+            assert NumericalFailure in seen
 
 
 class TestTensorConventions:

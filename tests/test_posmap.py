@@ -170,6 +170,104 @@ class TestApplyConventions:
             assert w[0] > -1e-11 * max(1.0, w[-1])
 
 
+def einsum_apply(T, X):
+    """T(X) by the einsum formula over the block storage, the reference for
+    the one-product apply on the realigned storage."""
+    blocks = T.choi.reshape(T.k, T.m, T.k, T.m)
+    return np.einsum("ji,ipjq->pq", np.asarray(X, dtype=complex), blocks)
+
+
+def einsum_adjoint(T, Y):
+    blocks = T.choi.reshape(T.k, T.m, T.k, T.m)
+    return np.einsum("pq,ipjq->ji", np.asarray(Y, dtype=complex), blocks.conj())
+
+
+def operand(rng, dim, kind):
+    if kind == "complex":
+        return random_complex(rng, dim, dim)
+    if kind == "real":
+        return rng.standard_normal((dim, dim))
+    if kind == "integer":
+        return rng.integers(-5, 6, size=(dim, dim))
+    return random_complex(rng, dim, dim).tolist()
+
+
+_shapes = dict(k=st.integers(1, 5), m=st.integers(1, 5),
+               seed=st.integers(0, 2**32 - 1),
+               kind=st.sampled_from(["complex", "real", "integer", "list"]))
+
+
+class TestRealignedApply:
+    """apply and apply_adjoint as one product with the realigned storage
+    agree with the einsum formulas over the blocks."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(**_shapes)
+    def test_matches_einsum(self, k, m, seed, kind):
+        # Relative to ||X|| ||C||, which bounds ||T(X)|| and ||T*(Y)||.
+        rng = np.random.default_rng(seed)
+        T = ChoiMap(k, m, random_hermitian(rng, k * m), check_positivity=False)
+        X, Y = operand(rng, k, kind), operand(rng, m, kind)
+        scale = frob(T.choi)
+        fwd = T.apply(X)
+        assert fwd.shape == (m, m) and fwd.dtype == np.complex128
+        assert frob(fwd - einsum_apply(T, X)) <= 1e-13 * frob(np.asarray(X)) * scale
+        adj = T.apply_adjoint(Y)
+        assert adj.shape == (k, k) and adj.dtype == np.complex128
+        assert frob(adj - einsum_adjoint(T, Y)) <= 1e-13 * frob(np.asarray(Y)) * scale
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(**_shapes)
+    def test_adjoint_identity(self, k, m, seed, kind):
+        # <T(X), Y> = <X, T*(Y)> with <A, B> = tr(A B*) = vdot(B, A)
+        rng = np.random.default_rng(seed)
+        T = fixtures.random_cp_map(k, m, rng)
+        X, Y = operand(rng, k, kind), operand(rng, m, kind)
+        lhs = np.vdot(np.asarray(Y), T.apply(X))
+        rhs = np.vdot(T.apply_adjoint(Y), np.asarray(X))
+        bound = frob(np.asarray(X)) * frob(np.asarray(Y)) * frob(T.choi)
+        assert abs(lhs - rhs) <= 1e-13 * bound
+
+    def test_inputs_are_left_unchanged(self):
+        rng = np.random.default_rng(7)
+        T = fixtures.random_cp_map(3, 2, rng)
+        X, Y = random_complex(rng, 3, 3), random_complex(rng, 2, 2)
+        X0, Y0 = X.copy(), Y.copy()
+        T.apply(X)
+        T.apply_adjoint(Y)
+        assert np.array_equal(X, X0) and np.array_equal(Y, Y0)
+
+    def test_realigned_storage_is_built_on_first_application(self):
+        T = fixtures.random_cp_map(2, 3, np.random.default_rng(8))
+        lifted = T.tilde_lift()
+        assert "_realigned" not in vars(T)
+        T.apply(np.eye(2))
+        assert "_realigned" in vars(T)
+        assert "_realigned" not in vars(lifted)
+
+    @pytest.mark.parametrize("method, dim", [("apply", 3), ("apply_adjoint", 2)])
+    def test_error_messages(self, method, dim):
+        T = fixtures.random_cp_map(3, 2, np.random.default_rng(9))
+        f = getattr(T, method)
+        wrong = dim + 1
+        with pytest.raises(ValueError) as info:
+            f(np.zeros((wrong, wrong)))
+        assert str(info.value) == (f"expected input shape {(dim, dim)}, "
+                                   f"got {(wrong, wrong)}")
+        with pytest.raises(ValueError) as info:
+            f(np.zeros(dim * dim))
+        assert str(info.value) == f"expected a 2-d matrix, got shape {(dim * dim,)}"
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            X = np.zeros((dim, dim), dtype=complex)
+            X[-1, 0] = bad
+            with pytest.raises(ValueError) as info:
+                f(X)
+            assert str(info.value) == "matrix contains non-finite entries"
+            with pytest.raises(ValueError) as info:
+                f(X.tolist())
+            assert str(info.value) == "matrix contains non-finite entries"
+
+
 class TestStateMapCorrespondence:
     def test_forward_map_marginal_is_first_partial_trace(self):
         rng = np.random.default_rng(5)

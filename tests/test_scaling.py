@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opscale import fixtures
-from opscale.numkernel import NumericalFailure, Tolerances, frob, kron
+from opscale.numkernel import (NumericalFailure, Tolerances,
+                               as_complex_matrix, frob, kron)
 from opscale.posmap import ChoiMap, haar_unitary, is_doubly_stochastic
 from opscale.scaling import (VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
                              VERDICT_NO_SUPPORT, VERDICT_PRECONDITION,
@@ -219,6 +220,80 @@ class TestRun:
         T = fixtures.random_cp_map(2, 2, rng)
         assert run(T).converged
         assert run(T.tilde_lift()).converged
+
+
+class EinsumChoiMap(ChoiMap):
+    """A map applied by the einsum formulas over its blocks, as before the
+    realigned storage."""
+
+    def apply(self, X):
+        X = as_complex_matrix(X)
+        blocks = self.choi.reshape(self.k, self.m, self.k, self.m)
+        return np.einsum("ji,ipjq->pq", X, blocks)
+
+    def apply_adjoint(self, Y):
+        Y = as_complex_matrix(Y)
+        blocks = self.choi.reshape(self.k, self.m, self.k, self.m)
+        return np.einsum("pq,ipjq->ji", Y, blocks.conj())
+
+
+def run_outcome(T):
+    try:
+        report = run(T)
+    except NumericalFailure as exc:
+        return "NumericalFailure", str(exc)
+    return report.verdict, report.iterations
+
+
+class TestIterationCounts:
+    """The one-product apply leaves every verdict and iteration count as the
+    einsum apply had them."""
+
+    @pytest.mark.parametrize("rank", [None, 1])
+    @pytest.mark.parametrize("m", range(1, 5))
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_random_maps(self, k, m, rank):
+        T = fixtures.random_cp_map(k, m, np.random.default_rng([k, m, 2]), rank=rank)
+        reference = EinsumChoiMap(k, m, T.choi, check_positivity=False)
+        assert run_outcome(T) == run_outcome(reference)
+
+    def test_no_support_map(self):
+        T = fixtures.no_support_map()
+        reference = EinsumChoiMap(T.k, T.m, T.choi, check_positivity=False)
+        got = run_outcome(T)
+        assert got[0] == VERDICT_NO_SUPPORT
+        assert got == run_outcome(reference)
+
+
+class OperatorOnly:
+    """Exposes only the members the scaling module documents as its needs."""
+
+    __slots__ = ("k", "m", "_map")
+
+    def __init__(self, T):
+        self.k, self.m, self._map = T.k, T.m, T
+
+    def apply(self, X):
+        return self._map.apply(X)
+
+    def apply_adjoint(self, Y):
+        return self._map.apply_adjoint(Y)
+
+    def conjugated(self, P, Q):
+        return self._map.conjugated(P, Q)
+
+
+class TestOperatorInterface:
+    @pytest.mark.parametrize("k, m", [(2, 3), (3, 3), (4, 2)])
+    def test_run_needs_only_the_documented_members(self, k, m):
+        T = fixtures.random_cp_map(k, m, np.random.default_rng([k, m, 5]))
+        want = run(T)
+        got = run(OperatorOnly(T))
+        assert want.converged and got.verdict == want.verdict
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.in_filter, want.in_filter)
+        assert np.array_equal(got.out_filter, want.out_filter)
+        assert np.array_equal(got.ds_map.choi, want.ds_map.choi)
 
 
 class TestCommutation:
