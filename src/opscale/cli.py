@@ -23,6 +23,7 @@ import glob
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .fnf import (BipartiteState, FnfPreconditionFailed, ScalingInconclusive,
                   verify_fnf)
 from .io import (ValidationError, atomic_write_json, load_json, map_to_obj,
                  matrix_to_obj, obj_to_matrix, parse_map, parse_pattern_matrix,
-                 parse_state, state_to_obj)
+                 parse_state, state_to_obj, write_json)
 from .matcomb import (NonnegPattern, SizeGuardError, SupportResult,
                       has_support, has_support_bruteforce, has_total_support,
                       has_total_support_bruteforce)
@@ -76,8 +77,7 @@ def _envelope(seed: int, tol: Tolerances) -> dict:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    write_json(sys.stdout, obj)
 
 
 def _to_json(value):
@@ -407,6 +407,17 @@ def _selftest_checks(seed: int, tol: Tolerances):
         rhs = kron(T.apply(3.0 * np.eye(2, dtype=complex)), np.eye(2))
         return frob(lhs - rhs) < 1e-10
 
+    def check_json_layout():
+        M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        M[0, 0] = M[0, 0].real
+        report = _envelope(seed, tol)
+        report.update({"matrix": matrix_to_obj(M), "files": [], "passed": True})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "report.json")
+            atomic_write_json(path, report)
+            with open(path, encoding="utf-8") as fh:
+                return fh.read() == json.dumps(report, indent=2) + "\n"
+
     def check_canonical_pattern():
         pat = pattern_matrix(fixtures.boundary_map(), np.eye(2, dtype=complex),
                              np.eye(2, dtype=complex))
@@ -423,6 +434,7 @@ def _selftest_checks(seed: int, tol: Tolerances):
         ("maximally entangled state has four equal factors", check_fnf_max_entangled),
         ("square lift evaluation identity", check_tilde_identity),
         ("canonical pattern of the boundary map", check_canonical_pattern),
+        ("JSON writer matches the standard library layout", check_json_layout),
     ]
 
 

@@ -7,8 +7,14 @@ included: ``json`` writes each double as the shortest decimal that re-parses
 to the same double.  An entry whose imaginary part is zero, of either sign,
 is written as a bare number.  Decoding makes one Python pass that
 type-checks every cell and lays out its real and imaginary parts, then
-builds the matrix in one NumPy conversion; encoding goes through
-``tolist()``.
+builds the matrix in one NumPy conversion; ``matrix_to_obj`` builds the
+cells from ``tolist()``.
+
+Every file and report is written by :func:`write_json`, byte for byte in the
+layout of ``json.dumps(obj, indent=2)``.  Keys and scalars go through the
+standard library's C encoder one at a time; a list of numbers and
+``[re, im]`` number pairs, the ``data`` of a matrix, gets its number tokens
+from one C encoding per slice of the list and is streamed slice by slice.
 
 A state file wraps a matrix: ``{"k": ..., "m": ..., "matrix": {...}}``; the
 matrix must be Hermitian within 1e-8 and positive semidefinite, and is
@@ -23,9 +29,11 @@ check already proved its storage positive semidefinite.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -112,21 +120,114 @@ def load_json(path: str):
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
+_PLAIN = json.JSONEncoder(separators=(",", ":"))
+if c_make_encoder is None:
+    _encode = _PLAIN.encode
+else:
+    # The stdlib's own C encoder, built once: JSONEncoder.encode builds one
+    # per call, which triples the cost of a scalar.
+    _c_encoder = c_make_encoder(None, _PLAIN.default, encode_basestring_ascii,
+                                None, ":", ",", False, False, True)
+
+    def _encode(obj) -> str:
+        return "".join(_c_encoder(obj, 0))
+
+# List items per write on the bulk path: bounds the text held at once.
+_SLICE = 4096
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: non-string keys become strings."""
+    if isinstance(key, str):
+        return _encode(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _encode(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _slot(item, pair: str) -> str | None:
+    if _is_real(item):
+        return "%s"
+    if (isinstance(item, (list, tuple)) and len(item) == 2
+            and _is_real(item[0]) and _is_real(item[1])):
+        return pair
+    return None
+
+
+def _number_slots(items, pair: str) -> list[str] | None:
+    """One %-format slot per item of a list of numbers and ``[re, im]``
+    number pairs; None for any other list.  Plain floats and pairs of
+    floats, all that ``matrix_to_obj`` writes, skip the general check."""
+    if _slot(items[0], pair) is None:
+        return None
+    slots = ["%s" if type(x) is float else
+             pair if (type(x) is list and len(x) == 2
+                      and type(x[0]) is float and type(x[1]) is float)
+             else _slot(x, pair) for x in items]
+    return None if None in slots else slots
+
+
+def _write(fh, obj, nl: str) -> None:
+    """Write ``obj`` as ``json.dumps(obj, indent=2)`` lays it out at the
+    depth whose line break and indent is ``nl``."""
+    if isinstance(obj, dict) and obj:
+        inner = nl + "  "
+        head = "{" + inner
+        for key, value in obj.items():
+            fh.write(head + _key(key) + ": ")
+            _write(fh, value, inner)
+            head = "," + inner
+        fh.write(nl + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = nl + "  "
+        head, sep = "[" + inner, "," + inner
+        pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
+        slots = _number_slots(obj, pair)
+        if slots is None:
+            for item in obj:
+                fh.write(head)
+                _write(fh, item, inner)
+                head = sep
+        else:
+            # A number token holds no comma or bracket, so the compact
+            # encoding of a slice, brackets dropped, splits into its tokens
+            # in order.
+            for start in range(0, len(obj), _SLICE):
+                compact = _encode(obj[start:start + _SLICE])[1:-1]
+                tokens = compact.replace("[", "").replace("]", "").split(",")
+                fh.write(head + (sep.join(slots[start:start + _SLICE])
+                                 % tuple(tokens)))
+                head = sep
+        fh.write(nl + "]")
+    else:
+        fh.write(_encode(obj))
+
+
+def write_json(fh, obj) -> None:
+    """Write ``obj`` to the text file ``fh`` as ``json.dumps(obj, indent=2)``
+    would, byte for byte, then a newline.  An unsupported value raises the
+    same ``TypeError`` as ``json``; a container that holds itself recurses
+    until ``RecursionError``, where ``json`` raises ``ValueError``."""
+    _write(fh, obj, "\n")
+    fh.write("\n")
+
+
 def atomic_write_json(path: str, obj) -> None:
     """Write JSON so that the target is either absent, old, or complete."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                write_json(fh, obj)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def parse_pattern_matrix(obj) -> np.ndarray:

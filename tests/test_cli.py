@@ -1,8 +1,10 @@
 """File formats and the command line front door."""
 
+import io
 import json
 import os
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from opscale import cli, fixtures, matcomb
+from opscale import io as opscale_io
 from opscale.fnf import BipartiteState
 from opscale.io import (ValidationError, atomic_write_json, load_json,
                         map_to_obj, matrix_to_obj, obj_to_matrix,
-                        parse_pattern_matrix, parse_state, state_to_obj)
+                        parse_pattern_matrix, parse_state, state_to_obj,
+                        write_json)
 from opscale.numkernel import frob
 from opscale.posmap import haar_unitary
 from test_fnf import near_psd_state
@@ -129,6 +133,99 @@ class TestMatrixCodecProperties:
         assert np.array_equal(_bits(obj_to_matrix(obj)), _bits(_decode_by_loop(obj)))
 
 
+class SubDict(dict):
+    pass
+
+
+class SubList(list):
+    pass
+
+
+def written(obj) -> str:
+    buf = io.StringIO()
+    write_json(buf, obj)
+    return buf.getvalue()
+
+
+_awkward_float = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308, float("nan"),
+                     float("inf"), float("-inf"), 1e16, 0.1]))
+_writer_number = st.one_of(_awkward_float, st.integers(-10**40, 10**40),
+                           _awkward_float.map(np.float64))
+_writer_text = st.one_of(st.text(), st.sampled_from(
+    ['"', "\\", "\n\t\r\x00\x1f", "é€", "\U0001f600", "a,b[c]"]))
+_writer_scalar = st.one_of(_writer_text, st.booleans(), st.none(), _writer_number)
+_writer_key = st.one_of(_writer_text, st.booleans(), st.none(),
+                        st.integers(-10**6, 10**6), _awkward_float,
+                        _awkward_float.map(np.float64))
+_pair = st.one_of(st.lists(_writer_number, min_size=2, max_size=2),
+                  st.tuples(_writer_number, _writer_number),
+                  st.lists(_writer_number, min_size=2, max_size=2).map(SubList))
+# Lists the bulk path takes, and near misses it must leave to the general
+# one: a string among numbers, a pair holding a bool, a string or a list, a
+# triple.
+_number_list = st.lists(st.one_of(_writer_number, _pair), min_size=1, max_size=12)
+_near_miss = st.lists(st.one_of(
+    _writer_number, _pair, _writer_text,
+    st.tuples(st.booleans(), _writer_number),
+    st.lists(st.one_of(_writer_number, _writer_text, _pair), min_size=2, max_size=2),
+    st.lists(_writer_number, min_size=3, max_size=3)), min_size=1, max_size=12)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(SubList),
+        st.dictionaries(_writer_key, children, max_size=4),
+        st.dictionaries(_writer_key, children, max_size=4).map(SubDict),
+        _number_list, _near_miss)
+
+
+_json_tree = st.recursive(st.one_of(_writer_scalar, _number_list, _near_miss),
+                          _containers, max_leaves=30)
+
+
+class TestJsonWriter:
+    """write_json emits exactly json.dumps(obj, indent=2), then a newline."""
+
+    @pytest.mark.parametrize("slice_len", [1, 3, opscale_io._SLICE])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(obj=_json_tree)
+    def test_matches_json_dumps(self, obj, slice_len):
+        with mock.patch.object(opscale_io, "_SLICE", slice_len):
+            assert written(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("tail", [
+        [], [[0.5, -0.0]], [True], ["x"], [[1.0, False]], [{"a": 1}]])
+    def test_lists_longer_than_one_slice(self, tail):
+        rng = np.random.default_rng(0)
+        M = rng.standard_normal((100, 100)) + 1j * rng.standard_normal((100, 100))
+        M.imag[rng.random((100, 100)) < 0.5] = 0.0
+        data = matrix_to_obj(M)["data"] + tail
+        assert len(data) > 2 * opscale_io._SLICE
+        obj = {"rows": 1, "cols": len(data), "data": data}
+        assert written(obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_matrix_files(self):
+        rng = np.random.default_rng(1)
+        T = fixtures.random_cp_map(3, 2, rng)
+        for obj in (map_to_obj(T), map_to_obj(T.tilde_lift()),
+                    matrix_to_obj(np.eye(3)), matrix_to_obj(1j * np.eye(2))):
+            assert written(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        {"a": object()}, [1.0, np.int64(3)], [[1.0, 2.0], {1, 2}],
+        {(1, 2): 0}, {"a": [1.0, b"x"]}, np.float32(1.0)])
+    def test_unsupported_values_raise_the_stdlib_error(self, obj):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError) as got:
+            written(obj)
+        assert str(got.value) == str(expected.value)
+
+
 class TestStateAndMapFiles:
     def test_state_round_trip(self):
         rng = np.random.default_rng(1)
@@ -151,6 +248,16 @@ class TestStateAndMapFiles:
         atomic_write_json(str(target), {"x": 1})
         assert load_json(str(target)) == {"x": 1}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+    def test_failed_writes_leave_no_temp_files(self, tmp_path):
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(ValidationError, match="^cannot write .*taken: "):
+            atomic_write_json(str(tmp_path / "taken"), {"x": 1})
+        with pytest.raises(ValidationError, match="^cannot write .*missing"):
+            atomic_write_json(str(tmp_path / "missing" / "out.json"), {"x": 1})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            atomic_write_json(str(tmp_path / "out.json"), {"x": object()})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 @pytest.fixture()
@@ -371,6 +478,61 @@ class TestTildeCommand:
         assert rep["check"]["category_match"] is True
         lifted = load_json(str(out))
         assert lifted["k"] == 4 and lifted["m"] == 4
+
+
+class TestMissingOutputDirectory:
+    """A write into a directory that does not exist is a validation error:
+    exit 2, one JSON error report, and no temporary file left behind."""
+
+    @pytest.mark.parametrize("command, input_key, flag, target", [
+        ("fnf", "state", "--out", "nodir/run1"),
+        ("scale", "map", "--history", "nodir/h.json"),
+        ("tilde", "map", "--out", "nodir/t.json"),
+    ])
+    def test_exit_2_with_one_error_report(self, capsys, workspace, command,
+                                          input_key, flag, target):
+        before = sorted(workspace["dir"].rglob("*"))
+        code, out = run_cli(capsys, command, str(workspace[input_key]), flag,
+                            str(workspace["dir"] / target))
+        assert code == 2
+        rep = json.loads(out)
+        assert set(rep) == {"version", "error"}
+        assert rep["error"].startswith("cannot write ")
+        assert "nodir" in rep["error"]
+        assert sorted(workspace["dir"].rglob("*")) == before
+
+
+class TestWrittenLayout:
+    """Every written file and every stdout report is in the layout of
+    json.dumps(indent=2), byte for byte."""
+
+    @staticmethod
+    def assert_layout(text):
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_every_command(self, capsys, workspace, tmp_path):
+        rng = np.random.default_rng(8)
+        indir = tmp_path / "jobs"
+        os.makedirs(indir)
+        for idx in range(2):
+            state = BipartiteState(2, 3, fixtures.random_state_matrix(2, 3, rng))
+            atomic_write_json(str(indir / f"s{idx}.json"), state_to_obj(state))
+        out = tmp_path / "out"
+        os.makedirs(out)
+        runs = [
+            ("support", str(workspace["pattern"]), "--total"),
+            ("scale", str(workspace["map"]), "--history", str(out / "h.json")),
+            ("fnf", str(workspace["state"]), "--out", str(out / "single")),
+            ("fnf", str(indir), "--batch", "--out", str(out / "batch")),
+            ("tilde", str(workspace["map"]), "--out", str(out / "lift.json")),
+        ]
+        for argv in runs:
+            _, text = run_cli(capsys, *argv)
+            self.assert_layout(text)
+        files = sorted(out.rglob("*.json"))
+        assert len(files) == 1 + 4 + 2 * 4 + 1
+        for path in files:
+            self.assert_layout(path.read_text(encoding="utf-8"))
 
 
 class TestCertificateCommand:
