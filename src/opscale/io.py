@@ -12,9 +12,12 @@ cells from ``tolist()``.
 
 Every file and report is written by :func:`write_json`, byte for byte in the
 layout of ``json.dumps(obj, indent=2)``.  Keys and scalars go through the
-standard library's C encoder one at a time; a list of numbers and
-``[re, im]`` number pairs, the ``data`` of a matrix, gets its number tokens
-from one C encoding per slice of the list and is streamed slice by slice.
+standard library's C encoder one at a time; a list of plain floats and
+``[re, im]`` lists of two plain floats, the ``data`` of a matrix, gets its
+number tokens from one C encoding per slice of the list and is streamed
+slice by slice.  Any other list is written item by item, to the same bytes.
+Where ``json`` has no C encoder (PyPy, for one), ``JSONEncoder.encode``
+stands in for it.
 
 A state file wraps a matrix: ``{"k": ..., "m": ..., "matrix": {...}}``; the
 matrix must be Hermitian within 1e-8 and positive semidefinite, and is
@@ -146,25 +149,14 @@ def _key(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
-def _slot(item, pair: str) -> str | None:
-    if _is_real(item):
-        return "%s"
-    if (isinstance(item, (list, tuple)) and len(item) == 2
-            and _is_real(item[0]) and _is_real(item[1])):
-        return pair
-    return None
-
-
 def _number_slots(items, pair: str) -> list[str] | None:
-    """One %-format slot per item of a list of numbers and ``[re, im]``
-    number pairs; None for any other list.  Plain floats and pairs of
-    floats, all that ``matrix_to_obj`` writes, skip the general check."""
-    if _slot(items[0], pair) is None:
-        return None
+    """One %-format slot per item of a list of plain floats and ``[re, im]``
+    lists of two plain floats, all that ``matrix_to_obj`` writes; None for
+    any other list, which the per-item path writes to the same bytes."""
     slots = ["%s" if type(x) is float else
              pair if (type(x) is list and len(x) == 2
                       and type(x[0]) is float and type(x[1]) is float)
-             else _slot(x, pair) for x in items]
+             else None for x in items]
     return None if None in slots else slots
 
 

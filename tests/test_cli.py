@@ -1,5 +1,6 @@
 """File formats and the command line front door."""
 
+import importlib.util
 import io
 import json
 import os
@@ -17,8 +18,7 @@ from opscale import io as opscale_io
 from opscale.fnf import BipartiteState
 from opscale.io import (ValidationError, atomic_write_json, load_json,
                         map_to_obj, matrix_to_obj, obj_to_matrix,
-                        parse_pattern_matrix, parse_state, state_to_obj,
-                        write_json)
+                        parse_pattern_matrix, parse_state, state_to_obj)
 from opscale.numkernel import frob
 from opscale.posmap import haar_unitary
 from test_fnf import near_psd_state
@@ -141,10 +141,28 @@ class SubList(list):
     pass
 
 
-def written(obj) -> str:
+def written(obj, module=opscale_io) -> str:
     buf = io.StringIO()
-    write_json(buf, obj)
+    module.write_json(buf, obj)
     return buf.getvalue()
+
+
+def _io_without_c_encoder():
+    """A second copy of ``opscale.io``, loaded as on an interpreter whose
+    ``json`` has no C encoder (PyPy, for one)."""
+    spec = importlib.util.spec_from_file_location(
+        "opscale._io_without_c_encoder", opscale_io.__file__)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch("json.encoder.c_make_encoder", None):
+        spec.loader.exec_module(module)
+    assert not hasattr(module, "_c_encoder")
+    return module
+
+
+@pytest.fixture(scope="module", params=["c_encoder", "python_encoder"])
+def jio(request):
+    """The ``opscale.io`` module whose writer is under test."""
+    return opscale_io if request.param == "c_encoder" else _io_without_c_encoder()
 
 
 _awkward_float = st.one_of(
@@ -162,9 +180,12 @@ _writer_key = st.one_of(_writer_text, st.booleans(), st.none(),
 _pair = st.one_of(st.lists(_writer_number, min_size=2, max_size=2),
                   st.tuples(_writer_number, _writer_number),
                   st.lists(_writer_number, min_size=2, max_size=2).map(SubList))
-# Lists the bulk path takes, and near misses it must leave to the general
-# one: a string among numbers, a pair holding a bool, a string or a list, a
-# triple.
+# Lists the bulk path takes (plain floats and 2-lists of plain floats), lists
+# of other numbers and pairs, and near misses: a string among numbers, a pair
+# holding a bool, a string or a list, a triple.
+_float_list = st.lists(st.one_of(
+    _awkward_float, st.lists(_awkward_float, min_size=2, max_size=2)),
+    min_size=1, max_size=12)
 _number_list = st.lists(st.one_of(_writer_number, _pair), min_size=1, max_size=12)
 _near_miss = st.lists(st.one_of(
     _writer_number, _pair, _writer_text,
@@ -180,49 +201,51 @@ def _containers(children):
         st.lists(children, max_size=4).map(SubList),
         st.dictionaries(_writer_key, children, max_size=4),
         st.dictionaries(_writer_key, children, max_size=4).map(SubDict),
-        _number_list, _near_miss)
+        _float_list, _number_list, _near_miss)
 
 
-_json_tree = st.recursive(st.one_of(_writer_scalar, _number_list, _near_miss),
+_json_tree = st.recursive(st.one_of(_writer_scalar, _float_list, _number_list,
+                                    _near_miss),
                           _containers, max_leaves=30)
 
 
 class TestJsonWriter:
-    """write_json emits exactly json.dumps(obj, indent=2), then a newline."""
+    """write_json emits exactly json.dumps(obj, indent=2), then a newline,
+    with and without the standard library's C encoder."""
 
     @pytest.mark.parametrize("slice_len", [1, 3, opscale_io._SLICE])
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(obj=_json_tree)
-    def test_matches_json_dumps(self, obj, slice_len):
-        with mock.patch.object(opscale_io, "_SLICE", slice_len):
-            assert written(obj) == json.dumps(obj, indent=2) + "\n"
+    def test_matches_json_dumps(self, jio, obj, slice_len):
+        with mock.patch.object(jio, "_SLICE", slice_len):
+            assert written(obj, jio) == json.dumps(obj, indent=2) + "\n"
 
     @pytest.mark.parametrize("tail", [
         [], [[0.5, -0.0]], [True], ["x"], [[1.0, False]], [{"a": 1}]])
-    def test_lists_longer_than_one_slice(self, tail):
+    def test_lists_longer_than_one_slice(self, jio, tail):
         rng = np.random.default_rng(0)
         M = rng.standard_normal((100, 100)) + 1j * rng.standard_normal((100, 100))
         M.imag[rng.random((100, 100)) < 0.5] = 0.0
         data = matrix_to_obj(M)["data"] + tail
-        assert len(data) > 2 * opscale_io._SLICE
+        assert len(data) > 2 * jio._SLICE
         obj = {"rows": 1, "cols": len(data), "data": data}
-        assert written(obj) == json.dumps(obj, indent=2) + "\n"
+        assert written(obj, jio) == json.dumps(obj, indent=2) + "\n"
 
-    def test_matrix_files(self):
+    def test_matrix_files(self, jio):
         rng = np.random.default_rng(1)
         T = fixtures.random_cp_map(3, 2, rng)
         for obj in (map_to_obj(T), map_to_obj(T.tilde_lift()),
                     matrix_to_obj(np.eye(3)), matrix_to_obj(1j * np.eye(2))):
-            assert written(obj) == json.dumps(obj, indent=2) + "\n"
+            assert written(obj, jio) == json.dumps(obj, indent=2) + "\n"
 
     @pytest.mark.parametrize("obj", [
         {"a": object()}, [1.0, np.int64(3)], [[1.0, 2.0], {1, 2}],
         {(1, 2): 0}, {"a": [1.0, b"x"]}, np.float32(1.0)])
-    def test_unsupported_values_raise_the_stdlib_error(self, obj):
+    def test_unsupported_values_raise_the_stdlib_error(self, jio, obj):
         with pytest.raises(TypeError) as expected:
             json.dumps(obj, indent=2)
         with pytest.raises(TypeError) as got:
-            written(obj)
+            written(obj, jio)
         assert str(got.value) == str(expected.value)
 
 
