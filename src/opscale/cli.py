@@ -9,10 +9,13 @@ a stable exit-code contract:
     4  scaling hit the iteration cap (max-iter-inconclusive)
     5  certificate verification failed
 
-Batch mode (``--batch``) treats the input path as a directory of ``*.json``
-jobs, runs them one at a time (``--jobs`` is accepted for compatibility),
-writes one report per job atomically, and never lets one failing job abort
-the rest.
+``main`` resolves the seed and the tolerances once and hands them to the
+subcommand.  ``support``, ``scale`` and ``fnf`` run through one job runner,
+``_run``, which is the only writer of ``<prefix>.report.json`` files.  Batch
+mode (``--batch``) treats the input path as a directory of ``*.json`` jobs,
+runs them one at a time (``--jobs`` is accepted for compatibility), writes
+one report per job atomically, and never lets one failing job abort the
+rest.
 """
 
 from __future__ import annotations
@@ -64,7 +67,11 @@ def _resolve_seed(args) -> int:
 
 
 def _tolerances(args) -> Tolerances:
-    return Tolerances(rank_rel=args.rank_rel, pd_min=args.pd_min, conv_eps=args.tol)
+    try:
+        return Tolerances(rank_rel=args.rank_rel, pd_min=args.pd_min,
+                          conv_eps=args.tol)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def _envelope(seed: int, tol: Tolerances) -> dict:
@@ -116,9 +123,13 @@ def _add_common(sub, batch: bool = False):
 
 # ---------------------------------------------------------------- support
 
-def _support_job(path: str, args, seed: int, tol: Tolerances) -> tuple[dict, int]:
+def _support_job(path: str, args, seed: int, tol: Tolerances,
+                 prefix: str | None) -> tuple[dict, int]:
     A = parse_pattern_matrix(load_json(path))
-    pattern = NonnegPattern(A, zero_eps=args.zero_eps)
+    try:
+        pattern = NonnegPattern(A, zero_eps=args.zero_eps)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     report = _envelope(seed, tol)
     report.update({"input": path, "k": pattern.k, "m": pattern.m,
                    "zero_eps": pattern.zero_eps})
@@ -151,14 +162,8 @@ def _support_job(path: str, args, seed: int, tol: Tolerances) -> tuple[dict, int
     return report, 0
 
 
-def cmd_support(args) -> int:
-    seed = _resolve_seed(args)
-    tol = _tolerances(args)
-    if args.batch:
-        return _run_batch(args, seed, tol, _support_job)
-    report, code = _support_job(args.path, args, seed, tol)
-    _emit(report)
-    return code
+def cmd_support(args, seed: int, tol: Tolerances) -> int:
+    return _run(args, seed, tol, _support_job)
 
 
 # ------------------------------------------------------------------ scale
@@ -181,7 +186,12 @@ def _scaling_obj(report) -> dict:
 
 
 def _scale_job(path: str, args, seed: int, tol: Tolerances,
-               history_path: str | None = None) -> tuple[dict, int]:
+               prefix: str | None) -> tuple[dict, int]:
+    # --history names the file; in batch mode it only switches the
+    # per-job <prefix>.history.json files on.
+    history_path = args.history
+    if history_path and prefix is not None:
+        history_path = prefix + ".history.json"
     T = parse_map(load_json(path), rng=np.random.default_rng(seed))
     result = run(T, tol, max_iter=args.max_iter,
                  divergence_logdet=args.divergence)
@@ -198,21 +208,8 @@ def _scale_job(path: str, args, seed: int, tol: Tolerances,
     return report, _VERDICT_EXIT[result.verdict]
 
 
-def cmd_scale(args) -> int:
-    seed = _resolve_seed(args)
-    tol = _tolerances(args)
-    if args.batch:
-        def job(path, args, seed, tol):
-            hist = None
-            if args.history:
-                hist = os.path.join(_batch_outdir(args),
-                                    _stem(path) + ".history.json")
-            return _scale_job(path, args, seed, tol, history_path=hist)
-        return _run_batch(args, seed, tol, job)
-    report, code = _scale_job(args.path, args, seed, tol,
-                              history_path=args.history)
-    _emit(report)
-    return code
+def cmd_scale(args, seed: int, tol: Tolerances) -> int:
+    return _run(args, seed, tol, _scale_job)
 
 
 # -------------------------------------------------------------------- fnf
@@ -224,9 +221,8 @@ def _sufficient_obj(suff, actual_verdict: str | None) -> dict:
 
 
 def _fnf_job(path: str, args, seed: int, tol: Tolerances,
-             out_prefix: str | None = None) -> tuple[dict, int]:
+             prefix: str) -> tuple[dict, int]:
     state = parse_state(load_json(path))
-    prefix = out_prefix if out_prefix is not None else os.path.splitext(path)[0]
     report = _envelope(seed, tol)
     report.update({"input": path, "k": state.k, "m": state.m})
     report["preconditions"] = _to_json(check_preconditions(state, tol))
@@ -239,19 +235,16 @@ def _fnf_job(path: str, args, seed: int, tol: Tolerances,
         report["sufficient_conditions"] = _sufficient_obj(suff, None)
         report["outcome"] = VERDICT_PRECONDITION
         report["error"] = str(exc)
-        atomic_write_json(prefix + ".report.json", report)
         return report, 2
     except ScalingInconclusive as exc:
         report["sufficient_conditions"] = _sufficient_obj(suff, exc.report.verdict)
         report["scaling"] = _scaling_obj(exc.report)
         report["outcome"] = exc.report.verdict
-        atomic_write_json(prefix + ".report.json", report)
         return report, _VERDICT_EXIT[exc.report.verdict]
     except NumericalFailure as exc:
         report["sufficient_conditions"] = _sufficient_obj(suff, None)
         report["outcome"] = "numerical-failure"
         report["error"] = str(exc)
-        atomic_write_json(prefix + ".report.json", report)
         return report, 2
 
     verification = verify_fnf(result, tol, original=state)
@@ -275,30 +268,19 @@ def _fnf_job(path: str, args, seed: int, tol: Tolerances,
         "first_factors": [matrix_to_obj(t.first) for t in result.schmidt],
         "second_factors": [matrix_to_obj(t.second) for t in result.schmidt],
     })
-    atomic_write_json(prefix + ".report.json", report)
     report["files"] = [prefix + suffix for suffix in
                        (".filters.json", ".state.json", ".schmidt.json", ".report.json")]
     return report, 0 if verification.passed else 2
 
 
-def cmd_fnf(args) -> int:
-    seed = _resolve_seed(args)
-    tol = _tolerances(args)
-    if args.batch:
-        def job(path, args, seed, tol):
-            prefix = os.path.join(_batch_outdir(args), _stem(path))
-            return _fnf_job(path, args, seed, tol, out_prefix=prefix)
-        return _run_batch(args, seed, tol, job)
-    report, code = _fnf_job(args.path, args, seed, tol, out_prefix=args.out)
-    _emit(report)
-    return code
+def cmd_fnf(args, seed: int, tol: Tolerances) -> int:
+    return _run(args, seed, tol, _fnf_job,
+                prefix=args.out or os.path.splitext(args.path)[0])
 
 
 # ------------------------------------------------------------------ tilde
 
-def cmd_tilde(args) -> int:
-    seed = _resolve_seed(args)
-    tol = _tolerances(args)
+def cmd_tilde(args, seed: int, tol: Tolerances) -> int:
     T = parse_map(load_json(args.path), rng=np.random.default_rng(seed))
     lifted = T.tilde_lift()
     out = args.out or os.path.splitext(args.path)[0] + ".tilde.json"
@@ -335,9 +317,7 @@ def _parse_certificate(obj) -> BlockCertificate:
         raise ValidationError(str(exc)) from exc
 
 
-def cmd_certificate(args) -> int:
-    seed = _resolve_seed(args)
-    tol = _tolerances(args)
+def cmd_certificate(args, seed: int, tol: Tolerances) -> int:
     rng = np.random.default_rng(seed)
     T = parse_map(load_json(args.map), rng=rng)
     cert = _parse_certificate(load_json(args.cert))
@@ -438,9 +418,7 @@ def _selftest_checks(seed: int, tol: Tolerances):
     ]
 
 
-def cmd_selftest(args) -> int:
-    seed = _resolve_seed(args)
-    tol = _tolerances(args)
+def cmd_selftest(args, seed: int, tol: Tolerances) -> int:
     failures = 0
     for name, fn in _selftest_checks(seed, tol):
         try:
@@ -455,19 +433,24 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
-# ------------------------------------------------------------------ batch
+# ------------------------------------------------------------------ runner
 
-def _stem(path: str) -> str:
-    return os.path.splitext(os.path.basename(path))[0]
-
-
-def _batch_outdir(args) -> str:
-    out = args.out if args.out else args.path
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _run_batch(args, seed: int, tol: Tolerances, job) -> int:
+def _run(args, seed: int, tol: Tolerances, job, prefix: str | None = None) -> int:
+    """Run ``job(path, args, seed, tol, prefix)`` on ``args.path`` and print
+    its report, or with ``--batch`` run it on every input of that directory
+    and print a summary.  A job returns ``(report, exit code)``; this is the
+    only writer of ``<prefix>.report.json``, once per job, after it returns.
+    One file: ``prefix`` is the caller's (``None`` writes no report file) and
+    errors reach ``main``.  Batch: the output directory (``--out``, default
+    the input directory) is made once, each job's prefix is
+    ``<outdir>/<stem>``, and a job that raises gets an error report.
+    """
+    if not args.batch:
+        report, code = job(args.path, args, seed, tol, prefix)
+        if prefix is not None:
+            atomic_write_json(prefix + ".report.json", report)
+        _emit(report)
+        return code
     if not os.path.isdir(args.path):
         raise ValidationError(f"--batch expects a directory, got {args.path!r}")
     inputs = sorted(p for p in glob.glob(os.path.join(args.path, "*.json"))
@@ -476,18 +459,23 @@ def _run_batch(args, seed: int, tol: Tolerances, job) -> int:
                                        ".schmidt.json", ".tilde.json")))
     if not inputs:
         raise ValidationError(f"no *.json inputs found in {args.path!r}")
-    outdir = _batch_outdir(args)
+    outdir = args.out or args.path
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {outdir}: {exc}") from exc
 
     rows = []
     for path in inputs:
+        prefix = os.path.join(outdir, os.path.splitext(os.path.basename(path))[0])
         try:
-            report, code = job(path, args, seed, tol)
+            report, code = job(path, args, seed, tol, prefix)
         except (ValidationError, NotPositiveDefinite, NumericalFailure) as exc:
             report, code = {"input": path, "error": str(exc)}, 2
         except Exception as exc:  # defensive: one job must not kill the batch
             report, code = {"input": path,
                             "error": f"{type(exc).__name__}: {exc}"}, 2
-        report_path = os.path.join(outdir, _stem(path) + ".report.json")
+        report_path = prefix + ".report.json"
         atomic_write_json(report_path, report)
         rows.append({"input": path, "exit_code": code, "report": report_path,
                      "error": report.get("error")})
@@ -572,7 +560,7 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve_seed(args), _tolerances(args))
     except (ValidationError, NotPositiveDefinite, NumericalFailure) as exc:
         _emit({"version": __version__, "error": str(exc)})
         return 2

@@ -63,8 +63,8 @@ class NonnegPattern:
             raise ValueError("pattern contains non-finite entries")
         if (A < 0).any():
             raise ValueError("pattern entries must be nonnegative")
-        if self.zero_eps < 0:
-            raise ValueError("zero_eps must be nonnegative")
+        if not self.zero_eps >= 0:  # also refuses NaN
+            raise ValueError(f"zero_eps must be a nonnegative number, got {self.zero_eps!r}")
         A.setflags(write=False)
         object.__setattr__(self, "entries", A)
 

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -418,6 +420,7 @@ class TestFnfCommand:
         filters = load_json(str(prefix) + ".filters.json")
         F = obj_to_matrix(filters["filter_first"])
         assert F.shape == (2, 2)
+        assert load_json(str(prefix) + ".report.json") == rep
 
     def test_precondition_failure_exit_2(self, capsys, tmp_path):
         # all weight in the first half: PSD state, singular first marginal
@@ -429,7 +432,7 @@ class TestFnfCommand:
                                  "--out", str(tmp_path / "x"))
         assert code == 2
         assert rep["outcome"] == "precondition-failed"
-        assert (tmp_path / "x.report.json").exists()
+        assert load_json(str(tmp_path / "x.report.json")) == rep
 
     def test_coprime_scaling_verdict_guarantees_fnf(self, capsys, tmp_path):
         # 2x3 with a 2-dim kernel: no kernel condition applies, so only the
@@ -489,6 +492,7 @@ class TestFnfCommand:
                                  "--max-iter", "0")
         assert code == 4
         assert rep["outcome"] == "max-iter-inconclusive"
+        assert load_json(str(tmp_path / "y.report.json")) == rep
 
 
 class TestTildeCommand:
@@ -678,6 +682,94 @@ class TestBatchMode:
                                  str(tmp_path / "missing"), "--batch")
         assert code == 2
 
+    def test_fnf_batch_writes_each_file_once(self, capsys, tmp_path, monkeypatch):
+        rng = np.random.default_rng(6)
+        indir = tmp_path / "jobs"
+        os.makedirs(indir)
+        for idx in range(2):
+            state = BipartiteState(2, 3, fixtures.random_state_matrix(2, 3, rng))
+            atomic_write_json(str(indir / f"s{idx}.json"), state_to_obj(state))
+        rho = np.zeros((4, 4))
+        rho[0, 0] = rho[1, 1] = 0.5
+        atomic_write_json(str(indir / "singular.json"),
+                          state_to_obj(BipartiteState(2, 2, rho)))
+        atomic_write_json(str(indir / "broken.json"), {"nope": 1})
+        writes = []
+
+        def counted(path, obj):
+            writes.append(path)
+            atomic_write_json(path, obj)
+        monkeypatch.setattr(cli, "atomic_write_json", counted)
+        outdir = tmp_path / "out"
+        code, rep = run_cli_json(capsys, "fnf", str(indir), "--batch",
+                                 "--out", str(outdir))
+        assert code == 0
+        assert [r["exit_code"] for r in rep["results"]] == [2, 0, 0, 2]
+        # four files per computed state, one report per refused input
+        assert len(writes) == 2 * 4 + 2
+        assert sorted(writes) == sorted(str(p) for p in outdir.iterdir())
+
+    def test_bad_zero_eps_job_is_a_validation_error(self, capsys, tmp_path):
+        indir = tmp_path / "jobs"
+        os.makedirs(indir)
+        atomic_write_json(str(indir / "a.json"), matrix_to_obj(np.eye(2)))
+        code, rep = run_cli_json(capsys, "support", str(indir), "--batch",
+                                 "--zero-eps", "nan")
+        assert code == 0
+        assert rep["results"][0]["exit_code"] == 2
+        assert rep["results"][0]["error"].startswith("zero_eps must be")
+
+
+# Arguments that must end in exit 2 and a {version, error} report.  Paths in
+# braces are filled in from the workspace fixture.
+BAD_ARGUMENTS = {
+    "tol-0": ("support", "{pattern}", "--tol", "0"),
+    "pd-min-2": ("scale", "{map}", "--pd-min", "2"),
+    "rank-rel-1": ("fnf", "{state}", "--rank-rel", "1"),
+    "tol-nan": ("tilde", "{map}", "--tol", "nan"),
+    "certificate-pd-min-negative": ("certificate", "{map}", "{map}",
+                                    "--pd-min", "-1"),
+    "selftest-rank-rel-1": ("selftest", "--rank-rel", "1"),
+    "zero-eps-negative": ("support", "{pattern}", "--zero-eps", "-1"),
+    "zero-eps-nan": ("support", "{pattern}", "--zero-eps", "nan"),
+    "batch-out-is-a-file": ("fnf", "{dir}", "--batch", "--out", "{pattern}"),
+    "batch-out-under-a-file": ("fnf", "{dir}", "--batch",
+                               "--out", "{pattern}/sub"),
+}
+
+
+def fill(argv, workspace):
+    return [arg.format(**workspace) for arg in argv]
+
+
+class TestBadArguments:
+    """Out-of-range numbers and unusable batch output directories are
+    validation errors, on every subcommand that takes them."""
+
+    @pytest.mark.parametrize("argv", BAD_ARGUMENTS.values(),
+                             ids=BAD_ARGUMENTS.keys())
+    def test_exit_2_with_error_report(self, capsys, workspace, argv):
+        before = sorted(workspace["dir"].rglob("*"))
+        code, out = run_cli(capsys, *fill(argv, workspace))
+        assert code == 2
+        assert set(json.loads(out)) == {"version", "error"}
+        assert sorted(workspace["dir"].rglob("*")) == before
+
+    @pytest.mark.parametrize("name", ["tol-0", "batch-out-is-a-file"])
+    def test_entry_point_exits_2_without_traceback(self, workspace, name):
+        # The real entry point in a child process: the exit status the
+        # interpreter returns is what in-process calls cannot see.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "opscale.cli",
+             *fill(BAD_ARGUMENTS[name], workspace)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert set(json.loads(proc.stdout)) == {"version", "error"}
+
 
 def key_tree(obj):
     """The nested key set of a JSON value: a dict maps each key to the tree
@@ -765,7 +857,7 @@ class TestReportContract:
             ".schmidt.json": {"k": None, "m": None, "coefficients": None,
                               "first_factors": [MATRIX],
                               "second_factors": [MATRIX]},
-            ".report.json": FNF_REPORT,
+            ".report.json": {**FNF_REPORT, "files": None},
         }
         for suffix, tree in files.items():
             assert key_tree(load_json(prefix + suffix)) == tree, suffix

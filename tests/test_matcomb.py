@@ -160,6 +160,12 @@ class TestPatternValidation:
         assert NonnegPattern(A).nonzero_mask()[0, 1]
         assert not NonnegPattern(A, zero_eps=1e-10).nonzero_mask()[0, 1]
 
+    @pytest.mark.parametrize("zero_eps", [-1.0, float("nan")])
+    def test_rejects_negative_or_nan_zero_eps(self, zero_eps):
+        # NaN would compare false everywhere and make every entry a zero.
+        with pytest.raises(ValueError, match="zero_eps must be"):
+            NonnegPattern(np.ones((2, 2)), zero_eps=zero_eps)
+
     def test_shape_properties(self):
         pat = NonnegPattern(np.ones((2, 3)))
         assert pat.k == 2 and pat.m == 3
