@@ -66,12 +66,19 @@ def _resolve_seed(args) -> int:
     return int(args.seed)
 
 
+# The flag that sets each Tolerances field.
+_TOLERANCE_FLAGS = {"rank_rel": "--rank-rel", "pd_min": "--pd-min",
+                    "conv_eps": "--tol"}
+
+
 def _tolerances(args) -> Tolerances:
     try:
         return Tolerances(rank_rel=args.rank_rel, pd_min=args.pd_min,
                           conv_eps=args.tol)
     except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        # The library names the field first; the user typed the flag.
+        field, _, rest = str(exc).partition(" ")
+        raise ValidationError(f"{_TOLERANCE_FLAGS.get(field, field)} {rest}") from exc
 
 
 def _envelope(seed: int, tol: Tolerances) -> dict:
@@ -440,12 +447,15 @@ def _run(args, seed: int, tol: Tolerances, job, prefix: str | None = None) -> in
     its report, or with ``--batch`` run it on every input of that directory
     and print a summary.  A job returns ``(report, exit code)``; this is the
     only writer of ``<prefix>.report.json``, once per job, after it returns.
-    One file: ``prefix`` is the caller's (``None`` writes no report file) and
-    errors reach ``main``.  Batch: the output directory (``--out``, default
-    the input directory) is made once, each job's prefix is
-    ``<outdir>/<stem>``, and a job that raises gets an error report.
+    One file: ``prefix`` is the caller's (``None`` writes no report file and
+    refuses ``--out``, which only batch mode reads) and errors reach
+    ``main``.  Batch: the output directory (``--out``, default the input
+    directory) is made once, each job's prefix is ``<outdir>/<stem>``, and a
+    job that raises gets an error report.
     """
     if not args.batch:
+        if prefix is None and args.out is not None:
+            raise ValidationError(f"{args.command} --out needs --batch")
         report, code = job(args.path, args, seed, tol, prefix)
         if prefix is not None:
             atomic_write_json(prefix + ".report.json", report)

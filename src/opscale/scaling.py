@@ -5,12 +5,15 @@ iteration keeps a pair of invertible filters: ``in_filter`` acting on inputs
 and ``out_filter`` acting on outputs, so that the scaled map is
 ``X -> out_filter T(in_filter X in_filter*) out_filter*``.  Each step
 renormalizes one marginal exactly; convergence of both marginal residuals
-means the scaled map is doubly stochastic.  ``init`` and ``step`` run the
-same update: ``init`` runs it once from the identity filter pair, ``step``
-from the previous iterate.  The tracked log-determinant
+means the scaled map is doubly stochastic.  The tracked log-determinant
 ``m*log|det in_filter| + k*log|det out_filter|`` never decreases, stays
 bounded when the map's pattern has support in every basis pair, and grows
 without bound otherwise, which is the divergence heuristic.
+
+One driver, ``_iterates``, runs the update from the identity filter pair
+(``init``), then from each previous iterate (``step``), until both residuals
+reach ``tol.conv_eps`` or an iteration cap.  ``run`` consumes it with a history
+and a divergence stop, ``block_commutation_check`` with a commutator test.
 
 ``init``, ``step`` and ``run`` use the map only through its dimensions
 ``k`` and ``m`` and its methods ``apply`` (``M_k -> M_m``) and
@@ -146,6 +149,20 @@ def step(state: ScalingState, T: ChoiMap, tol: Tolerances = DEFAULT_TOL) -> Scal
                     state.in_marginal_eig_logsum, tol)
 
 
+def _converged(state: ScalingState, tol: Tolerances) -> bool:
+    return max(state.in_residual, state.out_residual) <= tol.conv_eps
+
+
+def _iterates(T: ChoiMap, tol: Tolerances, max_iter: int):
+    """``init``'s iterate, then ``step``'s until one converged or reached
+    ``max_iter``; both are called through the module globals."""
+    state = init(T, tol)
+    yield state
+    while not _converged(state, tol) and state.n < max_iter:
+        state = step(state, T, tol)
+        yield state
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     n: int
@@ -188,34 +205,28 @@ def run(T: ChoiMap, tol: Tolerances = DEFAULT_TOL, max_iter: int = 10000,
     log-determinant exceeds the divergence threshold (default ``50 * k * m``),
     or ``max_iter`` is hit."""
     threshold = 50.0 * T.k * T.m if divergence_logdet is None else float(divergence_logdet)
+    history: list[IterationRecord] = []
     try:
-        state = init(T, tol)
+        for state in _iterates(T, tol, max_iter):
+            if keep_history:
+                history.append(IterationRecord(state.n, state.in_residual,
+                                               state.out_residual, state.logdet))
+            if state.logdet > threshold:
+                break
     except PreconditionFailed as exc:
         return ScalingReport(
             verdict=VERDICT_PRECONDITION, iterations=0, in_residual=None,
             out_residual=None, logdet=None, in_filter=None, out_filter=None,
             ds_map=None, history=(), failure_reason=str(exc))
-
-    history: list[IterationRecord] = []
-    while True:
-        if keep_history:
-            history.append(IterationRecord(state.n, state.in_residual,
-                                           state.out_residual, state.logdet))
-        if max(state.in_residual, state.out_residual) <= tol.conv_eps:
-            verdict, reason = VERDICT_CONVERGED, None
-            break
-        if state.logdet > threshold:
-            verdict = VERDICT_NO_SUPPORT
-            reason = f"log-determinant {state.logdet:.3f} exceeded {threshold:.3f}"
-            break
-        if state.n >= max_iter:
-            verdict = VERDICT_INCONCLUSIVE
-            reason = f"residuals above {tol.conv_eps:g} after {max_iter} iterations"
-            break
-        state = step(state, T, tol)
-    ds_map = None
-    if verdict == VERDICT_CONVERGED:
+    verdict, reason, ds_map = VERDICT_CONVERGED, None, None
+    if _converged(state, tol):
         ds_map = T.conjugated(state.in_filter, state.out_filter)
+    elif state.logdet > threshold:
+        verdict = VERDICT_NO_SUPPORT
+        reason = f"log-determinant {state.logdet:.3f} exceeded {threshold:.3f}"
+    else:
+        verdict = VERDICT_INCONCLUSIVE
+        reason = f"residuals above {tol.conv_eps:g} after {max_iter} iterations"
     return ScalingReport(
         verdict=verdict, iterations=state.n, in_residual=state.in_residual,
         out_residual=state.out_residual, logdet=state.logdet,
@@ -237,38 +248,28 @@ def block_commutation_check(T: ChoiMap, cert: BlockCertificate,
                             n_steps: int = 50,
                             tol: Tolerances = DEFAULT_TOL,
                             rel_tol: float = 1e-8) -> CommutationReport:
-    """Run ``n_steps`` scaling steps asserting that every iterate commutes
-    with the certificate's projectors.
-
-    Requires the certificate to be structurally valid and invariant under T
-    (checked first; a violation rejects the run instead of producing a
-    misleading commutator report).
-    """
-    if cert.structure_defect() > 1e-10 * max(T.k, T.m):
-        return CommutationReport(passed=False, precondition_ok=False,
+    """Check that every iterate, 0..``n_steps`` or up to convergence,
+    commutes with the certificate's projectors.  A certificate that is not
+    structurally valid and invariant under T, or a map whose T(Id) or
+    T*(Id) is singular, is rejected (``precondition_ok`` false)."""
+    rejected = CommutationReport(passed=False, precondition_ok=False,
                                  steps_run=0, first_failure=None)
-    if invariance_defect(T, cert) > 1e-8 * max(1.0, frob(T.choi)):
-        return CommutationReport(passed=False, precondition_ok=False,
-                                 steps_run=0, first_failure=None)
+    if (cert.structure_defect() > 1e-10 * max(T.k, T.m)
+            or invariance_defect(T, cert) > 1e-8 * max(1.0, frob(T.choi))):
+        return rejected
 
-    def worst_commutator(state: ScalingState) -> tuple[str, float] | None:
-        for label, M, family in (("input", state.in_filter, cert.input_projectors),
-                                 ("output", state.out_filter, cert.output_projectors)):
-            scale = max(frob(M), 1e-300)
-            for P in family:
-                defect = frob(M @ P - P @ M)
-                if defect > rel_tol * scale:
-                    return label, float(defect)
-        return None
-
-    state = init(T, tol)
-    for _ in range(n_steps):
-        bad = worst_commutator(state)
-        if bad is not None:
-            return CommutationReport(passed=False, precondition_ok=True,
-                                     steps_run=state.n, first_failure=(state.n, *bad))
-        if max(state.in_residual, state.out_residual) <= tol.conv_eps:
-            break
-        state = step(state, T, tol)
+    try:
+        for state in _iterates(T, tol, n_steps):
+            for label, M, family in (("input", state.in_filter, cert.input_projectors),
+                                     ("output", state.out_filter, cert.output_projectors)):
+                scale = max(frob(M), 1e-300)
+                for P in family:
+                    defect = frob(M @ P - P @ M)
+                    if defect > rel_tol * scale:
+                        return CommutationReport(
+                            passed=False, precondition_ok=True, steps_run=state.n,
+                            first_failure=(state.n, label, float(defect)))
+    except PreconditionFailed:
+        return rejected
     return CommutationReport(passed=True, precondition_ok=True,
                              steps_run=state.n, first_failure=None)

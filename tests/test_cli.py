@@ -24,6 +24,7 @@ from opscale.io import (ValidationError, atomic_write_json, load_json,
 from opscale.numkernel import frob
 from opscale.posmap import haar_unitary
 from test_fnf import near_psd_state
+from test_scaling import trace_to_corner_map
 
 
 def run_cli(capsys, *argv):
@@ -735,6 +736,8 @@ BAD_ARGUMENTS = {
     "batch-out-is-a-file": ("fnf", "{dir}", "--batch", "--out", "{pattern}"),
     "batch-out-under-a-file": ("fnf", "{dir}", "--batch",
                                "--out", "{pattern}/sub"),
+    "support-out-without-batch": ("support", "{pattern}", "--out", "{dir}/out"),
+    "scale-out-without-batch": ("scale", "{map}", "--out", "{dir}/out"),
 }
 
 
@@ -743,8 +746,10 @@ def fill(argv, workspace):
 
 
 class TestBadArguments:
-    """Out-of-range numbers and unusable batch output directories are
-    validation errors, on every subcommand that takes them."""
+    """Out-of-range numbers, unusable batch output directories and ``--out``
+    without ``--batch`` on support and scale are validation errors, on every
+    subcommand that takes them; the real entry point ends in a report, never
+    in a traceback."""
 
     @pytest.mark.parametrize("argv", BAD_ARGUMENTS.values(),
                              ids=BAD_ARGUMENTS.keys())
@@ -755,20 +760,43 @@ class TestBadArguments:
         assert set(json.loads(out)) == {"version", "error"}
         assert sorted(workspace["dir"].rglob("*")) == before
 
+    @pytest.mark.parametrize("name, flag", [("tol-0", "--tol"),
+                                            ("pd-min-2", "--pd-min"),
+                                            ("rank-rel-1", "--rank-rel")])
+    def test_tolerance_error_names_the_flag(self, capsys, workspace, name, flag):
+        code, rep = run_cli_json(capsys, *fill(BAD_ARGUMENTS[name], workspace))
+        assert code == 2
+        assert flag in rep["error"]
+
     @pytest.mark.parametrize("name", ["tol-0", "batch-out-is-a-file"])
     def test_entry_point_exits_2_without_traceback(self, workspace, name):
-        # The real entry point in a child process: the exit status the
-        # interpreter returns is what in-process calls cannot see.
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "opscale.cli",
-             *fill(BAD_ARGUMENTS[name], workspace)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path})
+        proc = run_entry_point(*fill(BAD_ARGUMENTS[name], workspace))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert set(json.loads(proc.stdout)) == {"version", "error"}
+
+    def test_singular_marginal_commutation_exits_5_without_traceback(self, tmp_path):
+        atomic_write_json(str(tmp_path / "m.json"), map_to_obj(trace_to_corner_map()))
+        identity = matrix_to_obj(np.eye(2))
+        atomic_write_json(str(tmp_path / "c.json"), {
+            "input_projectors": [identity], "output_projectors": [identity]})
+        proc = run_entry_point("certificate", str(tmp_path / "m.json"),
+                               str(tmp_path / "c.json"), "--commutation-steps", "3")
+        assert proc.returncode == 5
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["commutation"] == {
+            "passed": False, "precondition_ok": False, "steps_run": 0,
+            "first_failure": None}
+
+
+def run_entry_point(*argv):
+    """The real entry point in a child process: the exit status the
+    interpreter returns is what in-process calls cannot see."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "opscale.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def key_tree(obj):

@@ -1,5 +1,6 @@
 """Alternating scaling loop: invariants, verdicts, progress measure."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opscale import fixtures
+from opscale import fixtures, scaling
 from opscale.numkernel import (NumericalFailure, Tolerances,
                                as_complex_matrix, frob, kron)
-from opscale.posmap import ChoiMap, haar_unitary, is_doubly_stochastic
+from opscale.posmap import (BlockCertificate, ChoiMap, haar_unitary,
+                            is_doubly_stochastic)
 from opscale.scaling import (VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
                              VERDICT_NO_SUPPORT, VERDICT_PRECONDITION,
+                             CommutationReport, IterationRecord,
                              PreconditionFailed, block_commutation_check, init,
                              run, step)
 
@@ -222,6 +225,67 @@ class TestRun:
         assert run(T.tilde_lift()).converged
 
 
+def reference_run(T, tol=TOL, max_iter=10000, divergence_logdet=None,
+                  keep_history=True):
+    """``run``'s outcome from a hand-rolled ``init``/``step`` loop: stop when
+    converged, diverged or capped, tested in that order on every iterate."""
+    threshold = 50.0 * T.k * T.m if divergence_logdet is None else divergence_logdet
+    try:
+        state = init(T, tol)
+    except PreconditionFailed as exc:
+        return VERDICT_PRECONDITION, 0, None, None, None, None, (), str(exc)
+    history = []
+    while True:
+        if keep_history:
+            history.append(IterationRecord(state.n, state.in_residual,
+                                           state.out_residual, state.logdet))
+        if max(state.in_residual, state.out_residual) <= tol.conv_eps:
+            verdict, reason = VERDICT_CONVERGED, None
+            break
+        if state.logdet > threshold:
+            verdict = VERDICT_NO_SUPPORT
+            reason = f"log-determinant {state.logdet:.3f} exceeded {threshold:.3f}"
+            break
+        if state.n >= max_iter:
+            verdict = VERDICT_INCONCLUSIVE
+            reason = f"residuals above {tol.conv_eps:g} after {max_iter} iterations"
+            break
+        state = step(state, T, tol)
+    ds_map = None
+    if verdict == VERDICT_CONVERGED:
+        ds_map = T.conjugated(state.in_filter, state.out_filter).choi.tobytes()
+    return (verdict, state.n, state.logdet, state.in_filter.tobytes(),
+            state.out_filter.tobytes(), ds_map, tuple(history), reason)
+
+
+def report_fields(report):
+    """A ``ScalingReport`` in ``reference_run``'s layout."""
+    return (report.verdict, report.iterations, report.logdet,
+            None if report.in_filter is None else report.in_filter.tobytes(),
+            None if report.out_filter is None else report.out_filter.tobytes(),
+            None if report.ds_map is None else report.ds_map.choi.tobytes(),
+            report.history, report.failure_reason)
+
+
+@pytest.mark.parametrize("source", [(k, m) for k in range(1, 5) for m in range(1, 5)]
+                         + ["no_support_map", "boundary_map"], ids=str)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.sampled_from([None, 1, 2]),
+       max_iter=st.sampled_from([0, 1, 3, 10000]),
+       divergence_logdet=st.sampled_from([None, 0.5, 5.0]),
+       keep_history=st.booleans())
+def test_run_matches_the_hand_rolled_loop(source, seed, rank, max_iter,
+                                          divergence_logdet, keep_history):
+    if isinstance(source, tuple):
+        T = fixtures.random_cp_map(*source, np.random.default_rng(seed), rank=rank)
+    else:
+        T = getattr(fixtures, source)()
+    kwargs = dict(max_iter=max_iter, divergence_logdet=divergence_logdet,
+                  keep_history=keep_history)
+    # repr tells every float apart bit for bit, NaN included
+    assert repr(report_fields(run(T, **kwargs))) == repr(reference_run(T, **kwargs))
+
+
 class EinsumChoiMap(ChoiMap):
     """A map applied by the einsum formulas over its blocks, as before the
     realigned storage."""
@@ -296,6 +360,14 @@ class TestOperatorInterface:
         assert np.array_equal(got.ds_map.choi, want.ds_map.choi)
 
 
+def trace_to_corner_map():
+    """X -> tr(X) E00 on 2x2: T(Id) is singular, every certificate with one
+    block is invariant."""
+    choi = np.zeros((4, 4), dtype=complex)
+    choi[0, 0] = choi[2, 2] = 1.0
+    return ChoiMap(2, 2, choi)
+
+
 class TestCommutation:
     def test_direct_sum_iterates_commute(self):
         rng = np.random.default_rng(12)
@@ -315,3 +387,32 @@ class TestCommutation:
         assert not report.precondition_ok
         assert not report.passed
         assert report.steps_run == 0
+
+    def test_last_iterate_is_checked(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        parts = [fixtures.random_cp_map(2, 2, rng), fixtures.random_cp_map(2, 2, rng)]
+        T, cert = fixtures.direct_sum_map(parts)
+        n_steps, calls, real_step = 5, [], scaling.step
+
+        def spoil_last_step(state, T, tol=TOL):
+            calls.append(state.n)
+            state = real_step(state, T, tol)
+            if len(calls) < n_steps:
+                return state
+            # mixes the two blocks, so it commutes with neither projector
+            return dataclasses.replace(state, in_filter=np.ones((T.k, T.k), complex))
+
+        monkeypatch.setattr(scaling, "step", spoil_last_step)
+        report = block_commutation_check(T, cert, n_steps=n_steps)
+        assert len(calls) == n_steps
+        assert report.precondition_ok and not report.passed
+        assert report.steps_run == n_steps
+        assert report.first_failure is not None
+        assert report.first_failure[:2] == (n_steps, "input")
+
+    def test_singular_marginal_is_rejected_not_raised(self):
+        cert = BlockCertificate((np.eye(2, dtype=complex),),
+                                (np.eye(2, dtype=complex),))
+        report = block_commutation_check(trace_to_corner_map(), cert, n_steps=3)
+        assert report == CommutationReport(passed=False, precondition_ok=False,
+                                           steps_run=0, first_failure=None)
