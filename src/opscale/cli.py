@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import glob
 import json
+import math
 import os
 import sys
 import tempfile
@@ -79,6 +80,18 @@ def _tolerances(args) -> Tolerances:
         # The library names the field first; the user typed the flag.
         field, _, rest = str(exc).partition(" ")
         raise ValidationError(f"{_TOLERANCE_FLAGS.get(field, field)} {rest}") from exc
+
+
+def _check_run_limits(args) -> None:
+    """Refuse the ``--max-iter`` and ``--divergence`` values that ``run``
+    would take silently: a negative cap stops before the first step, and a
+    NaN threshold switches the divergence test off."""
+    max_iter = getattr(args, "max_iter", 0)
+    if max_iter < 0:
+        raise ValidationError(f"--max-iter must be nonnegative, got {max_iter}")
+    divergence = getattr(args, "divergence", None)
+    if divergence is not None and math.isnan(divergence):
+        raise ValidationError("--divergence must be a number, got nan")
 
 
 def _envelope(seed: int, tol: Tolerances) -> dict:
@@ -570,6 +583,7 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        _check_run_limits(args)
         return args.func(args, _resolve_seed(args), _tolerances(args))
     except (ValidationError, NotPositiveDefinite, NumericalFailure) as exc:
         _emit({"version": __version__, "error": str(exc)})

@@ -7,17 +7,20 @@ included: ``json`` writes each double as the shortest decimal that re-parses
 to the same double.  An entry whose imaginary part is zero, of either sign,
 is written as a bare number.  Decoding makes one Python pass that
 type-checks every cell and lays out its real and imaginary parts, then
-builds the matrix in one NumPy conversion; ``matrix_to_obj`` builds the
-cells from ``tolist()``.
+builds the matrix in one NumPy conversion.  ``matrix_to_obj`` builds the
+cells from two ``tolist()`` calls and a loop over the ``[re, im]`` cells
+only.  Its ``data`` reads as a plain list and also keeps a private copy of
+the matrix, which it drops once the list changes.
 
 Every file and report is written by :func:`write_json`, byte for byte in the
 layout of ``json.dumps(obj, indent=2)``.  Keys and scalars go through the
-standard library's C encoder one at a time; a list of plain floats and
-``[re, im]`` lists of two plain floats, the ``data`` of a matrix, gets its
-number tokens from one C encoding per slice of the list and is streamed
-slice by slice.  Any other list is written item by item, to the same bytes.
-Where ``json`` has no C encoder (PyPy, for one), ``JSONEncoder.encode``
-stands in for it.
+standard library's C encoder one at a time.  A matrix's ``data`` is written
+from its array: one ``np.unique`` over the bit patterns of the doubles it
+writes, one C encoding of the distinct values, their tokens gathered by
+index, and the text streamed ``_SLICE`` cells per write.  Matrices repeat
+their doubles, a square lift most of all, so each is formatted once.  Any
+other list is written item by item, to the same bytes.  Where ``json`` has
+no C encoder (PyPy, for one), ``JSONEncoder.encode`` stands in for it.
 
 A state file wraps a matrix: ``{"k": ..., "m": ..., "matrix": {...}}``; the
 matrix must be Hermitian within 1e-8 and positive semidefinite, and is
@@ -33,9 +36,12 @@ check already proved its storage positive semidefinite.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
+import operator
 import os
 import tempfile
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
@@ -50,12 +56,52 @@ class ValidationError(ValueError):
     """Malformed or inconsistent input file."""
 
 
+class _MatrixData(list):
+    """The ``data`` list of :func:`matrix_to_obj`: a plain list to every
+    reader, which also keeps a private copy of its matrix for
+    :func:`write_json`.  Each of its mutating methods drops the copy, and
+    the writer checks that every ``[re, im]`` cell still holds its own two
+    floats, so a list changed after the call is written as it then reads."""
+
+    _source = None  # (matrix, its [re, im] cells, their floats in order)
+
+    def matrix(self) -> np.ndarray | None:
+        """The matrix the list still reads as, or None once it has changed."""
+        if self._source is None:
+            return None
+        M, pairs, parts = self._source
+        if set(map(len, pairs)) <= {2} and all(
+                map(operator.is_, chain.from_iterable(pairs), parts)):
+            return M
+        return None
+
+
+def _dropping_source(method):
+    @functools.wraps(method)
+    def mutate(self, *args, **kwargs):
+        self._source = None
+        return method(self, *args, **kwargs)
+    return mutate
+
+
+for _name in ("__init__", "__setitem__", "__delitem__", "__iadd__", "__imul__",
+              "append", "extend", "insert", "pop", "remove", "clear", "sort",
+              "reverse"):
+    setattr(_MatrixData, _name, _dropping_source(getattr(list, _name)))
+
+
 def matrix_to_obj(M) -> dict[str, Any]:
-    M = np.asarray(M, dtype=np.complex128)
-    # Row by row, so that only one row's parts exist as spare Python floats.
-    data = [re if im == 0.0 else [re, im]
-            for row in M for re, im in zip(row.real.tolist(), row.imag.tolist())]
-    return {"rows": int(M.shape[0]), "cols": int(M.shape[1]), "data": data}
+    M = np.array(M, dtype=np.complex128, order="C")
+    flat = M.reshape(-1)
+    cells = flat.real.tolist()
+    # Only the cells with a nonzero imaginary part become [re, im] lists.
+    at = np.flatnonzero(flat.imag)
+    pairs = flat[at].view(np.float64).reshape(-1, 2).tolist()
+    for idx, pair in zip(at.tolist(), pairs):
+        cells[idx] = pair
+    data = _MatrixData(cells)
+    data._source = (M, pairs, list(chain.from_iterable(pairs)))
+    return {"rows": M.shape[0], "cols": M.shape[1], "data": data}
 
 
 def _is_real(x) -> bool:
@@ -135,7 +181,7 @@ else:
     def _encode(obj) -> str:
         return "".join(_c_encoder(obj, 0))
 
-# List items per write on the bulk path: bounds the text held at once.
+# Matrix cells per write: bounds the text held at once.
 _SLICE = 4096
 
 
@@ -149,15 +195,46 @@ def _key(key) -> str:
                     f"not {key.__class__.__name__}")
 
 
-def _number_slots(items, pair: str) -> list[str] | None:
-    """One %-format slot per item of a list of plain floats and ``[re, im]``
-    lists of two plain floats, all that ``matrix_to_obj`` writes; None for
-    any other list, which the per-item path writes to the same bytes."""
-    slots = ["%s" if type(x) is float else
-             pair if (type(x) is list and len(x) == 2
-                      and type(x[0]) is float and type(x[1]) is float)
-             else None for x in items]
-    return None if None in slots else slots
+def _write_matrix_data(fh, M: np.ndarray, inner: str) -> None:
+    """Write the cells of ``M`` as ``matrix_to_obj`` lists them, from the
+    list's opening bracket to its last cell, ``_SLICE`` cells per write.
+    Matrices repeat their doubles (a square lift holds each entry of its
+    map many times over, and mostly zeros), so each distinct double, told
+    apart by its bits to keep the sign of a zero, is formatted once."""
+    flat = M.reshape(-1)
+    pair = flat.imag != 0.0
+    # The doubles written, in order: each real part, and the imaginary part
+    # of each [re, im] cell.
+    kept = np.ones((len(flat), 2), dtype=bool)
+    kept[:, 1] = pair
+    distinct, at = np.unique(flat.view(np.int64).reshape(-1, 2)[kept],
+                             return_inverse=True)
+    # What goes before a token, then the distinct tokens.  A number token
+    # holds no comma, so the compact encoding of the distinct values,
+    # brackets dropped, splits into their tokens in order.
+    opening, closing, sep = "[" + inner + "  ", inner + "]", "," + inner
+    strings = np.array(
+        ["[" + inner, "[" + inner + opening, sep, sep + opening, closing + sep,
+         closing + sep + opening, "," + inner + "  "]
+        + _encode(distinct.view(np.float64).tolist())[1:-1].split(","),
+        dtype=object)
+    # A cell's first token follows the list's opening (lead 0), a number (2)
+    # or a pair (4), plus 1 if it opens a pair; a pair's second token
+    # follows its comma (6).
+    lead = np.full(kept.shape, 6)
+    lead[:, 0] = pair
+    lead[1:, 0] += 2 + 2 * pair[:-1]
+    index = np.empty((len(at), 2), dtype=np.intp)
+    index[:, 0] = lead[kept]
+    np.add(at, 7, out=index[:, 1])
+    a = 0
+    for start in range(0, len(flat), _SLICE):
+        cells = pair[start:start + _SLICE]
+        b = a + len(cells) + np.count_nonzero(cells)
+        fh.write("".join(strings[index[a:b]].ravel().tolist()))
+        a = b
+    if pair[-1]:
+        fh.write(closing)
 
 
 def _write(fh, obj, nl: str) -> None:
@@ -173,24 +250,15 @@ def _write(fh, obj, nl: str) -> None:
         fh.write(nl + "}")
     elif isinstance(obj, (list, tuple)) and obj:
         inner = nl + "  "
-        head, sep = "[" + inner, "," + inner
-        pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
-        slots = _number_slots(obj, pair)
-        if slots is None:
+        M = obj.matrix() if type(obj) is _MatrixData else None
+        if M is not None:
+            _write_matrix_data(fh, M, inner)
+        else:
+            head = "[" + inner
             for item in obj:
                 fh.write(head)
                 _write(fh, item, inner)
-                head = sep
-        else:
-            # A number token holds no comma or bracket, so the compact
-            # encoding of a slice, brackets dropped, splits into its tokens
-            # in order.
-            for start in range(0, len(obj), _SLICE):
-                compact = _encode(obj[start:start + _SLICE])[1:-1]
-                tokens = compact.replace("[", "").replace("]", "").split(",")
-                fh.write(head + (sep.join(slots[start:start + _SLICE])
-                                 % tuple(tokens)))
-                head = sep
+                head = "," + inner
         fh.write(nl + "]")
     else:
         fh.write(_encode(obj))

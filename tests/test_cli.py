@@ -235,10 +235,16 @@ class TestJsonWriter:
         assert written(obj, jio) == json.dumps(obj, indent=2) + "\n"
 
     def test_matrix_files(self, jio):
+        # Among them the matrices fnf-batch and support-total write: square
+        # lifts at 4x4 and 3x5 and a 0/1 pattern.
         rng = np.random.default_rng(1)
         T = fixtures.random_cp_map(3, 2, rng)
-        for obj in (map_to_obj(T), map_to_obj(T.tilde_lift()),
-                    matrix_to_obj(np.eye(3)), matrix_to_obj(1j * np.eye(2))):
+        pattern = (rng.random((40, 30)) < 0.2).astype(float)
+        for obj in (jio.map_to_obj(T), jio.map_to_obj(T.tilde_lift()),
+                    jio.map_to_obj(fixtures.random_cp_map(4, 4, rng).tilde_lift()),
+                    jio.map_to_obj(fixtures.random_cp_map(3, 5, rng).tilde_lift()),
+                    jio.matrix_to_obj(pattern),
+                    jio.matrix_to_obj(np.eye(3)), jio.matrix_to_obj(1j * np.eye(2))):
             assert written(obj, jio) == json.dumps(obj, indent=2) + "\n"
 
     @pytest.mark.parametrize("obj", [
@@ -250,6 +256,59 @@ class TestJsonWriter:
         with pytest.raises(TypeError) as got:
             written(obj, jio)
         assert str(got.value) == str(expected.value)
+
+
+# A small pool of doubles per matrix, so that values repeat as they do in a
+# square lift or a 0/1 pattern, with both zeros and the awkward doubles.
+_pooled_double = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e16, 0.1,
+                     float("nan"), float("inf")]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _repeating_matrices(draw):
+    pool = st.sampled_from(draw(st.lists(_pooled_double, min_size=1, max_size=4)))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    M = np.zeros(shape, dtype=np.complex128)
+    M.real = draw(arrays(np.float64, shape, elements=pool))
+    if draw(st.booleans()):
+        M.imag = draw(arrays(np.float64, shape, elements=pool))
+    return M
+
+
+class TestMatrixDataPath:
+    """matrix_to_obj's data is written from its array, to the bytes json
+    writes for the list it reads as."""
+
+    @pytest.mark.parametrize("slice_len", [1, 3, opscale_io._SLICE])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(M=_repeating_matrices())
+    def test_matches_json_dumps(self, jio, M, slice_len):
+        obj = jio.matrix_to_obj(M)
+        with mock.patch.object(jio, "_SLICE", slice_len), \
+                mock.patch.object(jio, "_write_matrix_data",
+                                  wraps=jio._write_matrix_data) as array_path:
+            assert written(obj, jio) == json.dumps(obj, indent=2) + "\n"
+        array_path.assert_called_once()
+
+    @pytest.mark.parametrize("change", [
+        lambda data: data.__setitem__(0, 7.0),
+        lambda data: data.append(7.0),
+        lambda data: data[1].__setitem__(0, 7),
+        lambda data: data[-1].append(0.5)], ids=["set", "append", "set-in-pair",
+                                               "append-to-pair"])
+    def test_data_changed_after_the_call_is_written_as_it_reads(self, jio, change):
+        obj = jio.matrix_to_obj(np.array([[1.0, 2 + 1j], [-0.0, 3 - 2j]]))
+        change(obj["data"])
+        assert written(obj, jio) == json.dumps(obj, indent=2) + "\n"
+
+    def test_source_changed_after_the_call_is_not_written(self, jio):
+        M = np.array([[1.0, 2 + 1j], [-0.0, 3 - 2j]])
+        obj = jio.matrix_to_obj(M)
+        expected = json.dumps(obj, indent=2) + "\n"
+        M[:] = 9.0
+        assert written(obj, jio) == expected
 
 
 class TestStateAndMapFiles:
@@ -733,6 +792,15 @@ BAD_ARGUMENTS = {
     "selftest-rank-rel-1": ("selftest", "--rank-rel", "1"),
     "zero-eps-negative": ("support", "{pattern}", "--zero-eps", "-1"),
     "zero-eps-nan": ("support", "{pattern}", "--zero-eps", "nan"),
+    "scale-max-iter-negative": ("scale", "{map}", "--max-iter", "-5"),
+    "fnf-max-iter-negative": ("fnf", "{state}", "--max-iter", "-5"),
+    "tilde-max-iter-negative": ("tilde", "{map}", "--check", "--max-iter", "-5"),
+    # Run, a NaN threshold would let the no-support map reach --max-iter
+    # (exit 4) instead of diverging (exit 3).
+    "scale-divergence-nan": ("scale", "{bad_map}", "--divergence", "nan",
+                             "--max-iter", "300"),
+    "fnf-divergence-nan": ("fnf", "{state}", "--divergence", "nan"),
+    "tilde-divergence-nan": ("tilde", "{map}", "--check", "--divergence", "nan"),
     "batch-out-is-a-file": ("fnf", "{dir}", "--batch", "--out", "{pattern}"),
     "batch-out-under-a-file": ("fnf", "{dir}", "--batch",
                                "--out", "{pattern}/sub"),
@@ -764,6 +832,14 @@ class TestBadArguments:
                                             ("pd-min-2", "--pd-min"),
                                             ("rank-rel-1", "--rank-rel")])
     def test_tolerance_error_names_the_flag(self, capsys, workspace, name, flag):
+        code, rep = run_cli_json(capsys, *fill(BAD_ARGUMENTS[name], workspace))
+        assert code == 2
+        assert flag in rep["error"]
+
+    @pytest.mark.parametrize("name", [name for name in BAD_ARGUMENTS
+                                      if "max-iter" in name or "divergence" in name])
+    def test_run_limit_error_names_the_flag(self, capsys, workspace, name):
+        flag = "--max-iter" if "max-iter" in name else "--divergence"
         code, rep = run_cli_json(capsys, *fill(BAD_ARGUMENTS[name], workspace))
         assert code == 2
         assert flag in rep["error"]
