@@ -83,12 +83,14 @@ def _tolerances(args) -> Tolerances:
 
 
 def _check_run_limits(args) -> None:
-    """Refuse the ``--max-iter`` and ``--divergence`` values that ``run``
-    would take silently: a negative cap stops before the first step, and a
-    NaN threshold switches the divergence test off."""
-    max_iter = getattr(args, "max_iter", 0)
-    if max_iter < 0:
-        raise ValidationError(f"--max-iter must be nonnegative, got {max_iter}")
+    """Refuse the ``--max-iter``, ``--commutation-steps`` and ``--divergence``
+    values that would be taken silently: a negative cap stops before the
+    first step, a negative step count skips the commutation check, and a NaN
+    threshold switches the divergence test off."""
+    for flag, value in (("--max-iter", getattr(args, "max_iter", 0)),
+                        ("--commutation-steps", getattr(args, "commutation_steps", 0))):
+        if value < 0:
+            raise ValidationError(f"{flag} must be nonnegative, got {value}")
     divergence = getattr(args, "divergence", None)
     if divergence is not None and math.isnan(divergence):
         raise ValidationError("--divergence must be a number, got nan")
@@ -98,8 +100,7 @@ def _envelope(seed: int, tol: Tolerances) -> dict:
     return {
         "version": __version__,
         "seed": seed,
-        "tolerances": {"rank_rel": tol.rank_rel, "pd_min": tol.pd_min,
-                       "conv_eps": tol.conv_eps},
+        "tolerances": _to_json(tol),
     }
 
 

@@ -36,6 +36,9 @@ class BipartiteState:
     rho: np.ndarray
 
     def __post_init__(self):
+        if self.k < 1 or self.m < 1:
+            raise ValueError(
+                f"dimensions must be positive, got k={self.k}, m={self.m}")
         rho = as_complex_matrix(self.rho)
         if rho.shape != (self.k * self.m, self.k * self.m):
             raise ValueError(

@@ -8,9 +8,11 @@ to the same double.  An entry whose imaginary part is zero, of either sign,
 is written as a bare number.  Decoding makes one Python pass that
 type-checks every cell and lays out its real and imaginary parts, then
 builds the matrix in one NumPy conversion.  ``matrix_to_obj`` builds the
-cells from two ``tolist()`` calls and a loop over the ``[re, im]`` cells
-only.  Its ``data`` reads as a plain list and also keeps a private copy of
-the matrix, which it drops once the list changes.
+cells from ``tolist()`` calls and a loop over the complex cells only.  Its
+``data`` is an immutable snapshot: a tuple of floats and ``(re, im)``
+tuples, which ``json`` writes as numbers and pairs, carrying a read-only
+copy of the matrix for the writer.  :func:`obj_to_matrix` reads it back
+without a trip through JSON.
 
 Every file and report is written by :func:`write_json`, byte for byte in the
 layout of ``json.dumps(obj, indent=2)``.  Keys and scalars go through the
@@ -36,12 +38,9 @@ check already proved its storage positive semidefinite.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
-import operator
 import os
 import tempfile
-from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
@@ -56,51 +55,25 @@ class ValidationError(ValueError):
     """Malformed or inconsistent input file."""
 
 
-class _MatrixData(list):
-    """The ``data`` list of :func:`matrix_to_obj`: a plain list to every
-    reader, which also keeps a private copy of its matrix for
-    :func:`write_json`.  Each of its mutating methods drops the copy, and
-    the writer checks that every ``[re, im]`` cell still holds its own two
-    floats, so a list changed after the call is written as it then reads."""
-
-    _source = None  # (matrix, its [re, im] cells, their floats in order)
-
-    def matrix(self) -> np.ndarray | None:
-        """The matrix the list still reads as, or None once it has changed."""
-        if self._source is None:
-            return None
-        M, pairs, parts = self._source
-        if set(map(len, pairs)) <= {2} and all(
-                map(operator.is_, chain.from_iterable(pairs), parts)):
-            return M
-        return None
-
-
-def _dropping_source(method):
-    @functools.wraps(method)
-    def mutate(self, *args, **kwargs):
-        self._source = None
-        return method(self, *args, **kwargs)
-    return mutate
-
-
-for _name in ("__init__", "__setitem__", "__delitem__", "__iadd__", "__imul__",
-              "append", "extend", "insert", "pop", "remove", "clear", "sort",
-              "reverse"):
-    setattr(_MatrixData, _name, _dropping_source(getattr(list, _name)))
+class _MatrixData(tuple):
+    """The ``data`` of :func:`matrix_to_obj`: its cells, floats and
+    ``(re, im)`` tuples, in a tuple that cannot change.  Its ``_matrix`` is a
+    read-only copy of the matrix it lists, from which :func:`write_json`
+    writes it."""
 
 
 def matrix_to_obj(M) -> dict[str, Any]:
     M = np.array(M, dtype=np.complex128, order="C")
+    M.setflags(write=False)
     flat = M.reshape(-1)
     cells = flat.real.tolist()
-    # Only the cells with a nonzero imaginary part become [re, im] lists.
+    # Only the cells with a nonzero imaginary part become (re, im) pairs.
     at = np.flatnonzero(flat.imag)
-    pairs = flat[at].view(np.float64).reshape(-1, 2).tolist()
-    for idx, pair in zip(at.tolist(), pairs):
+    for idx, pair in zip(at.tolist(), zip(flat.real[at].tolist(),
+                                          flat.imag[at].tolist())):
         cells[idx] = pair
     data = _MatrixData(cells)
-    data._source = (M, pairs, list(chain.from_iterable(pairs)))
+    data._matrix = M
     return {"rows": M.shape[0], "cols": M.shape[1], "data": data}
 
 
@@ -113,7 +86,8 @@ def _cell_parts(cell, idx: int) -> tuple[float, float]:
     try:
         if _is_real(cell):
             return float(cell), 0.0
-        if isinstance(cell, list) and len(cell) == 2 and all(map(_is_real, cell)):
+        if (isinstance(cell, (list, tuple)) and len(cell) == 2
+                and all(map(_is_real, cell))):
             return float(cell[0]), float(cell[1])
     except OverflowError as exc:
         raise ValidationError(f"matrix entry {idx} does not fit a double: {exc}") from exc
@@ -130,7 +104,7 @@ def obj_to_matrix(obj) -> np.ndarray:
         raise ValidationError(f"matrix object missing rows/cols/data: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValidationError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    if not isinstance(data, list) or len(data) != rows * cols:
+    if not isinstance(data, (list, tuple)) or len(data) != rows * cols:
         raise ValidationError(
             f"matrix data must list {rows * cols} row-major entries")
     # One pass type-checks the cells and lays out re, im pairs; plain floats
@@ -250,9 +224,8 @@ def _write(fh, obj, nl: str) -> None:
         fh.write(nl + "}")
     elif isinstance(obj, (list, tuple)) and obj:
         inner = nl + "  "
-        M = obj.matrix() if type(obj) is _MatrixData else None
-        if M is not None:
-            _write_matrix_data(fh, M, inner)
+        if type(obj) is _MatrixData:
+            _write_matrix_data(fh, obj._matrix, inner)
         else:
             head = "[" + inner
             for item in obj:

@@ -229,7 +229,7 @@ class TestJsonWriter:
         rng = np.random.default_rng(0)
         M = rng.standard_normal((100, 100)) + 1j * rng.standard_normal((100, 100))
         M.imag[rng.random((100, 100)) < 0.5] = 0.0
-        data = matrix_to_obj(M)["data"] + tail
+        data = list(matrix_to_obj(M)["data"]) + tail
         assert len(data) > 2 * jio._SLICE
         obj = {"rows": 1, "cols": len(data), "data": data}
         assert written(obj, jio) == json.dumps(obj, indent=2) + "\n"
@@ -298,9 +298,10 @@ class TestMatrixDataPath:
         lambda data: data[1].__setitem__(0, 7),
         lambda data: data[-1].append(0.5)], ids=["set", "append", "set-in-pair",
                                                "append-to-pair"])
-    def test_data_changed_after_the_call_is_written_as_it_reads(self, jio, change):
+    def test_data_cannot_change_after_the_call(self, jio, change):
         obj = jio.matrix_to_obj(np.array([[1.0, 2 + 1j], [-0.0, 3 - 2j]]))
-        change(obj["data"])
+        with pytest.raises((TypeError, AttributeError)):
+            change(obj["data"])
         assert written(obj, jio) == json.dumps(obj, indent=2) + "\n"
 
     def test_source_changed_after_the_call_is_not_written(self, jio):
@@ -309,6 +310,20 @@ class TestMatrixDataPath:
         expected = json.dumps(obj, indent=2) + "\n"
         M[:] = 9.0
         assert written(obj, jio) == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(M=_repeating_matrices())
+    def test_reads_back_without_json(self, M):
+        # Bit for bit, but for the sign of a zero imaginary part: such an
+        # entry is a bare number.  Non-finite entries are refused.
+        obj = matrix_to_obj(M)
+        if not np.isfinite(M).all():
+            with pytest.raises(ValidationError, match="non-finite"):
+                obj_to_matrix(obj)
+            return
+        expected = M.copy()
+        expected.imag[expected.imag == 0.0] = 0.0
+        assert np.array_equal(_bits(obj_to_matrix(obj)), _bits(expected))
 
 
 class TestStateAndMapFiles:
@@ -359,6 +374,10 @@ def workspace(tmp_path):
     paths["state"] = tmp_path / "state.json"
     state = BipartiteState(2, 3, fixtures.random_state_matrix(2, 3, rng))
     atomic_write_json(str(paths["state"]), state_to_obj(state))
+    paths["cert"] = tmp_path / "cert.json"
+    identity = matrix_to_obj(np.eye(2))
+    atomic_write_json(str(paths["cert"]), {"input_projectors": [identity],
+                                           "output_projectors": [identity]})
     paths["dir"] = tmp_path
     return paths
 
@@ -801,12 +820,17 @@ BAD_ARGUMENTS = {
                              "--max-iter", "300"),
     "fnf-divergence-nan": ("fnf", "{state}", "--divergence", "nan"),
     "tilde-divergence-nan": ("tilde", "{map}", "--check", "--divergence", "nan"),
+    # Run, a negative step count would skip the commutation check.
+    "certificate-commutation-steps-negative": ("certificate", "{map}", "{cert}",
+                                               "--commutation-steps", "-3"),
     "batch-out-is-a-file": ("fnf", "{dir}", "--batch", "--out", "{pattern}"),
     "batch-out-under-a-file": ("fnf", "{dir}", "--batch",
                                "--out", "{pattern}/sub"),
     "support-out-without-batch": ("support", "{pattern}", "--out", "{dir}/out"),
     "scale-out-without-batch": ("scale", "{map}", "--out", "{dir}/out"),
 }
+
+RUN_LIMIT_FLAGS = ("--max-iter", "--divergence", "--commutation-steps")
 
 
 def fill(argv, workspace):
@@ -837,9 +861,9 @@ class TestBadArguments:
         assert flag in rep["error"]
 
     @pytest.mark.parametrize("name", [name for name in BAD_ARGUMENTS
-                                      if "max-iter" in name or "divergence" in name])
+                                      if any(f[2:] in name for f in RUN_LIMIT_FLAGS)])
     def test_run_limit_error_names_the_flag(self, capsys, workspace, name):
-        flag = "--max-iter" if "max-iter" in name else "--divergence"
+        flag = next(f for f in RUN_LIMIT_FLAGS if f[2:] in name)
         code, rep = run_cli_json(capsys, *fill(BAD_ARGUMENTS[name], workspace))
         assert code == 2
         assert flag in rep["error"]

@@ -53,6 +53,11 @@ class TestBipartiteState:
         with pytest.raises(ValueError):
             BipartiteState(2, 3, np.eye(5))
 
+    @pytest.mark.parametrize("k, m", [(0, 2), (2, 0)])
+    def test_rejects_empty_factor(self, k, m):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            BipartiteState(k, m, np.zeros((0, 0)))
+
     def test_reduced_states(self):
         rng = np.random.default_rng(0)
         A = rng.random((2, 2)); A = A @ A.T + np.eye(2)
