@@ -38,8 +38,8 @@ from .fnf import (BipartiteState, FnfPreconditionFailed, ScalingInconclusive,
 from .io import (ValidationError, atomic_write_json, load_json, map_to_obj,
                  matrix_to_obj, obj_to_matrix, parse_map, parse_pattern_matrix,
                  parse_state, state_to_obj, write_json)
-from .matcomb import (NonnegPattern, SizeGuardError, SupportResult,
-                      has_support, has_support_bruteforce, has_total_support,
+from .matcomb import (NonnegPattern, SizeGuardError, has_support,
+                      has_support_bruteforce, has_total_support,
                       has_total_support_bruteforce)
 from .numkernel import (NotPositiveDefinite, NumericalFailure, Tolerances,
                         frob, kron, realign, unrealign)
@@ -58,13 +58,20 @@ _VERDICT_EXIT = {
 
 
 def _resolve_seed(args) -> int:
+    """The seed of every subcommand: ``OPSCALE_SEED`` over ``--seed``.  A
+    negative one is refused here, once, for all of them: numpy's generators
+    take none."""
+    source, seed = "--seed", args.seed
     env = os.environ.get("OPSCALE_SEED")
     if env is not None:
+        source = "OPSCALE_SEED"
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ValidationError(f"OPSCALE_SEED must be an integer: {env!r}") from exc
-    return int(args.seed)
+    if seed < 0:
+        raise ValidationError(f"{source} must be nonnegative, got {seed}")
+    return seed
 
 
 # The flag that sets each Tolerances field.
@@ -154,14 +161,8 @@ def _support_job(path: str, args, seed: int, tol: Tolerances,
     report = _envelope(seed, tol)
     report.update({"input": path, "k": pattern.k, "m": pattern.m,
                    "zero_eps": pattern.zero_eps})
-    if args.total:
-        # One flow decides both: a refusal without a failing entry is a
-        # support refusal, and its witness is has_support's source-side cut.
-        tot = has_total_support(pattern)
-        no_support = not tot and tot.failing_entry is None
-        sup = SupportResult(not no_support, tot.witness if no_support else None)
-    else:
-        sup = has_support(pattern)
+    tot = has_total_support(pattern) if args.total else None
+    sup = tot.support if args.total else has_support(pattern)
     report["support"] = sup.has_support
     report["witness"] = _to_json(sup.witness)
     if args.total:
@@ -235,12 +236,6 @@ def cmd_scale(args, seed: int, tol: Tolerances) -> int:
 
 # -------------------------------------------------------------------- fnf
 
-def _sufficient_obj(suff, actual_verdict: str | None) -> dict:
-    if suff.coprime and actual_verdict is not None:
-        suff = dataclasses.replace(suff, coprime_scaling_verdict=actual_verdict)
-    return _to_json(suff)
-
-
 def _fnf_job(path: str, args, seed: int, tol: Tolerances,
              prefix: str) -> tuple[dict, int]:
     state = parse_state(load_json(path))
@@ -249,31 +244,37 @@ def _fnf_job(path: str, args, seed: int, tol: Tolerances,
     report["preconditions"] = _to_json(check_preconditions(state, tol))
     suff = sufficient_conditions(state, tol, run_coprime_scaling=False)
 
+    # Each branch only says how the job ended.  A NumericalFailure carries
+    # no scaling report, even after a converged run: no coprime verdict.
+    scaling = verification = error = None
     try:
         result = compute_fnf(state, tol, max_iter=args.max_iter,
                              divergence_logdet=args.divergence)
     except FnfPreconditionFailed as exc:
-        report["sufficient_conditions"] = _sufficient_obj(suff, None)
-        report["outcome"] = VERDICT_PRECONDITION
-        report["error"] = str(exc)
-        return report, 2
+        outcome, error, code = VERDICT_PRECONDITION, str(exc), 2
     except ScalingInconclusive as exc:
-        report["sufficient_conditions"] = _sufficient_obj(suff, exc.report.verdict)
-        report["scaling"] = _scaling_obj(exc.report)
-        report["outcome"] = exc.report.verdict
-        return report, _VERDICT_EXIT[exc.report.verdict]
+        scaling = exc.report
+        outcome, code = scaling.verdict, _VERDICT_EXIT[scaling.verdict]
     except NumericalFailure as exc:
-        report["sufficient_conditions"] = _sufficient_obj(suff, None)
-        report["outcome"] = "numerical-failure"
-        report["error"] = str(exc)
-        return report, 2
+        outcome, error, code = "numerical-failure", str(exc), 2
+    else:
+        scaling = result.scaling_report
+        verification = verify_fnf(result, tol, original=state)
+        outcome, code = "fnf-computed", 0 if verification.passed else 2
 
-    verification = verify_fnf(result, tol, original=state)
-    report["sufficient_conditions"] = _sufficient_obj(
-        suff, result.scaling_report.verdict)
-    report["scaling"] = _scaling_obj(result.scaling_report)
-    report["verification"] = _to_json(verification)
-    report["outcome"] = "fnf-computed"
+    if suff.coprime and scaling is not None:
+        suff = dataclasses.replace(suff, coprime_scaling_verdict=scaling.verdict)
+    report["sufficient_conditions"] = _to_json(suff)
+    if scaling is not None:
+        report["scaling"] = _scaling_obj(scaling)
+    if verification is not None:
+        report["verification"] = _to_json(verification)
+    report["outcome"] = outcome
+    if error is not None:
+        report["error"] = error
+    if verification is None:
+        return report, code
+
     report["schmidt_rank"] = len(result.schmidt)
     report["coefficients"] = [t.coeff for t in result.schmidt]
 
@@ -291,7 +292,7 @@ def _fnf_job(path: str, args, seed: int, tol: Tolerances,
     })
     report["files"] = [prefix + suffix for suffix in
                        (".filters.json", ".state.json", ".schmidt.json", ".report.json")]
-    return report, 0 if verification.passed else 2
+    return report, code
 
 
 def cmd_fnf(args, seed: int, tol: Tolerances) -> int:

@@ -94,16 +94,30 @@ def _cell_parts(cell, idx: int) -> tuple[float, float]:
     raise ValidationError(f"matrix entry {idx} must be a number or [re, im]")
 
 
+def _dimensions(obj: dict, names: tuple[str, str],
+                nonpositive: str) -> tuple[int, int]:
+    """The dimension fields ``names`` of ``obj``: JSON integers of at least
+    1, so a float, a string or a bool is refused.  A missing field raises
+    ``KeyError``; a nonpositive pair is refused with the message
+    ``nonpositive``, formatted with both values."""
+    values = obj[names[0]], obj[names[1]]
+    for name, value in zip(names, values):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if min(values) < 1:
+        raise ValidationError(nonpositive.format(*values))
+    return values
+
+
 def obj_to_matrix(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValidationError("matrix must be a JSON object")
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _dimensions(obj, ("rows", "cols"),
+                                 "matrix dimensions must be positive, got {}x{}")
         data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ValidationError(f"matrix object missing rows/cols/data: {exc}") from exc
-    if rows < 1 or cols < 1:
-        raise ValidationError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if not isinstance(data, (list, tuple)) or len(data) != rows * cols:
         raise ValidationError(
             f"matrix data must list {rows * cols} row-major entries")
@@ -276,12 +290,9 @@ def parse_pattern_matrix(obj) -> np.ndarray:
 
 def _shape_fields(obj) -> tuple[int, int]:
     try:
-        k, m = int(obj["k"]), int(obj["m"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return _dimensions(obj, ("k", "m"), "k and m must be positive, got {}, {}")
+    except KeyError as exc:
         raise ValidationError(f"missing or malformed k/m fields: {exc}") from exc
-    if k < 1 or m < 1:
-        raise ValidationError(f"k and m must be positive, got {k}, {m}")
-    return k, m
 
 
 def parse_state(obj) -> BipartiteState:

@@ -25,7 +25,9 @@ component.  For the first entry that fails, one residual search from its
 column gives the witness: the reached rows and the unreached columns, because
 reached rows keep all their nonzeros inside the reached set and so send all
 their flow into it.  Which maximum flow the solver finds changes none of
-this; :func:`has_total_support` says why.
+this; :func:`has_total_support` says why.  Its result also carries the
+support verdict of the same flow, as ``support``.  Both brute-force oracles
+read one enumeration of the maximal zero blocks.
 """
 
 from __future__ import annotations
@@ -147,6 +149,15 @@ class TotalSupportResult:
 
     def __bool__(self) -> bool:
         return self.has_total_support
+
+    @property
+    def support(self) -> SupportResult:
+        """The support verdict of the same flow: a refusal without a failing
+        entry is a support refusal, and its witness is :func:`has_support`'s
+        source-side cut."""
+        if self.has_total_support or self.failing_entry is not None:
+            return SupportResult(True, None)
+        return SupportResult(False, self.witness)
 
 
 class _FlowNet:
@@ -382,11 +393,27 @@ def has_total_support(pattern: NonnegPattern) -> TotalSupportResult:
     return TotalSupportResult(True, None, None)
 
 
-def _guard(pattern: NonnegPattern):
-    if pattern.k * pattern.m > _ORACLE_MAX_CELLS:
-        raise SizeGuardError(
-            f"brute-force oracle limited to k*m <= {_ORACLE_MAX_CELLS}, "
-            f"got {pattern.k}x{pattern.m}")
+def _zero_blocks(pattern: NonnegPattern):
+    """For every nonempty row subset alpha whose maximal zero column set
+    beta is nonempty, yield ``(len(alpha)*m + len(beta)*k, complement
+    A(alpha | beta) has a nonzero)``.  Both oracles read this enumeration."""
+    k, m = pattern.k, pattern.m
+    if k * m > _ORACLE_MAX_CELLS:
+        raise SizeGuardError(f"brute-force oracle limited to k*m <= "
+                             f"{_ORACLE_MAX_CELLS}, got {k}x{m}")
+    rows = pattern.row_bitmasks()
+    full = (1 << m) - 1
+    for amask in range(1, 1 << k):
+        zeros = full
+        outside = 0
+        for i in range(k):
+            if amask >> i & 1:
+                zeros &= ~rows[i]
+            else:
+                outside |= rows[i]
+        if zeros:
+            yield (amask.bit_count() * m + zeros.bit_count() * k,
+                   bool(outside & ~zeros))
 
 
 def has_support_bruteforce(pattern: NonnegPattern) -> bool:
@@ -396,25 +423,8 @@ def has_support_bruteforce(pattern: NonnegPattern) -> bool:
     A[alpha | beta] identically zero is checked against
     ``len(alpha)*m + len(beta)*k > k*m``.  Small sizes only.
     """
-    _guard(pattern)
-    k, m = pattern.k, pattern.m
-    rows = pattern.row_bitmasks()
-    full = (1 << m) - 1
-    for amask in range(1, 1 << k):
-        beta = full
-        a_size = 0
-        probe = amask
-        i = 0
-        while probe:
-            if probe & 1:
-                beta &= ~rows[i]
-                a_size += 1
-            probe >>= 1
-            i += 1
-        beta &= full
-        if beta and a_size * m + beta.bit_count() * k > k * m:
-            return False
-    return True
+    target = pattern.k * pattern.m
+    return all(weight <= target for weight, _ in _zero_blocks(pattern))
 
 
 def has_total_support_bruteforce(pattern: NonnegPattern) -> bool:
@@ -427,25 +437,9 @@ def has_total_support_bruteforce(pattern: NonnegPattern) -> bool:
     decides for each alpha: a smaller beta that reaches k*m leaves the
     maximal one above it.  Small sizes only.
     """
-    _guard(pattern)
-    k, m = pattern.k, pattern.m
-    rows = pattern.row_bitmasks()
-    full = (1 << m) - 1
-    target = k * m
-    for amask in range(1, 1 << k):
-        zeros = full
-        outside = 0
-        for i in range(k):
-            if amask >> i & 1:
-                zeros &= ~rows[i]
-            else:
-                outside |= rows[i]
-        if not zeros:
-            continue
-        weight = amask.bit_count() * m + zeros.bit_count() * k
-        if weight > target or (weight == target and outside & ~zeros):
-            return False
-    return True
+    target = pattern.k * pattern.m
+    return all(weight < target or (weight == target and not complement_nonzero)
+               for weight, complement_nonzero in _zero_blocks(pattern))
 
 
 @dataclass(frozen=True)

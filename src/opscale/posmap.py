@@ -309,7 +309,7 @@ def sampled_support_falsifier(T: ChoiMap, trials: int = 20,
     rest are Haar random.  Support of the induced map requires support of the
     pattern matrix in every orthonormal basis pair, so one failing pattern is
     a proof of failure.  One :func:`has_total_support` call per trial decides
-    both: a refusal without a failing entry is a support refusal.
+    both: its result's ``support`` is the support verdict of the same flow.
     """
     rng = rng if rng is not None else np.random.default_rng(_CHECK_SEED)
     support_cex = None
@@ -321,7 +321,7 @@ def sampled_support_falsifier(T: ChoiMap, trials: int = 20,
         else:
             V, W = haar_unitary(T.k, rng), haar_unitary(T.m, rng)
         tot: TotalSupportResult = has_total_support(pattern_matrix(T, V, W))
-        if not tot and tot.failing_entry is None and support_cex is None:
+        if not tot.support and support_cex is None:
             support_cex = BasisCounterexample(
                 trial=trial, canonical=canonical, basis_in=V, basis_out=W,
                 witness=tot.witness, failing_entry=None)

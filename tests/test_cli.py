@@ -85,6 +85,25 @@ class TestMatrixRoundTrip:
             obj_to_matrix(obj)
         assert str(info.value).startswith(message)
 
+    @pytest.mark.parametrize("rows, cols, message", [
+        (2.9, 1, "rows must be an integer, got 2.9"),
+        (2.0, 1, "rows must be an integer, got 2.0"),
+        ("2", 1, "rows must be an integer, got '2'"),
+        (2, True, "cols must be an integer, got True"),
+        (None, 1, "rows must be an integer, got None"),
+        (0, 2, "matrix dimensions must be positive, got 0x2"),
+        (2, -1, "matrix dimensions must be positive, got 2x-1"),
+    ])
+    def test_dimensions_are_positive_json_integers(self, rows, cols, message):
+        with pytest.raises(ValidationError) as info:
+            obj_to_matrix({"rows": rows, "cols": cols, "data": [1.0, 2.0]})
+        assert str(info.value) == message
+
+    def test_missing_dimension_message(self):
+        with pytest.raises(ValidationError) as info:
+            obj_to_matrix({"cols": 1, "data": [1.0]})
+        assert str(info.value) == "matrix object missing rows/cols/data: 'rows'"
+
     def test_pattern_rejects_complex_and_negative(self):
         with pytest.raises(ValidationError):
             parse_pattern_matrix(matrix_to_obj(np.array([[1j]])))
@@ -332,6 +351,27 @@ class TestStateAndMapFiles:
         state = BipartiteState(2, 3, fixtures.random_state_matrix(2, 3, rng))
         back = parse_state(json.loads(json.dumps(state_to_obj(state))))
         assert np.array_equal(back.rho, state.rho)
+
+    @pytest.mark.parametrize("k, m, message", [
+        (2.5, "3", "k must be an integer, got 2.5"),
+        (2, "3", "m must be an integer, got '3'"),
+        (False, 3, "k must be an integer, got False"),
+        (2, 0, "k and m must be positive, got 2, 0"),
+    ])
+    def test_shape_fields_are_positive_json_integers(self, k, m, message):
+        obj = state_to_obj(BipartiteState(2, 3, np.eye(6)))
+        obj.update(k=k, m=m)
+        with pytest.raises(ValidationError) as info:
+            parse_state(obj)
+        assert str(info.value) == message
+        with pytest.raises(ValidationError) as info:
+            opscale_io.parse_map({"k": k, "m": m, "choi": obj["matrix"]})
+        assert str(info.value) == message
+
+    def test_missing_shape_field_message(self):
+        with pytest.raises(ValidationError) as info:
+            parse_state({"m": 3, "matrix": matrix_to_obj(np.eye(6))})
+        assert str(info.value) == "missing or malformed k/m fields: 'k'"
 
     def test_map_file_with_state_kind(self):
         rng = np.random.default_rng(2)
@@ -682,6 +722,16 @@ class TestSeedHandling:
         code, rep = run_cli_json(capsys, "support", str(workspace["pattern"]))
         assert code == 2
 
+    def test_negative_env_seed_is_refused_by_name(self, capsys, workspace,
+                                                  monkeypatch):
+        # The variable overrides a valid flag, and it is the one named.
+        monkeypatch.setenv("OPSCALE_SEED", "-5")
+        code, rep = run_cli_json(capsys, "scale", str(workspace["map"]),
+                                 "--seed", "7")
+        assert code == 2
+        assert set(rep) == {"version", "error"}
+        assert "OPSCALE_SEED" in rep["error"] and "-5" in rep["error"]
+
 
 class TestBatchMode:
     def test_support_batch(self, capsys, tmp_path):
@@ -806,7 +856,7 @@ BAD_ARGUMENTS = {
     "pd-min-2": ("scale", "{map}", "--pd-min", "2"),
     "rank-rel-1": ("fnf", "{state}", "--rank-rel", "1"),
     "tol-nan": ("tilde", "{map}", "--tol", "nan"),
-    "certificate-pd-min-negative": ("certificate", "{map}", "{map}",
+    "certificate-pd-min-negative": ("certificate", "{map}", "{cert}",
                                     "--pd-min", "-1"),
     "selftest-rank-rel-1": ("selftest", "--rank-rel", "1"),
     "zero-eps-negative": ("support", "{pattern}", "--zero-eps", "-1"),
@@ -828,6 +878,15 @@ BAD_ARGUMENTS = {
                                "--out", "{pattern}/sub"),
     "support-out-without-batch": ("support", "{pattern}", "--out", "{dir}/out"),
     "scale-out-without-batch": ("scale", "{map}", "--out", "{dir}/out"),
+    # numpy's generators refuse a negative seed; support and fnf only echo
+    # it, and are refused too.
+    "support-seed-negative": ("support", "{pattern}", "--seed", "-1"),
+    "scale-seed-negative": ("scale", "{map}", "--seed", "-1"),
+    "fnf-seed-negative": ("fnf", "{state}", "--seed", "-1"),
+    "tilde-seed-negative": ("tilde", "{map}", "--seed", "-1"),
+    "certificate-seed-negative": ("certificate", "{map}", "{cert}",
+                                  "--seed", "-1"),
+    "selftest-seed-negative": ("selftest", "--seed", "-1"),
 }
 
 RUN_LIMIT_FLAGS = ("--max-iter", "--divergence", "--commutation-steps")
@@ -852,9 +911,9 @@ class TestBadArguments:
         assert set(json.loads(out)) == {"version", "error"}
         assert sorted(workspace["dir"].rglob("*")) == before
 
-    @pytest.mark.parametrize("name, flag", [("tol-0", "--tol"),
-                                            ("pd-min-2", "--pd-min"),
-                                            ("rank-rel-1", "--rank-rel")])
+    @pytest.mark.parametrize("name, flag", [
+        ("tol-0", "--tol"), ("pd-min-2", "--pd-min"),
+        ("rank-rel-1", "--rank-rel"), ("certificate-pd-min-negative", "--pd-min")])
     def test_tolerance_error_names_the_flag(self, capsys, workspace, name, flag):
         code, rep = run_cli_json(capsys, *fill(BAD_ARGUMENTS[name], workspace))
         assert code == 2
@@ -868,7 +927,15 @@ class TestBadArguments:
         assert code == 2
         assert flag in rep["error"]
 
-    @pytest.mark.parametrize("name", ["tol-0", "batch-out-is-a-file"])
+    @pytest.mark.parametrize("name", [name for name in BAD_ARGUMENTS
+                                      if "seed" in name])
+    def test_seed_error_names_the_flag(self, capsys, workspace, name):
+        code, rep = run_cli_json(capsys, *fill(BAD_ARGUMENTS[name], workspace))
+        assert code == 2
+        assert rep["error"] == "--seed must be nonnegative, got -1"
+
+    @pytest.mark.parametrize("name", ["tol-0", "batch-out-is-a-file",
+                                      "scale-seed-negative"])
     def test_entry_point_exits_2_without_traceback(self, workspace, name):
         proc = run_entry_point(*fill(BAD_ARGUMENTS[name], workspace))
         assert proc.returncode == 2
@@ -989,6 +1056,45 @@ class TestReportContract:
         }
         for suffix, tree in files.items():
             assert key_tree(load_json(prefix + suffix)) == tree, suffix
+
+    # Outcomes that compute no normal form: no verification, no files.
+    FNF_NO_FORM = {key: FNF_REPORT[key] for key in (
+        *ENVELOPE, "input", "k", "m", "preconditions", "sufficient_conditions",
+        "outcome")}
+
+    def test_fnf_precondition_failed(self, capsys, tmp_path):
+        rho = np.zeros((4, 4))
+        rho[0, 0] = rho[1, 1] = 0.5
+        path = tmp_path / "sing.json"
+        atomic_write_json(str(path), state_to_obj(BipartiteState(2, 2, rho)))
+        code, rep = run_cli_json(capsys, "fnf", str(path),
+                                 "--out", str(tmp_path / "x"))
+        assert (code, rep["outcome"]) == (2, "precondition-failed")
+        assert key_tree(rep) == {**self.FNF_NO_FORM, "error": None}
+
+    def test_fnf_max_iter_inconclusive(self, capsys, workspace, tmp_path):
+        # A coprime 2x3 state: its coprime verdict is the job's own.
+        code, rep = run_cli_json(capsys, "fnf", str(workspace["state"]),
+                                 "--max-iter", "0", "--out", str(tmp_path / "y"))
+        assert (code, rep["outcome"]) == (4, "max-iter-inconclusive")
+        assert key_tree(rep) == {**self.FNF_NO_FORM, "scaling": SCALING}
+        suff = rep["sufficient_conditions"]
+        assert suff["coprime"] is True
+        assert suff["coprime_scaling_verdict"] == rep["outcome"]
+        assert rep["scaling"]["verdict"] == rep["outcome"]
+
+    def test_fnf_numerical_failure(self, capsys, tmp_path):
+        # The scaling converges, then the filtered state is rejected: the
+        # report holds no scaling block and no coprime verdict.
+        path = tmp_path / "near.json"
+        atomic_write_json(str(path), state_to_obj(near_psd_state(0)))
+        code, rep = run_cli_json(capsys, "fnf", str(path),
+                                 "--out", str(tmp_path / "n"))
+        assert (code, rep["outcome"]) == (2, "numerical-failure")
+        assert key_tree(rep) == {**self.FNF_NO_FORM, "error": None}
+        suff = rep["sufficient_conditions"]
+        assert suff["coprime"] is True
+        assert suff["coprime_scaling_verdict"] is None
 
     def test_fnf_batch_summary(self, capsys, tmp_path):
         rng = np.random.default_rng(5)

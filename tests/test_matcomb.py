@@ -135,6 +135,28 @@ def block_triangular_pattern(rng, a, b):
     return NonnegPattern(A[rng.permutation(2 * a)][:, rng.permutation(2 * b)])
 
 
+@st.composite
+def structured_patterns(draw):
+    """0/1 patterns up to 8x8, rows and columns shuffled: unstructured, with
+    a zero corner block of any size, or block triangular (an a x b zero
+    block in a 2a x 2b pattern, weight exactly k*m)."""
+    kind = draw(st.sampled_from(("plain", "zero-block", "block-triangular")))
+    if kind == "block-triangular":
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        k, m = 2 * a, 2 * b
+    else:
+        k, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    bits = draw(st.lists(st.booleans(), min_size=k * m, max_size=k * m))
+    A = np.array(bits, dtype=float).reshape(k, m)
+    if kind == "zero-block":
+        A[:draw(st.integers(1, k)), :draw(st.integers(1, m))] = 0.0
+    elif kind == "block-triangular":
+        A[a:, b:] = 0.0
+    rows = draw(st.permutations(range(k)))
+    cols = draw(st.permutations(range(m)))
+    return NonnegPattern(A[np.ix_(rows, cols)])
+
+
 def all_01_patterns(max_dim):
     for k in range(1, max_dim + 1):
         for m in range(1, max_dim + 1):
@@ -305,6 +327,15 @@ class TestOneFlow:
         checked = sum(self.check_forced_unit_witness(random_pattern(rng, 10))
                       for _ in range(1500))
         assert checked > 20
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(structured_patterns())
+    def test_total_support_result_carries_the_support_verdict(self, pat):
+        sup, ref = has_total_support(pat).support, has_support(pat)
+        assert sup.has_support == ref.has_support
+        assert sup.witness == ref.witness
+        if not ref:
+            assert sup.witness.check(pat)
 
     def test_one_flow_and_one_search_per_column(self, monkeypatch):
         calls = {"max_flow": 0, "residual_reachable": 0}
