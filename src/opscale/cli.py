@@ -43,8 +43,8 @@ from .matcomb import (NonnegPattern, SizeGuardError, has_support,
                       has_total_support_bruteforce)
 from .numkernel import (NotPositiveDefinite, NumericalFailure, Tolerances,
                         frob, kron, realign, unrealign)
-from .posmap import (BlockCertificate, ChoiMap, is_doubly_stochastic,
-                     pattern_matrix, verify_block_certificate)
+from .posmap import (BlockCertificate, is_doubly_stochastic, pattern_matrix,
+                     verify_block_certificate)
 from .scaling import (VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
                       VERDICT_NO_SUPPORT, VERDICT_PRECONDITION,
                       block_commutation_check, run)
@@ -118,7 +118,7 @@ def _emit(obj) -> None:
 def _to_json(value):
     """The JSON form of a report value.  A dataclass becomes its fields, then
     its own properties, in declaration order; tuples and lists become lists;
-    arrays become matrix objects; anything else passes through."""
+    anything else passes through."""
     if dataclasses.is_dataclass(value):
         names = [f.name for f in dataclasses.fields(value)]
         names += [name for name, attr in vars(type(value)).items()
@@ -126,8 +126,6 @@ def _to_json(value):
         return {name: _to_json(getattr(value, name)) for name in names}
     if isinstance(value, (tuple, list)):
         return [_to_json(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return matrix_to_obj(value)
     return value
 
 

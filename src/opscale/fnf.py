@@ -10,44 +10,44 @@ trace-orthonormal.  Equivalently, the filtered state has both reduced states
 maximally mixed.  The filters come from scaling the induced map of rho to a
 doubly stochastic one; the factor expansion is an operator Schmidt
 decomposition computed through realignment.
+
+A state's storage passes :func:`opscale.numkernel.hermitian_storage`, the
+check its induced map also passes.  The state keeps the spectrum of rho and
+of both reduced states, each computed once on construction: the
+preconditions and the kernel-dimension conditions read them and run no
+eigen-solver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import scaling
-from .numkernel import (DEFAULT_TOL, NumericalFailure, Tolerances,
-                        as_complex_matrix, frob, hermitian_part, kernel_dim,
-                        kron, partial_trace_first, partial_trace_second,
-                        realign, svd)
+from .numkernel import (DEFAULT_TOL, NumericalFailure, Tolerances, frob,
+                        hermitian_part, hermitian_storage, kron,
+                        partial_trace_first, partial_trace_second, realign,
+                        spectral_rank, svd)
 from .posmap import ChoiMap
 
 
 @dataclass(frozen=True)
 class BipartiteState:
-    """A PSD matrix on a k x m tensor pair, normalized to unit trace."""
+    """A PSD matrix on a k x m tensor pair, normalized to unit trace, with the
+    ascending spectra of it and of both reduced states, computed once."""
 
     k: int
     m: int
     rho: np.ndarray
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    _reduced_spectra: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.k < 1 or self.m < 1:
-            raise ValueError(
-                f"dimensions must be positive, got k={self.k}, m={self.m}")
-        rho = as_complex_matrix(self.rho)
-        if rho.shape != (self.k * self.m, self.k * self.m):
-            raise ValueError(
-                f"state must be {(self.k * self.m,) * 2} for k={self.k}, m={self.m}, "
-                f"got {rho.shape}")
-        defect = frob(rho - rho.conj().T)
-        if defect > 1e-8 * max(1.0, frob(rho)):
-            raise ValueError(f"state is not Hermitian: defect {defect:.3e}")
-        rho = hermitian_part(rho)
+        rho = hermitian_storage(self.k, self.m, self.rho, "state")
+        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "m", int(self.m))
         w = np.linalg.eigvalsh(rho)
         if w[0] < -1e-9 * max(float(w[-1]), 1e-300):
             raise ValueError(f"state is not PSD: eigenvalue {w[0]:.3e}")
@@ -57,6 +57,10 @@ class BipartiteState:
         rho = rho / tr
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "_spectrum", w / tr)
+        object.__setattr__(self, "_reduced_spectra", tuple(
+            np.linalg.eigvalsh(hermitian_part(M))
+            for M in (self.reduced_first(), self.reduced_second())))
 
     def reduced_second(self) -> np.ndarray:
         """Reduced state on the second (m-dimensional) factor."""
@@ -105,13 +109,11 @@ class PreconditionReport:
 def check_preconditions(state: BipartiteState,
                         tol: Tolerances = DEFAULT_TOL) -> PreconditionReport:
     """Both reduced states must be positive definite for filters to exist."""
-    checks = []
-    for M in (state.reduced_first(), state.reduced_second()):
-        w = np.linalg.eigvalsh(hermitian_part(M))
-        checks.append(MarginalCheck(
-            is_pd=bool(w[-1] > 0.0 and w[0] > tol.pd_min * w[-1]),
-            min_eigenvalue=float(w[0]), max_eigenvalue=float(w[-1])))
-    return PreconditionReport(first_factor=checks[0], second_factor=checks[1])
+    first, second = (MarginalCheck(
+        is_pd=bool(w[-1] > 0.0 and w[0] > tol.pd_min * w[-1]),
+        min_eigenvalue=float(w[0]), max_eigenvalue=float(w[-1]))
+        for w in state._reduced_spectra)
+    return PreconditionReport(first_factor=first, second_factor=second)
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ def sufficient_conditions(state: BipartiteState, tol: Tolerances = DEFAULT_TOL,
     which is probed numerically by scaling.
     """
     k, m = state.k, state.m
-    ker = kernel_dim(state.rho, tol)
+    ker = k * m - spectral_rank(state._spectrum, tol)
     pre = check_preconditions(state, tol)
     coprime = math.gcd(k, m) == 1
     verdict = None

@@ -25,8 +25,8 @@ other list is written item by item, to the same bytes.  Where ``json`` has
 no C encoder (PyPy, for one), ``JSONEncoder.encode`` stands in for it.
 
 A state file wraps a matrix: ``{"k": ..., "m": ..., "matrix": {...}}``; the
-matrix must be Hermitian within 1e-8 and positive semidefinite, and is
-symmetrized and trace normalized on load.  A map file is
+matrix must pass :func:`opscale.numkernel.hermitian_storage` and be positive
+semidefinite, and is symmetrized and trace normalized on load.  A map file is
 ``{"k": ..., "m": ..., "choi": {...}}`` holding the block storage, or
 ``{"kind": "state", ...}`` with state-file fields to load the map induced by
 a state.  A map's positivity is proved from a positive semidefinite storage

@@ -106,6 +106,28 @@ def frob(M) -> float:
     return math.sqrt(x.dot(x))
 
 
+def hermitian_storage(k, m, data, what: str) -> np.ndarray:
+    """The read-only, symmetrized copy of ``data`` as the Hermitian storage
+    of a ``k x m`` pair, called ``what`` in the error messages.  Refuses
+    with ValueError dimensions that are not integers of at least 1, a shape
+    other than ``km x km``, and a Hermiticity defect above 1e-8 of the norm."""
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+               for d in (k, m)):
+        raise ValueError(f"dimensions must be integers, got k={k!r}, m={m!r}")
+    if k < 1 or m < 1:
+        raise ValueError(f"dimensions must be positive, got k={k}, m={m}")
+    C = as_complex_matrix(data)
+    n = int(k) * int(m)
+    if C.shape != (n, n):
+        raise ValueError(f"{what} must be {(n, n)}, got {C.shape}")
+    defect = frob(C - C.conj().T)
+    if defect > 1e-8 * max(1.0, frob(C)):
+        raise ValueError(f"{what} is not Hermitian: defect {defect:.3e}")
+    C = hermitian_part(C)
+    C.setflags(write=False)
+    return C
+
+
 def subtract_identity(M: np.ndarray) -> np.ndarray:
     """``M - Id`` for a square matrix, written into M itself."""
     M.reshape(-1)[::M.shape[0] + 1] -= 1.0
@@ -229,14 +251,15 @@ def partial_trace_second(M, k: int, m: int) -> np.ndarray:
     return np.einsum("ipjp->ij", _split_blocks(M, k, m))
 
 
-def rank_tol(H, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Rank of a Hermitian matrix: eigenvalues above ``rank_rel`` of the top."""
-    w, _ = herm_eig(H)
+def spectral_rank(w, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Count of the eigenvalues ``w`` above ``rank_rel`` of the largest magnitude."""
     mags = np.abs(w)
-    top = float(mags.max(initial=0.0))
-    if top == 0.0:
-        return 0
-    return int(np.count_nonzero(mags > tol.rank_rel * top))
+    return int(np.count_nonzero(mags > tol.rank_rel * mags.max(initial=0.0)))
+
+
+def rank_tol(H, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Rank of a Hermitian matrix by :func:`spectral_rank`."""
+    return spectral_rank(herm_eig(H)[0], tol)
 
 
 def kernel_dim(H, tol: Tolerances = DEFAULT_TOL) -> int:

@@ -17,8 +17,10 @@ positive semidefinite storage does prove it, since
 ``T(v v*) = (v (x) Id)* C (v (x) Id)``.  Every map induced by a state, the
 transpose and the random maps of :mod:`opscale.fixtures` have one; the
 identity and every sandwich map ``X -> S X S*`` with rank S >= 2 do not.
-Construction first tries that proof with one Cholesky factorization of the
-storage, and samples rank-one images only when the proof does not go
+Construction checks the storage with
+:func:`opscale.numkernel.hermitian_storage`, the one check that maps and
+states share.  It then tries that proof with one Cholesky factorization of
+the storage, and samples rank-one images only when the proof does not go
 through.
 
 The map and its adjoint are applied as one matrix product each with the
@@ -41,10 +43,9 @@ import numpy as np
 from .matcomb import (NonnegPattern, TotalSupportResult, ZeroSubmatrixWitness,
                       has_total_support)
 from .numkernel import (DEFAULT_TOL, Tolerances, as_complex_matrix,
-                        complex_operand, frob, herm_eig, hermitian_part, kron,
-                        partial_trace_first, rank_tol)
+                        complex_operand, frob, hermitian_part,
+                        hermitian_storage, kron, rank_tol)
 
-_HERM_REL = 1e-8          # allowed block-Hermiticity defect, relative
 _POSITIVITY_REL = 1e-8    # allowed negative eigenvalue in images T(v v*)
 _POSITIVITY_TRIALS = 200
 _CHECK_SEED = 42
@@ -108,17 +109,7 @@ class ChoiMap:
 
     def __init__(self, k: int, m: int, choi, *, check_positivity: bool = True,
                  rng: np.random.Generator | None = None):
-        if k < 1 or m < 1:
-            raise ValueError(f"dimensions must be positive, got k={k}, m={m}")
-        C = as_complex_matrix(choi)
-        if C.shape != (k * m, k * m):
-            raise ValueError(f"choi storage must be {(k * m, k * m)}, got {C.shape}")
-        defect = frob(C - C.conj().T)
-        if defect > _HERM_REL * max(1.0, frob(C)):
-            raise ValueError(
-                f"choi storage is not Hermitian: defect {defect:.3e}")
-        C = hermitian_part(C)
-        C.setflags(write=False)
+        C = hermitian_storage(k, m, choi, "choi storage")
         self.k = int(k)
         self.m = int(m)
         self.choi = C
@@ -225,10 +216,8 @@ def from_state(rho, k: int, m: int,
     the adjoint of G.  The storage of G is ``rho`` itself, so
     ``G(Id) = partial_trace_first(rho)``.
     """
-    rho = as_complex_matrix(rho)
-    if rho.shape != (k * m, k * m):
-        raise ValueError(f"state must be {(k * m, k * m)}, got {rho.shape}")
-    w = np.linalg.eigvalsh(hermitian_part(rho))
+    rho = hermitian_storage(k, m, rho, "state")
+    w = np.linalg.eigvalsh(rho)
     if w[0] < -tol.rank_rel * max(float(w[-1]), 1e-300):
         raise ValueError(f"state is not PSD: eigenvalue {w[0]:.3e}")
     G = ChoiMap(k, m, rho, check_positivity=False)

@@ -473,6 +473,15 @@ class TestSupportCommand:
         assert rep["support"] == plain["support"]
         assert rep["witness"] == plain["witness"]
 
+    @pytest.mark.parametrize("total", [[], ["--total"]], ids=["support", "total"])
+    def test_oracle_size_guard_is_exit_2(self, capsys, tmp_path, total):
+        path = tmp_path / "p5.json"
+        atomic_write_json(str(path), matrix_to_obj(np.ones((5, 5))))
+        code, rep = run_cli_json(capsys, "support", str(path), "--oracle", *total)
+        assert code == 2
+        assert rep == {"version": cli.__version__,
+                       "error": "brute-force oracle limited to k*m <= 16, got 5x5"}
+
     def test_missing_file_is_exit_2(self, capsys, tmp_path):
         code, rep = run_cli_json(capsys, "support", str(tmp_path / "none.json"))
         assert code == 2
@@ -806,6 +815,32 @@ class TestBatchMode:
         assert len(runs[0][2]) == 3 * 4 + 2
         assert runs[0] == runs[1] == runs[2]
 
+    def test_scale_batch_history_files(self, capsys, tmp_path):
+        indir = tmp_path / "jobs"
+        os.makedirs(indir)
+        atomic_write_json(str(indir / "a.json"), map_to_obj(fixtures.boundary_map()))
+        outdir = tmp_path / "out"
+        code, rep = run_cli_json(capsys, "scale", str(indir), "--batch",
+                                 "--history", "on", "--out", str(outdir))
+        assert code == 0 and rep["failed"] == 0
+        assert sorted(p.name for p in outdir.iterdir()) == ["a.history.json",
+                                                            "a.report.json"]
+        report = load_json(str(outdir / "a.report.json"))
+        assert report["history_file"] == str(outdir / "a.history.json")
+        history = load_json(str(outdir / "a.history.json"))
+        assert history["input"] == str(indir / "a.json")
+        assert len(history["history"]) == report["iterations"] + 1
+
+    def test_batch_without_inputs_is_exit_2(self, capsys, tmp_path):
+        indir = tmp_path / "jobs"
+        os.makedirs(indir)
+        # Files the batch writes itself are not inputs.
+        atomic_write_json(str(indir / "old.report.json"), {})
+        code, rep = run_cli_json(capsys, "scale", str(indir), "--batch")
+        assert code == 2
+        assert rep == {"version": cli.__version__,
+                       "error": f"no *.json inputs found in {str(indir)!r}"}
+
     def test_batch_on_missing_directory_is_exit_2(self, capsys, tmp_path):
         code, rep = run_cli_json(capsys, "support",
                                  str(tmp_path / "missing"), "--batch")
@@ -894,6 +929,48 @@ RUN_LIMIT_FLAGS = ("--max-iter", "--divergence", "--commutation-steps")
 
 def fill(argv, workspace):
     return [arg.format(**workspace) for arg in argv]
+
+
+_EYE2 = matrix_to_obj(np.eye(2))
+_NON_HERMITIAN = np.eye(4, dtype=complex)
+_NON_HERMITIAN[0, 1] = 1.0
+
+# Input files that must end in exit 2 and a {version, error} report with this
+# message.  Each is written to {bad}; other paths come from the workspace.
+REFUSED_FILES = {
+    "certificate-not-an-object": (("certificate", "{map}", "{bad}"), [_EYE2],
+                                  "certificate must be a JSON object"),
+    "certificate-empty-projectors": (
+        ("certificate", "{map}", "{bad}"),
+        {"input_projectors": [], "output_projectors": [_EYE2]},
+        'certificate needs a nonempty "input_projectors" list'),
+    "certificate-wrong-dimensions": (
+        ("certificate", "{map}", "{bad}"),
+        {"input_projectors": [matrix_to_obj(np.eye(3))], "output_projectors": [_EYE2]},
+        "certificate dimensions do not match the map"),
+    "state-not-an-object": (("fnf", "{bad}"), [1, 2], "state must be a JSON object"),
+    "state-without-matrix": (("fnf", "{bad}"), {"k": 2, "m": 2},
+                             'state file needs a "matrix" field'),
+    "map-not-an-object": (("scale", "{bad}"), [1, 2], "map must be a JSON object"),
+    "map-without-choi": (("scale", "{bad}"), {"k": 2, "m": 2},
+                         'map file needs a "choi" field (or "kind": "state")'),
+    "state-not-hermitian": (("fnf", "{bad}"),
+                            {"k": 2, "m": 2, "matrix": matrix_to_obj(_NON_HERMITIAN)},
+                            "state is not Hermitian: defect 1.414e+00"),
+    "state-all-zero": (("fnf", "{bad}"),
+                       {"k": 2, "m": 2, "matrix": matrix_to_obj(np.zeros((4, 4)))},
+                       "state has nonpositive trace"),
+}
+
+
+@pytest.mark.parametrize("argv, content, message", REFUSED_FILES.values(),
+                         ids=list(REFUSED_FILES))
+def test_refused_input_file_is_exit_2(capsys, workspace, argv, content, message):
+    bad = workspace["dir"] / "bad.json"
+    atomic_write_json(str(bad), content)
+    code, rep = run_cli_json(capsys, *fill(argv, {**workspace, "bad": bad}))
+    assert code == 2
+    assert rep == {"version": cli.__version__, "error": message}
 
 
 class TestBadArguments:

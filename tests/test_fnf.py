@@ -5,14 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opscale import fixtures
-from opscale.fnf import (BipartiteState, FnfPreconditionFailed,
+from opscale.fnf import (BipartiteState, FnfPreconditionFailed, MarginalCheck,
                          ScalingInconclusive, _gram_defect, check_preconditions,
                          compute_fnf, sufficient_conditions, verify_fnf)
 from opscale.numkernel import (NumericalFailure, Tolerances, frob,
-                               hermitian_part, kron)
-from opscale.posmap import haar_unitary
+                               hermitian_part, kernel_dim, kron)
+from opscale.posmap import ChoiMap, from_state, haar_unitary
 from opscale.scaling import VERDICT_CONVERGED, VERDICT_NO_SUPPORT
 
 TOL = Tolerances()
@@ -58,6 +60,10 @@ class TestBipartiteState:
         with pytest.raises(ValueError, match="dimensions must be positive"):
             BipartiteState(k, m, np.zeros((0, 0)))
 
+    def test_shape_message_names_the_state_only(self):
+        with pytest.raises(ValueError, match=r"^state must be \(6, 6\), got \(5, 5\)$"):
+            BipartiteState(2, 3, np.eye(5))
+
     def test_reduced_states(self):
         rng = np.random.default_rng(0)
         A = rng.random((2, 2)); A = A @ A.T + np.eye(2)
@@ -66,6 +72,71 @@ class TestBipartiteState:
         tot = np.trace(A) * np.trace(B)
         assert frob(state.reduced_first() - A * np.trace(B) / tot) < 1e-12
         assert frob(state.reduced_second() - B * np.trace(A) / tot) < 1e-12
+
+
+# The three library entry points that take the dimensions of a k x m pair
+# with its storage; all of them share one storage check.  from_state's first
+# map stands for it.
+ENTRY_POINTS = {
+    "BipartiteState": lambda k, m, rho: BipartiteState(k, m, rho),
+    "ChoiMap": lambda k, m, rho: ChoiMap(k, m, rho),
+    "from_state": lambda k, m, rho: from_state(rho, k, m)[0],
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=list(ENTRY_POINTS))
+class TestDimensions:
+    @pytest.mark.parametrize("k, m, n", [(2.5, 2, 5), (2.0, 2, 4), (True, 4, 4),
+                                         (2, np.True_, 2), ("2", 2, 4), (None, 2, 4)])
+    def test_non_integer_dimensions_are_refused(self, entry, k, m, n):
+        with pytest.raises(ValueError, match="^dimensions must be integers, got k="):
+            entry(k, m, np.eye(n))
+
+    def test_numpy_integer_dimensions_are_accepted_as_ints(self, entry):
+        made = entry(np.int64(2), np.int32(3), np.eye(6))
+        assert (made.k, made.m) == (2, 3)
+        assert type(made.k) is int and type(made.m) is int
+
+    @pytest.mark.parametrize("k, m", [(0, 2), (2, -1)])
+    def test_nonpositive_dimensions_are_refused(self, entry, k, m):
+        with pytest.raises(ValueError, match=f"^dimensions must be positive, got k={k}, m={m}$"):
+            entry(k, m, np.zeros((0, 0)))
+
+
+# Default tolerances, strict ones, and loose ones that cut a real eigenvalue.
+SPECTRAL_TOLS = [Tolerances(), Tolerances(rank_rel=1e-12, pd_min=1e-12),
+                 Tolerances(rank_rel=0.4, pd_min=0.5)]
+
+
+class TestKeptSpectra:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_match_direct_solvers(self, k, m, data):
+        ker = data.draw(st.integers(0, k * m - 1), label="kernel_dim")
+        tol = data.draw(st.sampled_from(SPECTRAL_TOLS), label="tol")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        state = BipartiteState(k, m, fixtures.random_state_matrix(k, m, rng, kernel_dim=ker))
+        suff = sufficient_conditions(state, tol, run_coprime_scaling=False)
+        assert suff.kernel_dim == kernel_dim(state.rho, tol)
+        pre = check_preconditions(state, tol)
+        for check, M in ((pre.first_factor, state.reduced_first()),
+                         (pre.second_factor, state.reduced_second())):
+            w = np.linalg.eigvalsh(M)
+            assert check == MarginalCheck(
+                is_pd=bool(w[-1] > 0.0 and w[0] > tol.pd_min * w[-1]),
+                min_eigenvalue=float(w[0]), max_eigenvalue=float(w[-1]))
+
+    def test_checks_decompose_nothing(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        state = BipartiteState(3, 4, fixtures.random_state_matrix(3, 4, rng, kernel_dim=2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigen-solver ran")
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        suff = sufficient_conditions(state, run_coprime_scaling=False)
+        assert suff.kernel_dim == 2 and suff.rect_kernel
+        assert check_preconditions(state).ok
 
 
 class TestPreconditions:

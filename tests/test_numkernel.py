@@ -10,9 +10,10 @@ from opscale import numkernel
 from opscale.numkernel import (DEFAULT_TOL, NotPositiveDefinite,
                                NumericalFailure, Tolerances,
                                as_complex_matrix, frob, herm_eig,
-                               hermitian_part, kernel_dim, kron,
-                               partial_trace_first, partial_trace_second,
-                               pd_inv_sqrt, rank_tol, realign, svd, unrealign)
+                               hermitian_part, hermitian_storage, kernel_dim,
+                               kron, partial_trace_first, partial_trace_second,
+                               pd_inv_sqrt, rank_tol, realign, spectral_rank,
+                               svd, unrealign)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -54,6 +55,37 @@ class TestValidation:
             Tolerances(pd_min=-1e-9)
         with pytest.raises(ValueError):
             Tolerances(conv_eps=1.5)
+
+
+class TestHermitianStorage:
+    def test_returns_read_only_symmetrized_copy(self):
+        data = np.diag([2.0, 1.0, 1.0, 0.5]).astype(complex)
+        data[0, 1] = 1e-10
+        C = hermitian_storage(2, 2, data, "storage")
+        assert C is not data and not C.flags.writeable
+        assert np.array_equal(C, hermitian_part(data))
+        assert data[0, 1] == 1e-10
+
+    def test_messages_name_the_storage(self):
+        with pytest.raises(ValueError, match=r"^state must be \(6, 6\), got \(4, 4\)$"):
+            hermitian_storage(2, 3, np.eye(4), "state")
+        C = np.eye(4, dtype=complex)
+        C[0, 1] = 1.0
+        with pytest.raises(ValueError,
+                           match=r"^choi storage is not Hermitian: defect 1\.414e\+00$"):
+            hermitian_storage(2, 2, C, "choi storage")
+
+    def test_hermiticity_limit_is_relative_to_the_norm(self):
+        C = 1e6 * np.eye(4, dtype=complex)
+        C[0, 1] = 1e-3      # defect 1.4e-3, below 1e-8 of the norm 2e6
+        hermitian_storage(2, 2, C, "storage")
+        C[0, 1] = 1.0
+        with pytest.raises(ValueError, match="is not Hermitian"):
+            hermitian_storage(2, 2, C, "storage")
+
+    def test_shape_message_with_numpy_integer_dimensions(self):
+        with pytest.raises(ValueError, match=r"^storage must be \(6, 6\), got \(4, 4\)$"):
+            hermitian_storage(np.int64(2), np.uint8(3), np.eye(4), "storage")
 
 
 class TestEig:
@@ -304,6 +336,17 @@ class TestRank:
         H = np.diag([1.0, 1e-6])
         assert rank_tol(H, Tolerances(rank_rel=1e-9)) == 2
         assert rank_tol(H, Tolerances(rank_rel=1e-3)) == 1
+
+    def test_spectral_rank_is_the_rank_rule(self):
+        assert spectral_rank(np.array([-1e-6, 0.0, 1.0]), Tolerances(rank_rel=1e-9)) == 2
+        assert spectral_rank(np.array([-1e-6, 0.0, 1.0]), Tolerances(rank_rel=1e-3)) == 1
+        assert spectral_rank(np.array([-2.0, 1e-12, 1.0])) == 2
+        assert spectral_rank(np.zeros(3)) == 0
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            H = random_hermitian(rng, 5)
+            H = H @ H @ np.diag([1.0, 1.0, 1.0, 0.0, 0.0]) @ H @ H
+            assert spectral_rank(herm_eig(H)[0]) == rank_tol(H) == 3
 
 
 class TestRealign:
