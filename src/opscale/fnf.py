@@ -11,11 +11,12 @@ maximally mixed.  The filters come from scaling the induced map of rho to a
 doubly stochastic one; the factor expansion is an operator Schmidt
 decomposition computed through realignment.
 
-A state's storage passes :func:`opscale.numkernel.hermitian_storage`, the
-check its induced map also passes.  The state keeps the spectrum of rho and
+A state's storage passes :func:`opscale.numkernel.psd_storage`, as does
+:func:`opscale.posmap.from_state`'s.  The state keeps the spectrum of rho and
 of both reduced states, each computed once on construction: the
 preconditions and the kernel-dimension conditions read them and run no
-eigen-solver.
+eigen-solver.  The preconditions use numkernel's one positive-definiteness
+floor, and the kernel conditions matcomb's count bounds.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scaling
-from .numkernel import (DEFAULT_TOL, NumericalFailure, Tolerances, frob,
-                        hermitian_part, hermitian_storage, kron,
-                        partial_trace_first, partial_trace_second, realign,
-                        spectral_rank, svd)
+from .matcomb import count_bounds
+from .numkernel import (DEFAULT_TOL, NumericalFailure, Tolerances,
+                        below_pd_floor, frob, hermitian_part, kron,
+                        partial_trace_first, partial_trace_second, psd_storage,
+                        realign, spectral_rank, svd)
 from .posmap import ChoiMap
 
 
@@ -45,12 +47,9 @@ class BipartiteState:
     _reduced_spectra: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rho = hermitian_storage(self.k, self.m, self.rho, "state")
+        rho, w = psd_storage(self.k, self.m, self.rho, "state")
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "m", int(self.m))
-        w = np.linalg.eigvalsh(rho)
-        if w[0] < -1e-9 * max(float(w[-1]), 1e-300):
-            raise ValueError(f"state is not PSD: eigenvalue {w[0]:.3e}")
         tr = float(np.trace(rho).real)
         if tr <= 0.0:
             raise ValueError("state has nonpositive trace")
@@ -110,7 +109,7 @@ def check_preconditions(state: BipartiteState,
                         tol: Tolerances = DEFAULT_TOL) -> PreconditionReport:
     """Both reduced states must be positive definite for filters to exist."""
     first, second = (MarginalCheck(
-        is_pd=bool(w[-1] > 0.0 and w[0] > tol.pd_min * w[-1]),
+        is_pd=not below_pd_floor(w[0], w[-1], tol),
         min_eigenvalue=float(w[0]), max_eigenvalue=float(w[-1]))
         for w in state._reduced_spectra)
     return PreconditionReport(first_factor=first, second_factor=second)
@@ -126,9 +125,11 @@ class SufficientReport:
 
     kernel_dim: int
     marginals_pd: bool
-    rect_kernel: bool        # k != m and ker < min(k, m)
-    square_kernel: bool      # k == m and ker < k - 1
-    ratio_kernel: bool       # marginals PD and ker < max(k, m)/min(k, m)
+    # matcomb.count_bounds of the kernel dimension, in order, with
+    # marginals_pd as the ratio bound's line condition.
+    rect_kernel: bool
+    square_kernel: bool
+    ratio_kernel: bool
     coprime: bool
     coprime_scaling_verdict: str | None
 
@@ -157,14 +158,8 @@ def sufficient_conditions(state: BipartiteState, tol: Tolerances = DEFAULT_TOL,
     if coprime and run_coprime_scaling and pre.ok:
         verdict = scaling.run(_induced_map(state), tol, max_iter=max_iter,
                               keep_history=False).verdict
-    return SufficientReport(
-        kernel_dim=ker,
-        marginals_pd=pre.ok,
-        rect_kernel=(k != m and ker < min(k, m)),
-        square_kernel=(k == m and ker < k - 1),
-        ratio_kernel=(pre.ok and ker < max(k, m) / min(k, m)),
-        coprime=coprime,
-        coprime_scaling_verdict=verdict)
+    grants = (c.grants for c in count_bounds(k, m, ker, pre.ok))
+    return SufficientReport(ker, pre.ok, *grants, coprime, verdict)
 
 
 @dataclass(frozen=True)

@@ -469,12 +469,19 @@ class ZeroFractionReport:
                 or self.line_ratio_few_zeros.grants)
 
 
-def zero_fraction_sufficient(pattern: NonnegPattern) -> ZeroFractionReport:
-    """Zero-count conditions that force total support.
+def count_bounds(k: int, m: int, count: int, lines_full: bool) -> tuple[ConditionCheck, ...]:
+    """The paper's three bounds on a count of zeros or of kernel dimensions:
+    rectangular shape and ``count < min(k, m)``; square shape and
+    ``count < k - 1``; ``lines_full`` and ``count < max(k, m)/min(k, m)``."""
+    lo, hi = min(k, m), max(k, m)
+    return (ConditionCheck(applies=(k != m), satisfied=(count < lo)),
+            ConditionCheck(applies=(k == m), satisfied=(count < k - 1)),
+            ConditionCheck(applies=True, satisfied=(lines_full and count < hi / lo)))
 
-    * rectangular shape with fewer than min(k, m) zeros;
-    * square shape with fewer than k - 1 zeros;
-    * no zero row or column and fewer than max(k, m)/min(k, m) zeros.
+
+def zero_fraction_sufficient(pattern: NonnegPattern) -> ZeroFractionReport:
+    """Zero-count conditions that force total support: :func:`count_bounds`
+    of the zero count, with no zero row or column for the line ratio.
 
     ``satisfied`` records the numeric inequality alone; ``applies`` records
     the shape gate, and a condition grants total support only when both hold.
@@ -484,13 +491,5 @@ def zero_fraction_sufficient(pattern: NonnegPattern) -> ZeroFractionReport:
     zeros = int(k * m - np.count_nonzero(mask))
     zero_row = bool((~mask).all(axis=1).any())
     zero_col = bool((~mask).all(axis=0).any())
-    lo, hi = min(k, m), max(k, m)
-    rect = ConditionCheck(applies=(k != m), satisfied=(zeros < lo))
-    square = ConditionCheck(applies=(k == m), satisfied=(zeros < k - 1))
-    line_ratio = ConditionCheck(
-        applies=True,
-        satisfied=(not zero_row and not zero_col and zeros < hi / lo))
-    return ZeroFractionReport(
-        zero_count=zeros, has_zero_row=zero_row, has_zero_col=zero_col,
-        rect_few_zeros=rect, square_few_zeros=square,
-        line_ratio_few_zeros=line_ratio)
+    return ZeroFractionReport(zeros, zero_row, zero_col,
+                              *count_bounds(k, m, zeros, not zero_row and not zero_col))

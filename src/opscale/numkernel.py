@@ -9,7 +9,8 @@ required to go through these helpers instead of hand-rolling index math:
   ``M[(i, p), (j, q)] = M[i*m + p, j*m + q]`` with ``i, j`` ranging over the
   first factor.
 * Rank and positive-definiteness cutoffs are relative to the largest
-  eigenvalue magnitude, never absolute.
+  eigenvalue magnitude, never absolute; each is written once, in
+  :func:`spectral_rank`, :func:`below_pd_floor` and :func:`psd_storage`.
 """
 
 from __future__ import annotations
@@ -128,6 +129,17 @@ def hermitian_storage(k, m, data, what: str) -> np.ndarray:
     return C
 
 
+def psd_storage(k, m, data, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hermitian_storage` of a positive semidefinite matrix, with its
+    ascending spectrum.  Refuses with ValueError an eigenvalue below -1e-9
+    of the largest, the one PSD floor of a state."""
+    C = hermitian_storage(k, m, data, what)
+    w = np.linalg.eigvalsh(C)
+    if w[0] < -1e-9 * max(float(w[-1]), 1e-300):
+        raise ValueError(f"{what} is not PSD: eigenvalue {w[0]:.3e}")
+    return C, w
+
+
 def subtract_identity(M: np.ndarray) -> np.ndarray:
     """``M - Id`` for a square matrix, written into M itself."""
     M.reshape(-1)[::M.shape[0] + 1] -= 1.0
@@ -192,7 +204,7 @@ def pd_inv_sqrt(H, tol: Tolerances = DEFAULT_TOL,
     H = np.asarray(H, dtype=np.complex128)
     w, V = herm_eig(H)
     top, bottom = float(w[0]), float(w[-1])
-    if top <= 0.0 or bottom <= tol.pd_min * top:
+    if below_pd_floor(bottom, top, tol):
         raise NotPositiveDefinite(
             f"{what} not positive definite: eigenvalue {bottom:.6e} "
             f"vs largest {top:.6e} (floor {tol.pd_min:g} relative)",
@@ -249,6 +261,13 @@ def partial_trace_first(M, k: int, m: int) -> np.ndarray:
 def partial_trace_second(M, k: int, m: int) -> np.ndarray:
     """Trace out the second (dimension-m) factor; result is k x k."""
     return np.einsum("ipjp->ij", _split_blocks(M, k, m))
+
+
+def below_pd_floor(smallest, largest, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """The one positive-definiteness floor: whether a Hermitian matrix with
+    these extreme eigenvalues is refused, its largest not positive or its
+    smallest at most ``tol.pd_min`` times the largest."""
+    return bool(largest <= 0.0 or smallest <= tol.pd_min * largest)
 
 
 def spectral_rank(w, tol: Tolerances = DEFAULT_TOL) -> int:

@@ -44,7 +44,7 @@ from .matcomb import (NonnegPattern, TotalSupportResult, ZeroSubmatrixWitness,
                       has_total_support)
 from .numkernel import (DEFAULT_TOL, Tolerances, as_complex_matrix,
                         complex_operand, frob, hermitian_part,
-                        hermitian_storage, kron, rank_tol)
+                        hermitian_storage, kron, psd_storage, rank_tol)
 
 _POSITIVITY_REL = 1e-8    # allowed negative eigenvalue in images T(v v*)
 _POSITIVITY_TRIALS = 200
@@ -207,19 +207,17 @@ def is_doubly_stochastic(T: ChoiMap, eps: float) -> DsCheck:
     return DsCheck(bool(fwd <= eps and adj <= eps), float(fwd), float(adj))
 
 
-def from_state(rho, k: int, m: int,
-               tol: Tolerances = DEFAULT_TOL) -> tuple[ChoiMap, ChoiMap]:
+def from_state(rho, k: int, m: int) -> tuple[ChoiMap, ChoiMap]:
     """Maps induced by a bipartite PSD matrix on ``C^k (x) C^m``.
 
     Returns ``(G, F)`` where for ``rho = sum_l kron(A_l, B_l)``:
     ``G(X) = sum_l B_l tr(A_l X)`` and ``F(Y) = sum_l A_l tr(B_l Y)``; F is
     the adjoint of G.  The storage of G is ``rho`` itself, so
-    ``G(Id) = partial_trace_first(rho)``.
+    ``G(Id) = partial_trace_first(rho)``.  ``rho`` passes
+    :func:`opscale.numkernel.psd_storage`, the check of a
+    :class:`opscale.fnf.BipartiteState`.
     """
-    rho = hermitian_storage(k, m, rho, "state")
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < -tol.rank_rel * max(float(w[-1]), 1e-300):
-        raise ValueError(f"state is not PSD: eigenvalue {w[0]:.3e}")
+    rho, _ = psd_storage(k, m, rho, "state")
     G = ChoiMap(k, m, rho, check_positivity=False)
     return G, G.adjoint()
 
@@ -420,6 +418,27 @@ def invariance_defect(T: ChoiMap, cert: BlockCertificate,
     return worst
 
 
+def certificate_admissibility(T: ChoiMap, cert: BlockCertificate, defect_tol: float = 1e-8,
+                              samples: int = 20, rng: np.random.Generator | None = None):
+    """The ``decomposition`` and ``invariance`` conditions of a certificate
+    for T: structure defect at most ``1e-10 * max(k, m)``, and
+    :func:`invariance_defect` at most ``defect_tol * max(1, ||storage||)``.
+    Raises ValueError when the certificate's dimensions do not match T."""
+    if cert.input_projectors[0].shape[0] != T.k or cert.output_projectors[0].shape[0] != T.m:
+        raise ValueError("certificate dimensions do not match the map")
+    sdef = cert.structure_defect()
+    decomposition = CertificateCondition(
+        passed=bool(sdef <= 1e-10 * max(T.k, T.m)), sampled=False,
+        detail="projector families are orthogonal decompositions of both spaces",
+        worst_defect=float(sdef))
+    idef = invariance_defect(T, cert, samples=samples, rng=rng)
+    invariance = CertificateCondition(
+        passed=bool(idef <= defect_tol * max(1.0, frob(T.choi))), sampled=True,
+        detail="each input block maps into the matching output block",
+        worst_defect=float(idef))
+    return decomposition, invariance
+
+
 def verify_block_certificate(T: ChoiMap, cert: BlockCertificate,
                              defect_tol: float = 1e-8,
                              tol: Tolerances = DEFAULT_TOL,
@@ -427,31 +446,16 @@ def verify_block_certificate(T: ChoiMap, cert: BlockCertificate,
                              rng: np.random.Generator | None = None) -> CertificateReport:
     """Check a block certificate against a map, condition by condition.
 
-    * decomposition: the certificate's own projector invariants;
-    * invariance: each input block maps into the matching output block;
+    * decomposition and invariance: :func:`certificate_admissibility`;
     * strict rank increase: ``rank(X) * rank(W_a) < rank(T(X)) * rank(V_a)``
       for sampled PSD X of every intermediate rank inside a block (sampled,
       not a proof);
     * rank ratio: ``rank(W_a) / rank(V_a) = m / k`` exactly, on integer ranks.
     """
-    if cert.input_projectors[0].shape[0] != T.k or cert.output_projectors[0].shape[0] != T.m:
-        raise ValueError("certificate dimensions do not match the map")
     rng = rng if rng is not None else np.random.default_rng(_CHECK_SEED)
+    decomposition, invariance = certificate_admissibility(
+        T, cert, defect_tol, samples, rng)
     k, m = T.k, T.m
-
-    sdef = cert.structure_defect()
-    decomposition = CertificateCondition(
-        passed=bool(sdef <= 1e-10 * max(k, m)), sampled=False,
-        detail="projector families are orthogonal decompositions of both spaces",
-        worst_defect=float(sdef))
-
-    idef = invariance_defect(T, cert, samples=samples, rng=rng)
-    scale = max(1.0, frob(T.choi))
-    invariance = CertificateCondition(
-        passed=bool(idef <= defect_tol * scale), sampled=True,
-        detail="each input block maps into the matching output block",
-        worst_defect=float(idef))
-
     ratio_ok = True
     ranks = []
     for Va, Wa in zip(cert.input_projectors, cert.output_projectors):
@@ -465,9 +469,8 @@ def verify_block_certificate(T: ChoiMap, cert: BlockCertificate,
         detail=f"block rank pairs {ranks} against output/input ratio {m}/{k}",
         worst_defect=None)
 
-    strict_ok = True
-    if decomposition.passed:
-        for Va, Wa, (rv, rw) in zip(cert.input_projectors, cert.output_projectors, ranks):
+    def no_counterexample() -> bool:
+        for Va, (rv, rw) in zip(cert.input_projectors, ranks):
             for r in range(1, rv):
                 for _ in range(samples):
                     Z = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
@@ -476,16 +479,12 @@ def verify_block_certificate(T: ChoiMap, cert: BlockCertificate,
                     rx = rank_tol(X, tol)
                     if rx == 0 or rx >= rv:
                         continue
-                    rtx = rank_tol(hermitian_part(T.apply(X)), tol)
-                    if not rx * rw < rtx * rv:
-                        strict_ok = False
-                        break
-                if not strict_ok:
-                    break
-            if not strict_ok:
-                break
+                    if not rx * rw < rank_tol(hermitian_part(T.apply(X)), tol) * rv:
+                        return False
+        return True
+
     strict = CertificateCondition(
-        passed=strict_ok, sampled=True,
+        passed=not decomposition.passed or no_counterexample(), sampled=True,
         detail="rank(X) * rank(W) < rank(T(X)) * rank(V) on sampled intermediate-rank PSD X",
         worst_defect=None)
 

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import (DEFAULT_TOL, NumericalFailure, Tolerances, frob,
-                        hermitian_part, pd_inv_sqrt, subtract_identity)
-from .posmap import BlockCertificate, ChoiMap, invariance_defect
+from .numkernel import (DEFAULT_TOL, NumericalFailure, Tolerances,
+                        below_pd_floor, frob, hermitian_part, pd_inv_sqrt,
+                        subtract_identity)
+from .posmap import BlockCertificate, ChoiMap, certificate_admissibility
 
 VERDICT_CONVERGED = "converged-ds"
 VERDICT_NO_SUPPORT = "no-support-numerical"
@@ -130,7 +131,7 @@ def init(T: ChoiMap, tol: Tolerances = DEFAULT_TOL) -> ScalingState:
     adj = hermitian_part(T.apply_adjoint(np.eye(m)))          # T*(Id)
     for name, M in (("T(Id)", fwd), ("T*(Id)", adj)):
         w = np.linalg.eigvalsh(M)
-        if w[-1] <= 0.0 or w[0] <= tol.pd_min * w[-1]:
+        if below_pd_floor(w[0], w[-1], tol):
             raise PreconditionFailed(
                 f"{name} is not positive definite: eigenvalue {w[0]:.6e} "
                 f"vs largest {w[-1]:.6e}", marginal=name,
@@ -249,13 +250,14 @@ def block_commutation_check(T: ChoiMap, cert: BlockCertificate,
                             tol: Tolerances = DEFAULT_TOL,
                             rel_tol: float = 1e-8) -> CommutationReport:
     """Check that every iterate, 0..``n_steps`` or up to convergence,
-    commutes with the certificate's projectors.  A certificate that is not
-    structurally valid and invariant under T, or a map whose T(Id) or
-    T*(Id) is singular, is rejected (``precondition_ok`` false)."""
+    commutes with the certificate's projectors.  A certificate that fails
+    :func:`opscale.posmap.certificate_admissibility`'s decomposition or
+    invariance condition, or a map whose T(Id) or T*(Id) is singular, is
+    rejected (``precondition_ok`` false).  Raises ValueError when the
+    certificate's dimensions do not match T's k and m."""
     rejected = CommutationReport(passed=False, precondition_ok=False,
                                  steps_run=0, first_failure=None)
-    if (cert.structure_defect() > 1e-10 * max(T.k, T.m)
-            or invariance_defect(T, cert) > 1e-8 * max(1.0, frob(T.choi))):
+    if not all(c.passed for c in certificate_admissibility(T, cert)):
         return rejected
 
     try:

@@ -12,7 +12,7 @@ from opscale import fixtures, scaling
 from opscale.numkernel import (NumericalFailure, Tolerances,
                                as_complex_matrix, frob, kron)
 from opscale.posmap import (BlockCertificate, ChoiMap, haar_unitary,
-                            is_doubly_stochastic)
+                            is_doubly_stochastic, verify_block_certificate)
 from opscale.scaling import (VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
                              VERDICT_NO_SUPPORT, VERDICT_PRECONDITION,
                              CommutationReport, IterationRecord,
@@ -416,3 +416,16 @@ class TestCommutation:
         report = block_commutation_check(trace_to_corner_map(), cert, n_steps=3)
         assert report == CommutationReport(passed=False, precondition_ok=False,
                                            steps_run=0, first_failure=None)
+
+    # On a 2x3 map: an input family of 3x3 projectors, which numpy cannot
+    # broadcast against 2x2 blocks, and an output family of 1x1 ones, which
+    # it can.
+    @pytest.mark.parametrize("k_cert, m_cert", [(3, 3), (2, 1)])
+    def test_mismatched_certificate_dimensions_are_refused(self, k_cert, m_cert):
+        T = fixtures.random_cp_map(2, 3, np.random.default_rng(14))
+        cert = BlockCertificate((np.eye(k_cert, dtype=complex),),
+                                (np.eye(m_cert, dtype=complex),))
+        for check in (block_commutation_check, verify_block_certificate):
+            with pytest.raises(ValueError,
+                               match="^certificate dimensions do not match the map$"):
+                check(T, cert)
