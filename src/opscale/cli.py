@@ -41,13 +41,13 @@ from .io import (ValidationError, atomic_write_json, load_json, map_to_obj,
 from .matcomb import (NonnegPattern, SizeGuardError, has_support,
                       has_support_bruteforce, has_total_support,
                       has_total_support_bruteforce)
-from .numkernel import (NotPositiveDefinite, NumericalFailure, Tolerances,
-                        frob, kron, realign, unrealign)
+from .numkernel import (NumericalFailure, Tolerances, frob, kron, realign,
+                        unrealign)
 from .posmap import (BlockCertificate, is_doubly_stochastic, pattern_matrix,
                      verify_block_certificate)
-from .scaling import (VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
+from .scaling import (DEFAULT_MAX_ITER, VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
                       VERDICT_NO_SUPPORT, VERDICT_PRECONDITION,
-                      block_commutation_check, run)
+                      block_commutation_check, ds_slack, run)
 
 _VERDICT_EXIT = {
     VERDICT_CONVERGED: 0,
@@ -55,6 +55,13 @@ _VERDICT_EXIT = {
     VERDICT_INCONCLUSIVE: 4,
     VERDICT_PRECONDITION: 2,
 }
+
+# A job or a command that raises one of these exits 2 with an error report.
+_REFUSALS = (ValidationError, NumericalFailure)
+
+# Every file a job writes is its prefix plus one of these; _run writes the report.
+_FNF_OUTPUTS = (".filters.json", ".state.json", ".schmidt.json", ".report.json")
+_OUTPUTS = _FNF_OUTPUTS + (".history.json", ".tilde.json")
 
 
 def _resolve_seed(args) -> int:
@@ -127,6 +134,12 @@ def _to_json(value):
     if isinstance(value, (tuple, list)):
         return [_to_json(item) for item in value]
     return value
+
+
+def _add_run_limits(sub):
+    sub.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    sub.add_argument("--divergence", type=float, default=None,
+                     help="log-determinant divergence threshold (default 50*k*m)")
 
 
 def _add_common(sub, batch: bool = False):
@@ -219,7 +232,7 @@ def _scale_job(path: str, args, seed: int, tol: Tolerances,
     report.update({"input": path, "k": T.k, "m": T.m})
     report.update(_scaling_obj(result))
     if result.converged:
-        check = is_doubly_stochastic(result.ds_map, 10.0 * tol.conv_eps)
+        check = is_doubly_stochastic(result.ds_map, ds_slack(tol))
         report["ds_check"] = _to_json(check)
     if history_path:
         atomic_write_json(history_path, {"input": path,
@@ -273,23 +286,19 @@ def _fnf_job(path: str, args, seed: int, tol: Tolerances,
     if verification is None:
         return report, code
 
+    coefficients = [t.coeff for t in result.schmidt]
     report["schmidt_rank"] = len(result.schmidt)
-    report["coefficients"] = [t.coeff for t in result.schmidt]
+    report["coefficients"] = coefficients
 
-    atomic_write_json(prefix + ".filters.json", {
-        "k": state.k, "m": state.m,
-        "filter_first": matrix_to_obj(result.filter_first),
-        "filter_second": matrix_to_obj(result.filter_second),
-    })
-    atomic_write_json(prefix + ".state.json", state_to_obj(result.state_fnf))
-    atomic_write_json(prefix + ".schmidt.json", {
-        "k": state.k, "m": state.m,
-        "coefficients": [t.coeff for t in result.schmidt],
-        "first_factors": [matrix_to_obj(t.first) for t in result.schmidt],
-        "second_factors": [matrix_to_obj(t.second) for t in result.schmidt],
-    })
-    report["files"] = [prefix + suffix for suffix in
-                       (".filters.json", ".state.json", ".schmidt.json", ".report.json")]
+    filters = {"k": state.k, "m": state.m,
+               "filter_first": matrix_to_obj(result.filter_first),
+               "filter_second": matrix_to_obj(result.filter_second)}
+    schmidt = {"k": state.k, "m": state.m, "coefficients": coefficients,
+               "first_factors": [matrix_to_obj(t.first) for t in result.schmidt],
+               "second_factors": [matrix_to_obj(t.second) for t in result.schmidt]}
+    for suffix, obj in zip(_FNF_OUTPUTS, (filters, state_to_obj(result.state_fnf), schmidt)):
+        atomic_write_json(prefix + suffix, obj)
+    report["files"] = [prefix + suffix for suffix in _FNF_OUTPUTS]
     return report, code
 
 
@@ -375,11 +384,13 @@ def _selftest_checks(seed: int, tol: Tolerances):
                 and not has_total_support_bruteforce(pat))
 
     def check_boundary_scaling():
-        rep = run(fixtures.boundary_map(), Tolerances(conv_eps=1e-8), max_iter=5000)
-        return rep.converged and is_doubly_stochastic(rep.ds_map, 1e-7).is_doubly_stochastic
+        strict = Tolerances(conv_eps=1e-8)
+        rep = run(fixtures.boundary_map(), strict, max_iter=5000)
+        return rep.converged and is_doubly_stochastic(
+            rep.ds_map, ds_slack(strict)).is_doubly_stochastic
 
     def check_no_support_divergence():
-        rep = run(fixtures.no_support_map(), tol, max_iter=10000)
+        rep = run(fixtures.no_support_map(), tol)
         return rep.verdict == VERDICT_NO_SUPPORT
 
     def check_ds_fixed_point():
@@ -477,9 +488,7 @@ def _run(args, seed: int, tol: Tolerances, job, prefix: str | None = None) -> in
     if not os.path.isdir(args.path):
         raise ValidationError(f"--batch expects a directory, got {args.path!r}")
     inputs = sorted(p for p in glob.glob(os.path.join(args.path, "*.json"))
-                    if not p.endswith((".report.json", ".history.json",
-                                       ".filters.json", ".state.json",
-                                       ".schmidt.json", ".tilde.json")))
+                    if not p.endswith(_OUTPUTS))
     if not inputs:
         raise ValidationError(f"no *.json inputs found in {args.path!r}")
     outdir = args.out or args.path
@@ -493,7 +502,7 @@ def _run(args, seed: int, tol: Tolerances, job, prefix: str | None = None) -> in
         prefix = os.path.join(outdir, os.path.splitext(os.path.basename(path))[0])
         try:
             report, code = job(path, args, seed, tol, prefix)
-        except (ValidationError, NotPositiveDefinite, NumericalFailure) as exc:
+        except _REFUSALS as exc:
             report, code = {"input": path, "error": str(exc)}, 2
         except Exception as exc:  # defensive: one job must not kill the batch
             report, code = {"input": path,
@@ -535,9 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scale", help="run the scaling loop on a map file")
     p.add_argument("path", help="map file (or directory with --batch)")
-    p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--divergence", type=float, default=None,
-                   help="log-determinant divergence threshold (default 50*k*m)")
+    _add_run_limits(p)
     p.add_argument("--history", default=None,
                    help="write per-iteration residual history to this file")
     _add_common(p, batch=True)
@@ -545,8 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fnf", help="compute the filter normal form of a state file")
     p.add_argument("path", help="state file (or directory with --batch)")
-    p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--divergence", type=float, default=None)
+    _add_run_limits(p)
     _add_common(p, batch=True)
     p.set_defaults(func=cmd_fnf)
 
@@ -555,8 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output map file")
     p.add_argument("--check", action="store_true",
                    help="also scale the map and its lift and compare verdicts")
-    p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--divergence", type=float, default=None)
+    _add_run_limits(p)
     _add_common(p)
     p.set_defaults(func=cmd_tilde)
 
@@ -585,7 +590,7 @@ def main(argv=None) -> int:
     try:
         _check_run_limits(args)
         return args.func(args, _resolve_seed(args), _tolerances(args))
-    except (ValidationError, NotPositiveDefinite, NumericalFailure) as exc:
+    except _REFUSALS as exc:
         _emit({"version": __version__, "error": str(exc)})
         return 2
 

@@ -22,7 +22,7 @@ floor, and the kernel conditions matcomb's count bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -141,14 +141,14 @@ class SufficientReport:
 
 def sufficient_conditions(state: BipartiteState, tol: Tolerances = DEFAULT_TOL,
                           run_coprime_scaling: bool = True,
-                          max_iter: int = 10000) -> SufficientReport:
+                          max_iter: int = scaling.DEFAULT_MAX_ITER) -> SufficientReport:
     """Evaluate the kernel-dimension conditions and the coprime branch.
 
     A small kernel forces a filter normal form to exist: dimension below
     min(k, m) for rectangular shapes, below k - 1 for square ones, or below
     max(k, m)/min(k, m) when both reduced states are positive definite.  For
     coprime k, m existence is equivalent to the induced map having support,
-    which is probed numerically by scaling.
+    which is probed by a scaling run that raises only NumericalFailure.
     """
     k, m = state.k, state.m
     ker = k * m - spectral_rank(state._spectrum, tol)
@@ -215,14 +215,14 @@ def _schmidt_expansion(state_mat: np.ndarray, k: int, m: int,
 
 
 def compute_fnf(state: BipartiteState, tol: Tolerances = DEFAULT_TOL,
-                max_iter: int = 10000,
+                max_iter: int = scaling.DEFAULT_MAX_ITER,
                 divergence_logdet: float | None = None) -> FnfResult:
     """Compute the filter normal form by scaling the induced map.
 
     Raises FnfPreconditionFailed when a reduced state is singular,
     ScalingInconclusive (carrying the scaling report) when the scaling does
-    not converge, and NumericalFailure when the filtered state fails its own
-    checks; no partial result is produced in any case.
+    not converge, and NumericalFailure when its update or the filtered
+    state's checks refuse; no partial result is produced in any case.
     """
     k, m = state.k, state.m
     pre = check_preconditions(state, tol)
@@ -254,13 +254,11 @@ def compute_fnf(state: BipartiteState, tol: Tolerances = DEFAULT_TOL,
         # below the PSD floor.
         raise NumericalFailure(f"filtered state rejected: {exc}") from exc
 
-    eye_defect = max(
-        frob(partial_trace_first(fnf_state.rho, k, m) - np.eye(m) / m),
-        frob(partial_trace_second(fnf_state.rho, k, m) - np.eye(k) / k))
-    if eye_defect > 10.0 * tol.conv_eps:
+    marginals = _marginals_check(fnf_state, tol)
+    if not marginals.passed:
         raise NumericalFailure(
-            f"filtered state's reduced states are off maximally mixed by {eye_defect:.3e}",
-            residual=eye_defect)
+            f"filtered state's reduced states are off maximally mixed by {marginals.defect:.3e}",
+            residual=marginals.defect)
 
     terms = _schmidt_expansion(fnf_state.rho, k, m, tol)
     return FnfResult(filter_first=filt_first, filter_second=filt_second,
@@ -272,6 +270,18 @@ class FnfCheck:
     passed: bool
     defect: float
     limit: float
+
+
+def _within(defect: float, limit: float = 1e-8) -> FnfCheck:
+    return FnfCheck(defect <= limit, defect, limit)
+
+
+def _marginals_check(state: BipartiteState, tol: Tolerances) -> FnfCheck:
+    """Distance of both reduced states from maximally mixed, at ``ds_slack``."""
+    k, m = state.k, state.m
+    return _within(max(frob(state.reduced_second() - np.eye(m) / m),
+                       frob(state.reduced_first() - np.eye(k) / k)),
+                   scaling.ds_slack(tol))
 
 
 @dataclass(frozen=True)
@@ -287,12 +297,8 @@ class FnfVerification:
 
     @property
     def passed(self) -> bool:
-        checks = [self.leading_pair, self.coefficients, self.orthonormal_first,
-                  self.orthonormal_second, self.reconstruction, self.marginals,
-                  self.filters_invertible]
-        if self.filtered_state is not None:
-            checks.append(self.filtered_state)
-        return all(c.passed for c in checks)
+        checks = (getattr(self, f.name) for f in fields(self))
+        return all(c.passed for c in checks if c is not None)
 
 
 def _gram_defect(factors: list[np.ndarray]) -> float:
@@ -316,27 +322,18 @@ def verify_fnf(result: FnfResult, tol: Tolerances = DEFAULT_TOL,
         frob(lead.first - np.eye(k) / math.sqrt(k)),
         frob(lead.second - np.eye(m) / math.sqrt(m)),
         abs(lead.coeff - 1.0 / math.sqrt(k * m)))
-    leading_pair = FnfCheck(lead_defect == 0.0, lead_defect, 0.0)
+    leading_pair = _within(lead_defect, 0.0)
 
     coeffs = [t.coeff for t in result.schmidt]
-    tail = coeffs[1:]
-    mono = all(tail[i] >= tail[i + 1] for i in range(len(tail) - 1))
-    nonneg = all(c >= 0.0 for c in coeffs)
-    coefficients = FnfCheck(mono and nonneg, 0.0 if (mono and nonneg) else 1.0, 0.0)
+    ordered = (all(c >= 0.0 for c in coeffs)
+               and all(a >= b for a, b in zip(coeffs[1:], coeffs[2:])))
+    coefficients = _within(0.0 if ordered else 1.0, 0.0)
 
-    g1 = _gram_defect([t.first for t in result.schmidt])
-    g2 = _gram_defect([t.second for t in result.schmidt])
-    orthonormal_first = FnfCheck(g1 <= 1e-8, g1, 1e-8)
-    orthonormal_second = FnfCheck(g2 <= 1e-8, g2, 1e-8)
+    orthonormal_first = _within(_gram_defect([t.first for t in result.schmidt]))
+    orthonormal_second = _within(_gram_defect([t.second for t in result.schmidt]))
 
     recon = sum(t.coeff * kron(t.first, t.second) for t in result.schmidt)
-    rdef = frob(recon - rho)
-    reconstruction = FnfCheck(rdef <= 1e-8, rdef, 1e-8)
-
-    mdef = max(frob(partial_trace_first(rho, k, m) - np.eye(m) / m),
-               frob(partial_trace_second(rho, k, m) - np.eye(k) / k))
-    mlimit = 10.0 * tol.conv_eps
-    marginals = FnfCheck(mdef <= mlimit, mdef, mlimit)
+    reconstruction = _within(frob(recon - rho))
 
     inv_ok = True
     worst_ratio = 0.0
@@ -353,11 +350,10 @@ def verify_fnf(result: FnfResult, tol: Tolerances = DEFAULT_TOL,
         W = kron(result.filter_first, result.filter_second)
         filt = hermitian_part(W @ original.rho @ W.conj().T)
         tr = float(np.trace(filt).real)
-        fdef = frob(filt / tr - rho) if tr > 0 else float("inf")
-        filtered_state = FnfCheck(fdef <= 1e-8, fdef, 1e-8)
+        filtered_state = _within(frob(filt / tr - rho) if tr > 0 else float("inf"))
 
     return FnfVerification(
         leading_pair=leading_pair, coefficients=coefficients,
         orthonormal_first=orthonormal_first, orthonormal_second=orthonormal_second,
-        reconstruction=reconstruction, marginals=marginals,
+        reconstruction=reconstruction, marginals=_marginals_check(result.state_fnf, tol),
         filters_invertible=filters_invertible, filtered_state=filtered_state)

@@ -484,8 +484,9 @@ def verify_block_certificate(T: ChoiMap, cert: BlockCertificate,
         return True
 
     strict = CertificateCondition(
-        passed=not decomposition.passed or no_counterexample(), sampled=True,
-        detail="rank(X) * rank(W) < rank(T(X)) * rank(V) on sampled intermediate-rank PSD X",
+        passed=decomposition.passed and no_counterexample(), sampled=decomposition.passed,
+        detail="rank(X) * rank(W) < rank(T(X)) * rank(V) on sampled intermediate-rank PSD X"
+        if decomposition.passed else "skipped: the blocks are not an orthogonal decomposition",
         worst_defect=None)
 
     return CertificateReport(decomposition=decomposition, invariance=invariance,

@@ -29,15 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import (DEFAULT_TOL, NumericalFailure, Tolerances,
-                        below_pd_floor, frob, hermitian_part, pd_inv_sqrt,
-                        subtract_identity)
+from .numkernel import (DEFAULT_TOL, NotPositiveDefinite, NumericalFailure,
+                        Tolerances, below_pd_floor, frob, hermitian_part,
+                        pd_inv_sqrt, subtract_identity)
 from .posmap import BlockCertificate, ChoiMap, certificate_admissibility
 
 VERDICT_CONVERGED = "converged-ds"
 VERDICT_NO_SUPPORT = "no-support-numerical"
 VERDICT_INCONCLUSIVE = "max-iter-inconclusive"
 VERDICT_PRECONDITION = "precondition-failed"
+DEFAULT_MAX_ITER = 10000
 
 # A step whose marginal traces drift this far from sqrt(k) and sqrt(m) is
 # reported as a numerical failure instead of silently continuing.
@@ -91,30 +92,37 @@ def _advance(T: ChoiMap, n: int, X, Y, B, logdet: float, in_logsum: float,
     """The scaling update: renormalize the output marginal ``B`` of the
     filter pair ``(X, Y)``, recompute the input marginal, and prepare the
     next input filter.  ``in_logsum`` is the eigenvalue log-sum of the input
-    marginal that ``X`` already absorbed."""
+    marginal that ``X`` already absorbed.  Each of its refusals, an overflow
+    included, is a NumericalFailure, and no numpy warning escapes."""
     k, m = T.k, T.m
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            B_is, B_logsum, B_residual = pd_inv_sqrt(B, tol, "output-side marginal")
+            Y1 = m ** -0.25 * (B_is @ Y)
 
-    B_is, B_logsum, B_residual = pd_inv_sqrt(B, tol, "output-side marginal")
-    Y1 = m ** -0.25 * (B_is @ Y)
+            A1 = hermitian_part(X.conj().T @ T.apply_adjoint(
+                (Y1.conj().T * (1 / math.sqrt(m))) @ Y1) @ X)
+            A1_is, A1_logsum, _ = pd_inv_sqrt(A1, tol, "input-side marginal")
+            X2 = k ** -0.25 * (X @ A1_is)
+            B1 = hermitian_part(Y1 @ T.apply(
+                (X2 * (1 / math.sqrt(k))) @ X2.conj().T) @ Y1.conj().T)
 
-    A1 = hermitian_part(
-        X.conj().T @ T.apply_adjoint((Y1.conj().T * (1 / math.sqrt(m))) @ Y1) @ X)
-    A1_is, A1_logsum, _ = pd_inv_sqrt(A1, tol, "input-side marginal")
-    X2 = k ** -0.25 * (X @ A1_is)
-    B1 = hermitian_part(Y1 @ T.apply((X2 * (1 / math.sqrt(k))) @ X2.conj().T) @ Y1.conj().T)
+            # det X advances by det(A)^(-1/2) * k^(-k/4), det Y by det(B)^(-1/2) * m^(-m/4).
+            logdet += m * (-0.5 * in_logsum - (k / 4.0) * math.log(k))
+            logdet += k * (-0.5 * B_logsum - (m / 4.0) * math.log(m))
 
-    # det X advances by det(A)^(-1/2) * k^(-k/4), det Y by det(B)^(-1/2) * m^(-m/4).
-    logdet += m * (-0.5 * in_logsum - (k / 4.0) * math.log(k))
-    logdet += k * (-0.5 * B_logsum - (m / 4.0) * math.log(m))
-
-    state = ScalingState(
-        n=n, in_filter=X, out_filter=Y1, in_marginal=A1, out_marginal=B1,
-        in_filter_next=X2, logdet=logdet,
-        in_residual=frob(subtract_identity(math.sqrt(k) * A1)),
-        out_residual=frob(subtract_identity(math.sqrt(m) * B1)),
-        marginal_defect=B_residual / math.sqrt(m),
-        in_marginal_eig_logsum=A1_logsum)
-    drift = max(state.trace_defects(k, m))
+            state = ScalingState(
+                n=n, in_filter=X, out_filter=Y1, in_marginal=A1, out_marginal=B1,
+                in_filter_next=X2, logdet=logdet,
+                in_residual=frob(subtract_identity(math.sqrt(k) * A1)),
+                out_residual=frob(subtract_identity(math.sqrt(m) * B1)),
+                marginal_defect=B_residual / math.sqrt(m),
+                in_marginal_eig_logsum=A1_logsum)
+            drift = max(state.trace_defects(k, m))
+    except NotPositiveDefinite as exc:
+        raise NumericalFailure(str(exc)) from exc
+    except FloatingPointError as exc:
+        raise NumericalFailure(f"scaling iterate {n} is not finite: {exc}") from exc
     if drift > _STEP_DEFECT_LIMIT:
         raise NumericalFailure(
             f"marginal trace invariant drifted to {drift:.3e}", residual=drift)
@@ -125,7 +133,7 @@ def init(T: ChoiMap, tol: Tolerances = DEFAULT_TOL) -> ScalingState:
     """First iterate: the scaling update run from the identity filter pair.
 
     Raises PreconditionFailed unless T(Id) and T*(Id) are positive definite
-    at the relative floor."""
+    at the relative floor, and NumericalFailure when the update refuses."""
     k, m = T.k, T.m
     fwd = hermitian_part(T.apply(np.eye(k) / math.sqrt(k)))   # T(Id/sqrt(k))
     adj = hermitian_part(T.apply_adjoint(np.eye(m)))          # T*(Id)
@@ -144,7 +152,7 @@ def init(T: ChoiMap, tol: Tolerances = DEFAULT_TOL) -> ScalingState:
 
 def step(state: ScalingState, T: ChoiMap, tol: Tolerances = DEFAULT_TOL) -> ScalingState:
     """Advance one iteration: renormalize the output marginal, recompute the
-    input marginal, and prepare the next input filter."""
+    input marginal and the next input filter; raises only NumericalFailure."""
     return _advance(T, state.n + 1, state.in_filter_next, state.out_filter,
                     state.out_marginal, state.logdet,
                     state.in_marginal_eig_logsum, tol)
@@ -152,6 +160,11 @@ def step(state: ScalingState, T: ChoiMap, tol: Tolerances = DEFAULT_TOL) -> Scal
 
 def _converged(state: ScalingState, tol: Tolerances) -> bool:
     return max(state.in_residual, state.out_residual) <= tol.conv_eps
+
+
+def ds_slack(tol: Tolerances) -> float:
+    """The slack of a converged run's doubly-stochastic check: 10 conv_eps."""
+    return 10.0 * tol.conv_eps
 
 
 def _iterates(T: ChoiMap, tol: Tolerances, max_iter: int):
@@ -199,12 +212,12 @@ class ScalingReport:
         return self.verdict == VERDICT_CONVERGED
 
 
-def run(T: ChoiMap, tol: Tolerances = DEFAULT_TOL, max_iter: int = 10000,
+def run(T: ChoiMap, tol: Tolerances = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
         divergence_logdet: float | None = None,
         keep_history: bool = True) -> ScalingReport:
     """Iterate until both marginal residuals drop to ``tol.conv_eps``, the
     log-determinant exceeds the divergence threshold (default ``50 * k * m``),
-    or ``max_iter`` is hit."""
+    or ``max_iter`` is hit.  Raises only the update's NumericalFailure."""
     threshold = 50.0 * T.k * T.m if divergence_logdet is None else float(divergence_logdet)
     history: list[IterationRecord] = []
     try:
@@ -254,7 +267,7 @@ def block_commutation_check(T: ChoiMap, cert: BlockCertificate,
     :func:`opscale.posmap.certificate_admissibility`'s decomposition or
     invariance condition, or a map whose T(Id) or T*(Id) is singular, is
     rejected (``precondition_ok`` false).  Raises ValueError when the
-    certificate's dimensions do not match T's k and m."""
+    certificate's dimensions do not match T's k and m, and NumericalFailure."""
     rejected = CommutationReport(passed=False, precondition_ok=False,
                                  steps_run=0, first_failure=None)
     if not all(c.passed for c in certificate_admissibility(T, cert)):

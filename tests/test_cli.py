@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from opscale.io import (ValidationError, atomic_write_json, load_json,
                         parse_pattern_matrix, parse_state, state_to_obj)
 from opscale.numkernel import frob
 from opscale.posmap import haar_unitary
-from test_fnf import near_psd_state
+from test_fnf import floor_crossing_state, near_psd_state, overflowing_state
 from test_scaling import trace_to_corner_map
 
 
@@ -621,6 +622,64 @@ class TestFnfCommand:
         assert code == 4
         assert rep["outcome"] == "max-iter-inconclusive"
         assert load_json(str(tmp_path / "y.report.json")) == rep
+
+
+class TestScalingRefusals:
+    """A refusal of the scaling update ends a command with exit 2, an error
+    report and nothing on stderr; fnf still writes its report file."""
+
+    OVERFLOW = r"scaling iterate \d+ is not finite: overflow encountered in "
+
+    def test_marginal_below_the_floor_mid_run(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        atomic_write_json(str(path), state_to_obj(floor_crossing_state()))
+        code, rep = run_cli_json(capsys, "fnf", str(path), "--pd-min", "0.3",
+                                 "--out", str(tmp_path / "o"))
+        assert (code, rep["outcome"]) == (2, "numerical-failure")
+        assert rep["error"].startswith("input-side marginal not positive definite: ")
+        assert rep["preconditions"]["ok"] is True
+        assert "guaranteed" in rep["sufficient_conditions"]
+        assert load_json(str(tmp_path / "o.report.json")) == rep
+        assert sorted(os.listdir(tmp_path)) == ["o.report.json", "s.json"]
+
+    @pytest.mark.parametrize("divergence", ["1e4", "inf"])
+    def test_overflowing_fnf(self, tmp_path, divergence):
+        path = tmp_path / "s.json"
+        atomic_write_json(str(path), state_to_obj(overflowing_state()))
+        proc = run_entry_point("fnf", str(path), "--divergence", divergence)
+        assert (proc.returncode, proc.stderr) == (2, "")
+        rep = json.loads(proc.stdout)
+        assert rep["outcome"] == "numerical-failure"
+        assert re.match(self.OVERFLOW, rep["error"])
+        assert load_json(str(tmp_path / "s.report.json")) == rep
+
+    def test_overflowing_fnf_batch(self, capsys, tmp_path):
+        atomic_write_json(str(tmp_path / "s.json"), state_to_obj(overflowing_state()))
+        code, summary = run_cli_json(capsys, "fnf", str(tmp_path), "--batch",
+                                     "--divergence", "1e4")
+        assert code == 0
+        (row,) = summary["results"]
+        rep = load_json(row["report"])
+        assert (row["exit_code"], rep["outcome"]) == (2, "numerical-failure")
+        assert row["error"] == rep["error"]
+        assert re.match(self.OVERFLOW, row["error"])
+
+    @pytest.mark.parametrize("argv", [
+        ["scale", "{map}", "--divergence", "1e4"],
+        ["tilde", "{map}", "--check", "--divergence", "1e4", "--out", "{dir}/lift.json"],
+        ["certificate", "{map}", "{cert}", "--commutation-steps", "3000"],
+    ], ids=["scale", "tilde-check", "certificate-commutation"])
+    def test_overflowing_map(self, tmp_path, argv):
+        paths = {"map": tmp_path / "m.json", "cert": tmp_path / "c.json", "dir": tmp_path}
+        atomic_write_json(str(paths["map"]), map_to_obj(fixtures.no_support_map()))
+        identity = [matrix_to_obj(np.eye(3))]
+        atomic_write_json(str(paths["cert"]), {"input_projectors": identity,
+                                               "output_projectors": identity})
+        proc = run_entry_point(*(a.format(**paths) for a in argv))
+        assert (proc.returncode, proc.stderr) == (2, "")
+        rep = json.loads(proc.stdout)
+        assert set(rep) == {"version", "error"}
+        assert re.match(self.OVERFLOW, rep["error"])
 
 
 class TestTildeCommand:

@@ -39,6 +39,22 @@ def near_psd_state(seed):
     return BipartiteState(2, 3, (U * w) @ U.conj().T)
 
 
+# Reduced states above this floor, and an input-side marginal that falls
+# below it in the course of the scaling.
+FLOOR_TOL = Tolerances(pd_min=0.3)
+
+
+def floor_crossing_state():
+    return BipartiteState(2, 3, fixtures.random_state_matrix(
+        2, 3, np.random.default_rng(5), kernel_dim=3))
+
+
+def overflowing_state():
+    """The 3x3 state induced by fixtures.no_support_map: its filters overflow
+    before the log-determinant reaches 1e4."""
+    return BipartiteState(3, 3, fixtures.no_support_map().choi)
+
+
 class TestBipartiteState:
     def test_normalizes_trace_and_symmetrizes(self):
         rho = np.diag([2.0, 1.0, 1.0, 0.5]).astype(complex)
@@ -277,6 +293,25 @@ class TestComputeFnf:
         state = BipartiteState(3, 3, fixtures.random_state_matrix(3, 3, rng))
         with pytest.raises(ScalingInconclusive):
             compute_fnf(state, max_iter=0)
+
+
+class TestScalingRefusals:
+    """A refusal of the scaling update reaches the caller as NumericalFailure,
+    without a numpy warning, which this suite turns into an error."""
+
+    def test_marginal_below_the_floor_mid_run(self):
+        state = floor_crossing_state()
+        assert check_preconditions(state, FLOOR_TOL).ok
+        for call in (compute_fnf, sufficient_conditions):
+            with pytest.raises(NumericalFailure,
+                               match="^input-side marginal not positive definite: "):
+                call(state, FLOOR_TOL)
+
+    @pytest.mark.parametrize("divergence", [1e4, math.inf])
+    def test_overflowing_iterate(self, divergence):
+        with pytest.raises(NumericalFailure,
+                           match=r"^scaling iterate \d+ is not finite: overflow"):
+            compute_fnf(overflowing_state(), divergence_logdet=divergence)
 
 
 class TestAcceptedStatesAreNotRefusedAgain:

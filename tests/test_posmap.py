@@ -479,6 +479,18 @@ class TestCertificates:
         rep = verify_block_certificate(T, cert, rng=rng)
         assert not rep.decomposition.passed
 
+    def test_strict_rank_is_skipped_without_a_decomposition(self):
+        rng = np.random.default_rng(0)
+        T, cert = fixtures.direct_sum_map(
+            [fixtures.random_cp_map(2, 3, rng), fixtures.random_cp_map(1, 2, rng)])
+        first = cert.input_projectors[0] + 1e-3 * np.eye(T.k)
+        rep = verify_block_certificate(T, BlockCertificate(
+            (first, *cert.input_projectors[1:]), cert.output_projectors))
+        assert not rep.decomposition.passed
+        strict = rep.strict_rank_increase
+        assert (strict.passed, strict.sampled) == (False, False)
+        assert strict.detail.startswith("skipped: ")
+
     def test_trivial_certificate_strict_rank_tracks_the_map(self):
         # rank-preserving map: no strict increase; full Kraus rank map: strict
         rng = np.random.default_rng(24)

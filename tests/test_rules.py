@@ -1,18 +1,25 @@
 """Each acceptance rule has one owner, so its callers agree at the threshold:
 the PSD floor of a state, the positive-definiteness floor of a marginal, and
-the paper's count bounds on zeros and on kernel dimensions."""
+the paper's count bounds on zeros and on kernel dimensions.  So has each rule
+of a scaling run: its iteration cap and the slack its result is checked with."""
+
+import inspect
+import json
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opscale.fnf import BipartiteState, check_preconditions, sufficient_conditions
-from opscale.io import matrix_to_obj, parse_map
+from opscale import cli, fixtures, scaling
+from opscale.fnf import (BipartiteState, check_preconditions, compute_fnf,
+                         sufficient_conditions, verify_fnf)
+from opscale.io import atomic_write_json, map_to_obj, matrix_to_obj, parse_map
 from opscale.matcomb import NonnegPattern, zero_fraction_sufficient
-from opscale.numkernel import NotPositiveDefinite, Tolerances, pd_inv_sqrt
+from opscale.numkernel import (NotPositiveDefinite, NumericalFailure, Tolerances,
+                               pd_inv_sqrt)
 from opscale.posmap import ChoiMap, from_state
-from opscale.scaling import PreconditionFailed, init
+from opscale.scaling import DEFAULT_MAX_ITER, PreconditionFailed, ds_slack, init, run
 
 STATE_LOADERS = {
     "BipartiteState": lambda rho: BipartiteState(2, 2, rho),
@@ -79,3 +86,41 @@ def test_count_bounds_agree_on_zeros_and_kernels(k, m, data):
     assert suff.rect_kernel == zf.rect_few_zeros.grants
     assert suff.square_kernel == zf.square_few_zeros.grants
     assert suff.ratio_kernel == zf.line_ratio_few_zeros.grants
+
+
+def test_run_limits_have_one_default():
+    for call in (run, compute_fnf, sufficient_conditions):
+        assert inspect.signature(call).parameters["max_iter"].default == DEFAULT_MAX_ITER
+    for command in ("scale", "fnf", "tilde"):
+        args = cli.build_parser().parse_args([command, "x.json"])
+        assert (args.max_iter, args.divergence) == (DEFAULT_MAX_ITER, None)
+
+
+def test_selftest_slack_is_exact():
+    assert ds_slack(Tolerances(conv_eps=1e-8)) == 1e-7
+
+
+def test_fnf_guard_and_check_read_one_marginals_rule(monkeypatch):
+    """compute_fnf refuses exactly the filtered states whose ``marginals``
+    check verify_fnf fails, at the slack of the scale command's ds_check."""
+    state = BipartiteState(2, 3, fixtures.random_state_matrix(
+        2, 3, np.random.default_rng(3)))
+    result = compute_fnf(state)
+    check = verify_fnf(result).marginals
+    assert check.passed and check.limit == ds_slack(Tolerances())
+    assert check.defect > 0.0
+    monkeypatch.setattr(scaling, "ds_slack", lambda tol: check.defect / 2)
+    assert not verify_fnf(result).marginals.passed
+    with pytest.raises(NumericalFailure, match="off maximally mixed") as exc:
+        compute_fnf(state)
+    assert exc.value.residual == check.defect
+
+
+def test_scale_ds_check_reads_the_slack(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "map.json"
+    atomic_write_json(str(path), map_to_obj(fixtures.boundary_map()))
+    for slack, verdict in ((ds_slack, True), (lambda tol: 0.0, False)):
+        monkeypatch.setattr(cli, "ds_slack", slack)
+        assert cli.main(["scale", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ds_check"]["is_doubly_stochastic"] is verdict

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opscale import fixtures, scaling
-from opscale.numkernel import (NumericalFailure, Tolerances,
+from opscale.numkernel import (NotPositiveDefinite, NumericalFailure, Tolerances,
                                as_complex_matrix, frob, kron)
 from opscale.posmap import (BlockCertificate, ChoiMap, haar_unitary,
                             is_doubly_stochastic, verify_block_certificate)
@@ -18,6 +18,7 @@ from opscale.scaling import (VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
                              CommutationReport, IterationRecord,
                              PreconditionFailed, block_commutation_check, init,
                              run, step)
+from test_fnf import FLOOR_TOL, floor_crossing_state
 
 TOL = Tolerances()
 
@@ -429,3 +430,30 @@ class TestCommutation:
             with pytest.raises(ValueError,
                                match="^certificate dimensions do not match the map$"):
                 check(T, cert)
+
+
+class TestRefusals:
+    """The update owns what a run may raise besides PreconditionFailed: a
+    NumericalFailure, and no numpy warning, which this suite turns into an
+    error."""
+
+    @pytest.mark.parametrize("divergence", [1e4, math.inf])
+    def test_overflowing_iterate_is_a_numerical_failure(self, divergence):
+        with pytest.raises(NumericalFailure,
+                           match=r"^scaling iterate \d+ is not finite: overflow") as exc:
+            run(fixtures.no_support_map(), divergence_logdet=divergence)
+        assert isinstance(exc.value.__cause__, FloatingPointError)
+
+    def test_marginal_below_the_floor_keeps_its_message(self):
+        T = ChoiMap(2, 3, floor_crossing_state().rho, check_positivity=False)
+        with pytest.raises(NumericalFailure) as exc:
+            run(T, FLOOR_TOL)
+        assert isinstance(exc.value.__cause__, NotPositiveDefinite)
+        assert str(exc.value) == str(exc.value.__cause__)
+        assert str(exc.value).startswith("input-side marginal not positive definite: ")
+
+    def test_commutation_check_raises_the_same(self):
+        identity = (np.eye(3, dtype=complex),)
+        with pytest.raises(NumericalFailure, match=r"^scaling iterate \d+ is not finite: "):
+            block_commutation_check(fixtures.no_support_map(),
+                                    BlockCertificate(identity, identity), n_steps=3000)
