@@ -12,13 +12,11 @@ doubly stochastic one; the factor expansion is an operator Schmidt
 decomposition computed through realignment.
 
 A state's storage passes :func:`opscale.numkernel.psd_storage`, as does
-:func:`opscale.posmap.from_state`'s.  The state keeps the spectrum of rho and
-of both reduced states, each computed once on construction: the
-preconditions and the kernel-dimension conditions read them and run no
-eigen-solver.  The filtered state that :func:`compute_fnf` returns computes
-its reduced spectra on their first read instead.  The preconditions use
-numkernel's one positive-definiteness floor, and the kernel conditions
-matcomb's count bounds.
+:func:`opscale.posmap.from_state`'s.  The state keeps the spectrum of rho,
+computed on construction, and of both reduced states, computed on their
+first read: each state runs those eigen-solvers once, and only if a check
+reads them.  The preconditions use numkernel's one positive-definiteness
+floor, and the kernel conditions matcomb's count bounds.
 """
 
 from __future__ import annotations
@@ -41,8 +39,8 @@ from .posmap import ChoiMap
 @dataclass(frozen=True)
 class BipartiteState:
     """A PSD matrix on a k x m tensor pair, normalized to unit trace, with the
-    ascending spectra of it and of both reduced states, computed once on
-    construction."""
+    ascending spectrum of it, computed on construction, and of both reduced
+    states, computed on their first read."""
 
     k: int
     m: int
@@ -50,10 +48,6 @@ class BipartiteState:
     _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._store()
-        self._reduced_spectra  # read once now, so that the checks run no eigen-solver
-
-    def _store(self):
         rho, w = psd_storage(self.k, self.m, self.rho, "state")
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "m", int(self.m))
@@ -64,16 +58,6 @@ class BipartiteState:
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "_spectrum", w / tr)
-
-    @classmethod
-    def _spectra_on_read(cls, k: int, m: int, rho) -> "BipartiteState":
-        """The state, stored and checked as by the constructor, with its
-        reduced spectra left to their first read."""
-        state = object.__new__(cls)
-        for name, value in (("k", k), ("m", m), ("rho", rho)):
-            object.__setattr__(state, name, value)
-        state._store()
-        return state
 
     @cached_property
     def _reduced_spectra(self) -> tuple:
@@ -267,8 +251,7 @@ def compute_fnf(state: BipartiteState, tol: Tolerances = DEFAULT_TOL,
     filt_first = scale * report.in_filter.conj().T
     filt_second = scale * report.out_filter
     try:
-        # Its checks below read the reduced states by partial traces.
-        fnf_state = BipartiteState._spectra_on_read(k, m, raw / tr)
+        fnf_state = BipartiteState(k, m, raw / tr)
     except ValueError as exc:
         # Filtering can push an accepted state's tiny negative eigenvalue
         # below the PSD floor.

@@ -152,8 +152,10 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested deeper than the stack.
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON or UTF-8, or an integer longer than the
+        # interpreter's digit limit.  RecursionError: arrays or objects
+        # nested deeper than the stack.
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 

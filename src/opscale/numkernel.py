@@ -11,6 +11,9 @@ required to go through these helpers instead of hand-rolling index math:
 * Rank and positive-definiteness cutoffs are relative to the largest
   eigenvalue magnitude, never absolute; each is written once, in
   :func:`spectral_rank`, :func:`below_pd_floor` and :func:`psd_storage`.
+
+The one checked coercion, :func:`as_complex_matrix`, copies only what is not
+already a C-ordered complex128 array; :func:`frob` is numpy's norm.
 """
 
 from __future__ import annotations
@@ -79,14 +82,10 @@ def _finite_matrix(M: np.ndarray) -> np.ndarray:
 
 
 def as_complex_matrix(data) -> np.ndarray:
-    """Coerce to a fresh 2-d complex128 array, rejecting non-finite entries."""
-    return _finite_matrix(np.array(data, dtype=np.complex128, order="C"))
-
-
-def complex_operand(data) -> np.ndarray:
-    """The checks of :func:`as_complex_matrix` for an operand that is only
-    read: a complex128 array comes back as itself, not copied."""
-    return _finite_matrix(np.asarray(data, dtype=np.complex128))
+    """Coerce to a 2-d C-ordered complex128 array, rejecting non-finite
+    entries.  Copies only when ``data`` is not already one, so a caller that
+    keeps or writes the result copies it itself."""
+    return _finite_matrix(np.asarray(data, dtype=np.complex128, order="C"))
 
 
 # Scalars of the per-step kernels as complex128: numpy turns a Python float
@@ -102,14 +101,8 @@ def hermitian_part(M) -> np.ndarray:
 
 
 def frob(M) -> float:
-    """Frobenius norm by ``np.linalg.norm``'s own formula, ``sqrt(re.re + im.im)``
-    over the flattened array, so the result is bit-identical to it on double,
-    complex double and integer input, without its dispatch."""
-    x = np.asarray(M)
-    if x.dtype.kind == "c":
-        return _complex_frob(x.astype(np.complex128, copy=False).ravel(order="K"))
-    x = x.astype(np.float64, copy=False).ravel(order="K")
-    return math.sqrt(x.dot(x))
+    """Frobenius norm."""
+    return float(np.linalg.norm(M))
 
 
 def _complex_frob(x: np.ndarray) -> float:

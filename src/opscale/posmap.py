@@ -42,9 +42,9 @@ import numpy as np
 
 from .matcomb import (NonnegPattern, TotalSupportResult, ZeroSubmatrixWitness,
                       has_total_support)
-from .numkernel import (DEFAULT_TOL, Tolerances, as_complex_matrix,
-                        complex_operand, frob, hermitian_part,
-                        hermitian_storage, kron, psd_storage, rank_tol)
+from .numkernel import (DEFAULT_TOL, Tolerances, as_complex_matrix, frob,
+                        hermitian_part, hermitian_storage, kron, psd_storage,
+                        rank_tol)
 
 _POSITIVITY_REL = 1e-8    # allowed negative eigenvalue in images T(v v*)
 _POSITIVITY_TRIALS = 200
@@ -137,14 +137,14 @@ class ChoiMap:
 
     def apply(self, X) -> np.ndarray:
         """Evaluate T(X) = sum_ij X[j, i] * C[i][j]."""
-        X = complex_operand(X)
+        X = as_complex_matrix(X)
         if X.shape != (self.k, self.k):
             raise ValueError(f"expected input shape {(self.k, self.k)}, got {X.shape}")
         return (X.reshape(-1) @ self._realigned).reshape(self.m, self.m)
 
     def apply_adjoint(self, Y) -> np.ndarray:
         """Evaluate the adjoint for <T(X), Y> = <X, T*(Y)> with <A, B> = tr(A B*)."""
-        Y = complex_operand(Y)
+        Y = as_complex_matrix(Y)
         if Y.shape != (self.m, self.m):
             raise ValueError(f"expected input shape {(self.m, self.m)}, got {Y.shape}")
         out = self._realigned @ Y.reshape(-1).conj()
@@ -339,8 +339,9 @@ class BlockCertificate:
             raise ValueError("certificate needs equally many input and output projectors")
         if not self.input_projectors:
             raise ValueError("certificate must contain at least one block")
-        ins = tuple(as_complex_matrix(P) for P in self.input_projectors)
-        outs = tuple(as_complex_matrix(P) for P in self.output_projectors)
+        # The certificate keeps and freezes its projectors, so it copies them.
+        ins = tuple(as_complex_matrix(P).copy() for P in self.input_projectors)
+        outs = tuple(as_complex_matrix(P).copy() for P in self.output_projectors)
         k = ins[0].shape[0]
         m = outs[0].shape[0]
         for P in ins:

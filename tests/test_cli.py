@@ -1056,6 +1056,58 @@ def test_refused_input_file_is_exit_2(capsys, workspace, argv, content, message)
     assert rep == {"version": cli.__version__, "error": message}
 
 
+# A JSON integer of more digits than CPython converts by default (4300), in
+# each kind of input file; {bad} is the file, other paths the workspace's.
+_DIGITS = "9" * 5001
+_ONE = '{"rows": 1, "cols": 1, "data": [1.0]}'
+_BIG_MAP = '{"k": %s, "m": 1, "choi": %s}' % (_DIGITS, _ONE)
+OVERSIZED_INTEGER = {
+    "support": (("support", "{bad}"), '{"rows": %s, "cols": 1, "data": [1.0]}' % _DIGITS),
+    "scale": (("scale", "{bad}"), _BIG_MAP),
+    "fnf": (("fnf", "{bad}"), '{"k": %s, "m": 1, "matrix": %s}' % (_DIGITS, _ONE)),
+    "tilde": (("tilde", "{bad}"), _BIG_MAP),
+    "certificate-map": (("certificate", "{bad}", "{cert}"), _BIG_MAP),
+    "certificate-cert": (("certificate", "{map}", "{bad}"),
+                         '{"input_projectors": [{"rows": %s, "cols": 1, "data": [1.0]}], '
+                         '"output_projectors": [%s]}' % (_DIGITS, _ONE)),
+}
+
+
+class TestOversizedIntegers:
+    """An integer longer than the interpreter's digit limit is invalid JSON,
+    an exit 2 like any other; where the limit is off (PYTHONINTMAXSTRDIGITS=0,
+    or a build without one) the file is refused later, still with exit 2."""
+
+    @pytest.mark.parametrize("digits", ["4300", "0"], ids=["limit", "no-limit"])
+    @pytest.mark.parametrize("argv, content", OVERSIZED_INTEGER.values(),
+                             ids=list(OVERSIZED_INTEGER))
+    def test_exit_2_with_error_report(self, workspace, monkeypatch, digits, argv, content):
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", digits)
+        bad = workspace["dir"] / "bad.json"
+        bad.write_text(content)
+        proc = run_entry_point(*fill(argv, {**workspace, "bad": bad}))
+        assert (proc.returncode, proc.stderr) == (2, "")
+        rep = json.loads(proc.stdout)
+        assert set(rep) == {"version", "error"}
+        if digits != "0" and hasattr(sys, "set_int_max_str_digits"):
+            assert rep["error"].startswith(f"{bad} is not valid JSON: ")
+
+    def test_batch_row(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(_BIG_MAP)
+        atomic_write_json(str(tmp_path / "good.json"), map_to_obj(fixtures.boundary_map()))
+        code, summary = run_cli_json(capsys, "scale", str(tmp_path), "--batch")
+        assert code == 0
+        rows = {os.path.basename(r["input"]): r for r in summary["results"]}
+        assert rows["good.json"]["exit_code"] == 0
+        assert rows["bad.json"]["exit_code"] == 2
+        limited = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limited < len(_DIGITS):
+            assert rows["bad.json"]["error"].startswith(f"{bad} is not valid JSON: ")
+        else:
+            assert rows["bad.json"]["error"].startswith("choi storage must be ")
+
+
 class TestBadArguments:
     """Out-of-range numbers, unusable batch output directories and ``--out``
     without ``--batch`` on support and scale are validation errors, on every

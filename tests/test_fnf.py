@@ -145,6 +145,15 @@ class TestKeptSpectra:
     def test_checks_decompose_nothing(self, monkeypatch):
         rng = np.random.default_rng(9)
         state = BipartiteState(3, 4, fixtures.random_state_matrix(3, 4, rng, kernel_dim=2))
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(M, *args, **kwargs):
+            calls.append(np.shape(M))
+            return eigvalsh(M, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        # The first read computes both reduced spectra, one eigvalsh each.
+        state._reduced_spectra
+        assert calls == [(3, 3), (4, 4)]
 
         def refuse(*args, **kwargs):
             raise AssertionError("an eigen-solver ran")
@@ -156,6 +165,7 @@ class TestKeptSpectra:
 
     def test_filtered_state_computes_its_reduced_spectra_on_first_read(self, monkeypatch):
         state = BipartiteState(2, 3, fixtures.random_state_matrix(2, 3, np.random.default_rng(1)))
+        state._reduced_spectra  # read before counting: compute_fnf's preconditions read them
         shapes, eigvalsh = [], np.linalg.eigvalsh
 
         def counted(M, *args, **kwargs):

@@ -48,6 +48,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             as_complex_matrix([[np.nan, 0.0], [0.0, 1.0]])
 
+    def test_as_complex_matrix_keeps_a_c_ordered_complex128_matrix(self):
+        M = random_complex(np.random.default_rng(1), 3, 2)
+        assert as_complex_matrix(M) is M
+
+    @pytest.mark.parametrize("data", [
+        np.asfortranarray(random_complex(np.random.default_rng(2), 3, 2)),
+        np.arange(6.0).reshape(3, 2),
+        [[1, 2j], [3.5, 4], [5, 6]],
+    ], ids=["fortran-order", "real", "nested-list"])
+    def test_as_complex_matrix_copies_anything_else(self, data):
+        M = as_complex_matrix(data)
+        assert M.dtype == np.complex128 and M.flags.c_contiguous
+        assert np.array_equal(M, np.asarray(data))
+        assert not np.shares_memory(M, np.asarray(data))
+
+    def test_as_complex_matrix_refusals(self):
+        with pytest.raises(ValueError, match=r"^expected a 2-d matrix, got shape \(3,\)$"):
+            as_complex_matrix(np.ones(3, dtype=np.complex128))
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            as_complex_matrix(np.array([[1.0, np.nan]], dtype=np.complex128))
+
     def test_tolerances_validated(self):
         with pytest.raises(ValueError):
             Tolerances(rank_rel=0.0)

@@ -502,6 +502,16 @@ class TestCertificates:
                                        rng=rng)
         assert rep.strict_rank_increase.passed
 
+    def test_keeps_copies_of_its_projectors(self):
+        given = [np.eye(2, dtype=np.complex128), np.diag([1.0, 0.0]).astype(np.complex128)]
+        before = [P.copy() for P in given]
+        cert = BlockCertificate((given[0],), (given[1],))
+        for P, Q in zip(given, before):
+            assert P.flags.writeable and np.array_equal(P, Q)
+        for P in cert.input_projectors + cert.output_projectors:
+            assert not P.flags.writeable
+            assert not any(np.shares_memory(P, Q) for Q in given)
+
     def test_dimension_mismatch_raises(self):
         rng = np.random.default_rng(25)
         T = fixtures.random_cp_map(3, 3, rng)

@@ -1,6 +1,7 @@
 """Alternating scaling loop: invariants, verdicts, progress measure."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,15 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opscale import fixtures, numkernel, scaling
+from opscale.matcomb import NonnegPattern, has_support, has_total_support
 from opscale.numkernel import (NotPositiveDefinite, NumericalFailure, Tolerances,
                                as_complex_matrix, frob, kron)
 from opscale.posmap import (BlockCertificate, ChoiMap, haar_unitary,
-                            is_doubly_stochastic, verify_block_certificate)
+                            is_doubly_stochastic, pattern_matrix,
+                            verify_block_certificate)
 from opscale.scaling import (VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
                              VERDICT_NO_SUPPORT, VERDICT_PRECONDITION,
                              CommutationReport, IterationRecord,
                              PreconditionFailed, block_commutation_check, init,
-                             run, step)
+                             ds_slack, run, step)
 from test_fnf import FLOOR_TOL, floor_crossing_state
 from test_posmap import classical_lift
 
@@ -683,3 +686,54 @@ class TestUpdateBitForBit:
         with pytest.raises(NumericalFailure) as exc:
             run(T, divergence_logdet=math.inf)
         assert str(exc.value) == message
+
+
+def patterns(k, m):
+    """Every k x m 0/1 pattern."""
+    for bits in itertools.product((0.0, 1.0), repeat=k * m):
+        yield np.array(bits).reshape(k, m)
+
+
+def rotated_classical_map(A, rng):
+    """The map of the k x m nonnegative pattern A in matcomb's orientation,
+    ``X -> sum_ij A[i, j] X[i, i] E_jj``, rotated to ``X -> V T(U X U*) V*``
+    by Haar unitaries U and V.  A product rotation is an equivalence, so the
+    rotated map scales to doubly stochastic exactly when the unrotated one
+    does, and that one is A's classical scaling problem."""
+    k, m = A.shape
+    T = ChoiMap(k, m, classical_lift(A.T), check_positivity=False)
+    mask = pattern_matrix(T, np.eye(k), np.eye(m)).nonzero_mask()
+    assert np.array_equal(mask, A > 0)
+    return T.conjugated(haar_unitary(k, rng), haar_unitary(m, rng))
+
+
+class TestRotatedClassicalMaps:
+    """matcomb's exact verdict on a pattern is the oracle for the scaling
+    verdict of its rotated classical map."""
+
+    @pytest.mark.parametrize("k, m", itertools.product(range(1, 4), repeat=2))
+    def test_verdict_follows_total_support(self, k, m):
+        rng = np.random.default_rng([31, k, m])
+        converged = 0
+        for A in patterns(k, m):
+            T = rotated_classical_map(A, rng)
+            if has_total_support(NonnegPattern(A)):
+                report = run(T, TOL)
+                assert report.verdict == VERDICT_CONVERGED
+                assert is_doubly_stochastic(report.ds_map, ds_slack(TOL))
+                converged += 1
+                continue
+            # Without total support no exact scaling exists.  Without support
+            # the run may still refuse instead of reporting it (ROADMAP item 5).
+            try:
+                assert run(T, TOL, max_iter=50).verdict != VERDICT_CONVERGED
+            except NumericalFailure:
+                pass
+        assert converged > 0
+
+    @pytest.mark.parametrize("k, m", [(k, m) for k in range(1, 13) for m in range(1, 13)
+                                      if k * m <= 12 and math.gcd(k, m) == 1])
+    def test_coprime_support_is_total_support(self, k, m):
+        for A in patterns(k, m):
+            pattern = NonnegPattern(A)
+            assert bool(has_total_support(pattern)) == bool(has_support(pattern))
