@@ -139,7 +139,8 @@ def _to_json(value):
 def _add_run_limits(sub):
     sub.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     sub.add_argument("--divergence", type=float, default=None,
-                     help="log-determinant divergence threshold (default 50*k*m)")
+                     help="divergence threshold on the log-determinant's growth "
+                          "since iterate 0 (default 50*k*m)")
 
 
 def _add_common(sub, batch: bool = False):

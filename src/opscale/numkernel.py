@@ -160,14 +160,18 @@ def _require_square(M, what="matrix") -> np.ndarray:
 
 
 def herm_eig(H) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, decomposed as given.
 
     Returns ``(w, V)`` with eigenvalues ``w`` real and descending and ``V``
     unitary such that ``H = V diag(w) V*``.  Raises NumericalFailure when the
     solver does not converge or the reconstruction residual is out of
-    contract.
+    contract.  The solver reads one triangle of H, so the residual measures
+    H's anti-Hermitian part too: an H that is not Hermitian within the
+    contract is refused.  The code that forms H symmetrizes it, once:
+    :func:`rank_tol` for the matrices it is handed, the scaling step with
+    :func:`hermitian_part` for its marginals.
     """
-    H = hermitian_part(_require_square(H, "herm_eig input"))
+    H = _require_square(H, "herm_eig input")
     dim = H.shape[0]
     if dim == 0:
         raise ValueError("herm_eig of an empty matrix")
@@ -209,9 +213,8 @@ def pd_inv_sqrt(H, tol: Tolerances = DEFAULT_TOL,
     never clamped.  The residual ``S H S - I`` grows like machine epsilon
     times the condition number of H, so its contract scales with that number
     and the floor alone decides which matrices are accepted.  ``what`` names
-    H in the error messages.  The residual takes H as given, without a
-    second symmetrization, so H must be Hermitian, as every caller's is: an
-    anti-Hermitian part would show in the residual.
+    H in the error messages.  H must be Hermitian, as the scaling step's
+    marginals are: :func:`herm_eig` refuses one that is not.
     """
     H = np.asarray(H, dtype=np.complex128)
     w, V = herm_eig(H)
@@ -289,7 +292,10 @@ def spectral_rank(w, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def rank_tol(H, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Rank of a Hermitian matrix by :func:`spectral_rank`."""
+    """Rank of the Hermitian part of a square matrix by :func:`spectral_rank`.
+    It symmetrizes H before :func:`herm_eig` decomposes it, so a caller's
+    projector or image need not be Hermitian to the last bit."""
+    H = hermitian_part(_require_square(H, "herm_eig input"))
     return spectral_rank(herm_eig(H)[0], tol)
 
 

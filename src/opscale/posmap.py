@@ -46,7 +46,7 @@ from .numkernel import (DEFAULT_TOL, Tolerances, as_complex_matrix, frob,
                         hermitian_part, hermitian_storage, kron, psd_storage,
                         rank_tol)
 
-_POSITIVITY_REL = 1e-8    # allowed negative eigenvalue in images T(v v*)
+_POSITIVITY_REL = 1e-8    # allowed negative eigenvalue of T(v v*), times ||C||_F
 _POSITIVITY_TRIALS = 200
 _CHECK_SEED = 42
 
@@ -60,18 +60,20 @@ def _storage_proves_positivity(C: np.ndarray) -> bool:
 
     For a unit vector v, ``T(v v*) = (v (x) Id)* C (v (x) Id)`` has smallest
     eigenvalue at least ``lambda_min(C)``.  If the Cholesky factorization of
-    ``A = C + delta*Id`` with ``delta = _POSITIVITY_REL / 2`` succeeds, its
-    computed factor R satisfies ``R* R = A + E`` with
+    ``A = C + delta*Id`` with ``delta = _POSITIVITY_REL * ||C||_F / 2``
+    succeeds, its computed factor R satisfies ``R* R = A + E`` with
     ``|E| <= gamma_(n+1) |R*| |R|`` (Higham, Accuracy and Stability of
     Numerical Algorithms, Thm. 10.3), so ``lambda_min(C) >= -delta - ||E||_2``
     where ``||E||_2 <= gamma_(n+1) ||R||_F^2`` is about ``(n + 1) * eps/2 * tr(A)``.
     The proof counts when twice that bound, ``(n + 1) * eps * tr(A)``, stays
-    below the other half of ``_POSITIVITY_REL``: every image then has all
-    eigenvalues above ``-_POSITIVITY_REL``, the least negative floor the
-    sampled check can use.  Draws no random numbers.
+    below the other half, ``delta``: every image then has all eigenvalues
+    above ``-_POSITIVITY_REL * ||C||_F``, the sampled check's floor.  Both
+    sides scale with C, so ``c * C`` gets C's verdict for every c > 0,
+    up to rounding.
+    Draws no random numbers.
     """
     n = C.shape[0]
-    delta = 0.5 * _POSITIVITY_REL
+    delta = 0.5 * _POSITIVITY_REL * frob(C)
     A = C.copy()
     A[np.diag_indices(n)] += delta
     try:
@@ -103,8 +105,9 @@ class ChoiMap:
     read-only.  Unless ``check_positivity`` is disabled, construction checks
     positivity: one Cholesky factorization proves it when the storage is
     positive semidefinite within tolerance.  Otherwise ``T(v v*)`` is sampled
-    for random unit vectors and the map is rejected on a negative eigenvalue
-    beyond tolerance.  Only the sampling draws from ``rng``.
+    for random unit vectors and the map is rejected on an eigenvalue below
+    ``-1e-8`` times the storage's Frobenius norm.  Only the sampling draws
+    from ``rng``.
     """
 
     def __init__(self, k: int, m: int, choi, *, check_positivity: bool = True,
@@ -119,10 +122,10 @@ class ChoiMap:
 
     def _sampled_positivity_check(self, rng: np.random.Generator | None):
         rng = rng if rng is not None else np.random.default_rng(_CHECK_SEED)
+        floor = -_POSITIVITY_REL * frob(self.choi)
         for _ in range(_POSITIVITY_TRIALS):
             v = random_unit_vector(self.k, rng)
             w = np.linalg.eigvalsh(hermitian_part(self.apply(np.outer(v, v.conj()))))
-            floor = -_POSITIVITY_REL * max(1.0, float(w[-1]))
             if w[0] < floor:
                 raise PositivityViolation(
                     f"map sent a rank-one projector to eigenvalue {w[0]:.3e}")
@@ -480,7 +483,7 @@ def verify_block_certificate(T: ChoiMap, cert: BlockCertificate,
                     rx = rank_tol(X, tol)
                     if rx == 0 or rx >= rv:
                         continue
-                    if not rx * rw < rank_tol(hermitian_part(T.apply(X)), tol) * rv:
+                    if not rx * rw < rank_tol(T.apply(X), tol) * rv:
                         return False
         return True
 

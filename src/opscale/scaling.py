@@ -212,7 +212,8 @@ class ScalingReport:
 
     ``verdict`` is one of converged-ds, no-support-numerical,
     max-iter-inconclusive, precondition-failed.  The no-support verdict is a
-    divergence heuristic (log-determinant past the threshold), not a proof.
+    divergence heuristic (log-determinant growth past the threshold), not a
+    proof.
     On convergence ``ds_map`` is the scaled map, built from the final filter
     pair.
     """
@@ -237,16 +238,22 @@ def run(T: ChoiMap, tol: Tolerances = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_I
         divergence_logdet: float | None = None,
         keep_history: bool = True) -> ScalingReport:
     """Iterate until both marginal residuals drop to ``tol.conv_eps``, the
-    log-determinant exceeds the divergence threshold (default ``50 * k * m``),
-    or ``max_iter`` is hit.  Raises only the update's NumericalFailure."""
+    log-determinant's growth since iterate 0 exceeds the divergence threshold
+    (default ``50 * k * m``), or ``max_iter`` is hit.  The test reads growth,
+    not the log-determinant itself, which scaling T by c shifts by
+    ``-(k m / 2) log c`` at every iterate.  Raises only the update's
+    NumericalFailure."""
     threshold = 50.0 * T.k * T.m if divergence_logdet is None else float(divergence_logdet)
     history: list[IterationRecord] = []
     try:
         for state in _iterates(T, tol, max_iter):
+            if state.n == 0:
+                start = state.logdet
             if keep_history:
                 history.append(IterationRecord(state.n, state.in_residual,
                                                state.out_residual, state.logdet))
-            if state.logdet > threshold:
+            growth = state.logdet - start
+            if growth > threshold:
                 break
     except PreconditionFailed as exc:
         return ScalingReport(
@@ -256,9 +263,9 @@ def run(T: ChoiMap, tol: Tolerances = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_I
     verdict, reason, ds_map = VERDICT_CONVERGED, None, None
     if _converged(state, tol):
         ds_map = T.conjugated(state.in_filter, state.out_filter)
-    elif state.logdet > threshold:
+    elif growth > threshold:
         verdict = VERDICT_NO_SUPPORT
-        reason = f"log-determinant {state.logdet:.3f} exceeded {threshold:.3f}"
+        reason = f"log-determinant growth {growth:.3f} exceeded {threshold:.3f}"
     else:
         verdict = VERDICT_INCONCLUSIVE
         reason = f"residuals above {tol.conv_eps:g} after {max_iter} iterations"

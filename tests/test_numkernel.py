@@ -181,7 +181,8 @@ class TestPdInvSqrt:
 
 
 def reference_herm_eig(H):
-    """herm_eig as written before it dropped its copies, with numpy's norm."""
+    """herm_eig of H's Hermitian part as written before it dropped its copies
+    and its symmetrization, with numpy's norm."""
     H = hermitian_part(np.asarray(H, dtype=np.complex128))
     w, V = np.linalg.eigh(H)
     w = w[::-1].copy()
@@ -265,11 +266,18 @@ class TestKernelsBitForBit:
 
     @pytest.mark.parametrize("dim", range(1, 9))
     def test_herm_eig(self, dim):
+        # herm_eig decomposes H as given and refuses a non-Hermitian one;
+        # rank_tol and every other caller symmetrize first.
         rng = np.random.default_rng([21, dim])
         for trial in range(25):
             H = random_complex(rng, dim, dim) if trial % 5 == 0 else random_hermitian(rng, dim)
-            w, V = herm_eig(H)
             w0, V0 = reference_herm_eig(H)
+            if trial % 5 == 0:
+                with pytest.raises(NumericalFailure, match="^eigendecomposition residual"):
+                    herm_eig(H)
+                assert rank_tol(H) == spectral_rank(w0)
+                H = hermitian_part(H)
+            w, V = herm_eig(H)
             assert np.array_equal(w, w0) and np.array_equal(V, V0)
 
     @pytest.mark.parametrize("dim", range(1, 9))

@@ -91,8 +91,7 @@ class TestPositivityProof:
 
     @pytest.mark.parametrize("storage", [
         fixtures.identity_map(3).choi,      # swap operator: not PSD
-        1e8 * np.eye(9),                    # PSD, but past the rounding bound
-    ], ids=["identity", "huge-trace"])
+    ], ids=["identity"])
     def test_falls_back_to_sampling(self, monkeypatch, storage):
         calls = _count_samples(monkeypatch)
         T = ChoiMap(3, 3, storage)
@@ -112,13 +111,40 @@ class TestPositivityProof:
         rng = np.random.default_rng(seed)
         n = k * m
         G = random_complex(rng, n, min(rank, n))
-        C = scale * (G @ G.conj().T) / n - t * np.eye(n)
+        P = (G @ G.conj().T) / n
+        C = scale * (P - t * frob(P) * np.eye(n))
         T = ChoiMap(k, m, C, check_positivity=False)
         proved = posmap._storage_proves_positivity(T.choi)
-        if rank < n and t > 0.6e-8:     # lambda_min(C) = -t, below the shift
+        # lambda_min(C) = -t * scale * ||P||, about -t * ||C||: below the shift
+        if rank < n and t > 0.6e-8:
             assert not proved
         if proved:
             T._sampled_positivity_check(rng)
+
+    @pytest.mark.parametrize("c", [1e-10, 2.0 ** -200], ids=["1e-10", "2**-200"])
+    def test_a_small_negative_map_is_refused(self, c):
+        # X -> -c X: every image is negative, however small c is
+        with pytest.raises(PositivityViolation):
+            ChoiMap(2, 2, -c * fixtures.identity_map(2).choi)
+
+    @pytest.mark.parametrize("e", [-200, -100, 100, 200])
+    def test_scaled_storage_gets_the_same_verdict(self, e):
+        # (k, m, storage, proved by Cholesky, accepted)
+        cases = [(2, 3, fixtures.random_cp_map(2, 3, np.random.default_rng(14)).choi,
+                  True, True),
+                 (2, 2, np.diag([1.0, 1.0, 1.0, -1e-9]), True, True),
+                 (3, 3, fixtures.identity_map(3).choi, False, True),
+                 (2, 2, -fixtures.identity_map(2).choi, False, False)]
+        for k, m, C, proved, accepted in cases:
+            for storage in (C, 2.0 ** e * C):
+                T = ChoiMap(k, m, storage, check_positivity=False)
+                assert posmap._storage_proves_positivity(T.choi) == proved
+                try:
+                    ChoiMap(k, m, storage)
+                except PositivityViolation:
+                    assert not accepted
+                else:
+                    assert accepted
 
 
 class TestApplyConventions:

@@ -170,7 +170,7 @@ class TestRun:
     def test_no_support_fixture_diverges(self):
         report = run(fixtures.no_support_map(), max_iter=10000)
         assert report.verdict == VERDICT_NO_SUPPORT
-        assert report.logdet > 50.0 * 9
+        assert report.logdet - report.history[0].logdet > 50.0 * 9
         assert report.ds_map is None
         assert "exceeded" in report.failure_reason
 
@@ -179,6 +179,17 @@ class TestRun:
         early = report.iterations
         assert report.verdict == VERDICT_NO_SUPPORT
         assert early < run(fixtures.no_support_map()).iterations
+
+    @pytest.mark.parametrize("e", [-200, -100, 100, 200])
+    def test_verdict_does_not_depend_on_the_scale_of_the_map(self, e):
+        # c * T shifts every iterate's log-determinant by -(km/2) log c, and
+        # the divergence test reads its growth.
+        maps = [fixtures.random_cp_map(k, m, np.random.default_rng([k, m]))
+                for k, m in ((2, 2), (2, 3), (3, 2))] + [fixtures.no_support_map()]
+        for T in maps:
+            want = run(T, keep_history=False)
+            got = run(ChoiMap(T.k, T.m, 2.0 ** e * T.choi), keep_history=False)
+            assert (got.verdict, got.iterations) == (want.verdict, want.iterations)
 
     def test_ill_conditioned_marginals_scale(self):
         # T(Id) and T*(Id) with condition numbers of 1e6 to 1e8, well inside
@@ -233,12 +244,14 @@ class TestRun:
 def reference_run(T, tol=TOL, max_iter=10000, divergence_logdet=None,
                   keep_history=True):
     """``run``'s outcome from a hand-rolled ``init``/``step`` loop: stop when
-    converged, diverged or capped, tested in that order on every iterate."""
+    converged, diverged (log-determinant growth since iterate 0 past the
+    threshold) or capped, tested in that order on every iterate."""
     threshold = 50.0 * T.k * T.m if divergence_logdet is None else divergence_logdet
     try:
         state = init(T, tol)
     except PreconditionFailed as exc:
         return VERDICT_PRECONDITION, 0, None, None, None, None, (), str(exc)
+    start = state.logdet
     history = []
     while True:
         if keep_history:
@@ -247,9 +260,10 @@ def reference_run(T, tol=TOL, max_iter=10000, divergence_logdet=None,
         if max(state.in_residual, state.out_residual) <= tol.conv_eps:
             verdict, reason = VERDICT_CONVERGED, None
             break
-        if state.logdet > threshold:
+        if state.logdet - start > threshold:
             verdict = VERDICT_NO_SUPPORT
-            reason = f"log-determinant {state.logdet:.3f} exceeded {threshold:.3f}"
+            reason = (f"log-determinant growth {state.logdet - start:.3f} "
+                      f"exceeded {threshold:.3f}")
             break
         if state.n >= max_iter:
             verdict = VERDICT_INCONCLUSIVE
