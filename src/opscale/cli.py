@@ -43,8 +43,8 @@ from .matcomb import (NonnegPattern, SizeGuardError, has_support,
                       has_total_support_bruteforce)
 from .numkernel import (NumericalFailure, Tolerances, frob, kron, realign,
                         unrealign)
-from .posmap import (BlockCertificate, is_doubly_stochastic, pattern_matrix,
-                     verify_block_certificate)
+from .posmap import (BlockCertificate, FilteredMap, is_doubly_stochastic,
+                     pattern_matrix, verify_block_certificate)
 from .scaling import (DEFAULT_MAX_ITER, VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
                       VERDICT_NO_SUPPORT, VERDICT_PRECONDITION,
                       block_commutation_check, ds_slack, run)
@@ -233,7 +233,9 @@ def _scale_job(path: str, args, seed: int, tol: Tolerances,
     report.update({"input": path, "k": T.k, "m": T.m})
     report.update(_scaling_obj(result))
     if result.converged:
-        check = is_doubly_stochastic(result.ds_map, ds_slack(tol))
+        # Two applies through the filters; ds_map's storage is never built.
+        scaled = FilteredMap(T, result.in_filter, result.out_filter)
+        check = is_doubly_stochastic(scaled, ds_slack(tol))
         report["ds_check"] = _to_json(check)
     if history_path:
         atomic_write_json(history_path, {"input": path,
@@ -388,9 +390,11 @@ def _selftest_checks(seed: int, tol: Tolerances):
 
     def check_boundary_scaling():
         strict = Tolerances(conv_eps=1e-8)
-        rep = run(fixtures.boundary_map(), strict, max_iter=5000)
+        T = fixtures.boundary_map()
+        rep = run(T, strict, max_iter=5000)
         return rep.converged and is_doubly_stochastic(
-            rep.ds_map, ds_slack(strict)).is_doubly_stochastic
+            FilteredMap(T, rep.in_filter, rep.out_filter),
+            ds_slack(strict)).is_doubly_stochastic
 
     def check_no_support_divergence():
         rep = run(fixtures.no_support_map(), tol)

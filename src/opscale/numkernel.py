@@ -115,7 +115,10 @@ def hermitian_storage(k, m, data, what: str) -> np.ndarray:
     """The read-only, symmetrized copy of ``data`` as the Hermitian storage
     of a ``k x m`` pair, called ``what`` in the error messages.  Refuses
     with ValueError dimensions that are not integers of at least 1, a shape
-    other than ``km x km``, and a Hermiticity defect above 1e-8 of the norm."""
+    other than ``km x km``, and a Hermiticity defect ``||C - C*||_F`` above
+    1e-8 of the norm ``||C||_F``.  Rounding a Hermitian matrix's entries
+    leaves a defect of a few eps times ``||C||_F``, far below the limit, and
+    both sides scale with C, so ``c * C`` gets C's verdict for every c > 0."""
     if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
                for d in (k, m)):
         raise ValueError(f"dimensions must be integers, got k={k!r}, m={m!r}")
@@ -126,7 +129,7 @@ def hermitian_storage(k, m, data, what: str) -> np.ndarray:
     if C.shape != (n, n):
         raise ValueError(f"{what} must be {(n, n)}, got {C.shape}")
     defect = frob(C - C.conj().T)
-    if defect > 1e-8 * max(1.0, frob(C)):
+    if defect > 1e-8 * frob(C):
         raise ValueError(f"{what} is not Hermitian: defect {defect:.3e}")
     C = hermitian_part(C)
     C.setflags(write=False)

@@ -97,6 +97,15 @@ def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _filters(T, P, Q) -> tuple[np.ndarray, np.ndarray]:
+    """The checked input and output filters of a conjugation of T."""
+    P = as_complex_matrix(P)
+    Q = as_complex_matrix(Q)
+    if P.shape != (T.k, T.k) or Q.shape != (T.m, T.m):
+        raise ValueError("conjugation filters have wrong shapes")
+    return P, Q
+
+
 class ChoiMap:
     """A positive map ``M_k -> M_m`` in the block storage described above.
 
@@ -164,12 +173,10 @@ class ChoiMap:
 
         In block storage this is the congruence of the storage matrix by
         ``kron(P*, Q)``, which is how equivalence transformations transport
-        to induced maps.
+        to induced maps.  :class:`FilteredMap` applies the same map without
+        building the storage.
         """
-        P = as_complex_matrix(P)
-        Q = as_complex_matrix(Q)
-        if P.shape != (self.k, self.k) or Q.shape != (self.m, self.m):
-            raise ValueError("conjugation filters have wrong shapes")
+        P, Q = _filters(self, P, Q)
         W = kron(P.conj().T, Q)
         return ChoiMap(self.k, self.m, W @ self.choi @ W.conj().T,
                        check_positivity=False)
@@ -191,6 +198,27 @@ class ChoiMap:
         return ChoiMap(n, n, lifted.reshape(n * n, n * n), check_positivity=False)
 
 
+class FilteredMap:
+    """The map ``X -> Q T(P X P*) Q*`` of :meth:`ChoiMap.conjugated`, kept as
+    T and the two filters.  Each apply, and each adjoint
+    ``Z -> P* T*(Q* Z Q) P``, is one apply of T and four products; no
+    storage is built.  T is used only through ``k``, ``m``, ``apply`` and
+    ``apply_adjoint``."""
+
+    def __init__(self, T, P, Q):
+        self.k, self.m = T.k, T.m
+        self._T = T
+        self._P, self._Q = _filters(T, P, Q)
+
+    def apply(self, X) -> np.ndarray:
+        P, Q = self._P, self._Q
+        return Q @ self._T.apply(P @ X @ P.conj().T) @ Q.conj().T
+
+    def apply_adjoint(self, Z) -> np.ndarray:
+        P, Q = self._P, self._Q
+        return P.conj().T @ self._T.apply_adjoint(Q.conj().T @ Z @ Q) @ P
+
+
 @dataclass(frozen=True)
 class DsCheck:
     is_doubly_stochastic: bool
@@ -203,7 +231,9 @@ class DsCheck:
 
 def is_doubly_stochastic(T: ChoiMap, eps: float) -> DsCheck:
     """T is doubly stochastic when T(Id/sqrt(k)) = Id/sqrt(m) and
-    T*(Id/sqrt(m)) = Id/sqrt(k); both defects are measured in Frobenius norm."""
+    T*(Id/sqrt(m)) = Id/sqrt(k); both defects are measured in Frobenius norm.
+    T is used only through ``k``, ``m``, ``apply`` and ``apply_adjoint``, so a
+    :class:`FilteredMap` is checked with two applies of its map."""
     k, m = T.k, T.m
     fwd = frob(T.apply(np.eye(k) / np.sqrt(k)) - np.eye(m) / np.sqrt(m))
     adj = frob(T.apply_adjoint(np.eye(m) / np.sqrt(m)) - np.eye(k) / np.sqrt(k))
@@ -426,7 +456,9 @@ def certificate_admissibility(T: ChoiMap, cert: BlockCertificate, defect_tol: fl
                               samples: int = 20, rng: np.random.Generator | None = None):
     """The ``decomposition`` and ``invariance`` conditions of a certificate
     for T: structure defect at most ``1e-10 * max(k, m)``, and
-    :func:`invariance_defect` at most ``defect_tol * max(1, ||storage||)``.
+    :func:`invariance_defect` at most ``defect_tol * ||storage||_F``.  The
+    defect is linear in T and the limit scales with it, so ``c * T`` gets
+    T's verdict for every c > 0.
     Raises ValueError when the certificate's dimensions do not match T."""
     if cert.input_projectors[0].shape[0] != T.k or cert.output_projectors[0].shape[0] != T.m:
         raise ValueError("certificate dimensions do not match the map")
@@ -437,7 +469,7 @@ def certificate_admissibility(T: ChoiMap, cert: BlockCertificate, defect_tol: fl
         worst_defect=float(sdef))
     idef = invariance_defect(T, cert, samples=samples, rng=rng)
     invariance = CertificateCondition(
-        passed=bool(idef <= defect_tol * max(1.0, frob(T.choi))), sampled=True,
+        passed=bool(idef <= defect_tol * frob(T.choi)), sampled=True,
         detail="each input block maps into the matching output block",
         worst_defect=float(idef))
     return decomposition, invariance

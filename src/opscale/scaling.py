@@ -17,16 +17,16 @@ and a divergence stop, ``block_commutation_check`` with a commutator test.
 
 ``init``, ``step`` and ``run`` use the map only through its dimensions
 ``k`` and ``m`` and its methods ``apply`` (``M_k -> M_m``) and
-``apply_adjoint`` (``M_m -> M_k``); ``run`` also calls
-``conjugated(in_filter, out_filter)`` to build the final ``ds_map``.  Any
-object with those members can be scaled, without a dense storage.
+``apply_adjoint`` (``M_m -> M_k``), so any object with those members can be
+scaled, without a dense storage.  A converged report's ``ds_map`` calls
+``conjugated(in_filter, out_filter)`` only when it is read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -214,8 +214,11 @@ class ScalingReport:
     max-iter-inconclusive, precondition-failed.  The no-support verdict is a
     divergence heuristic (log-determinant growth past the threshold), not a
     proof.
-    On convergence ``ds_map`` is the scaled map, built from the final filter
-    pair.
+    On convergence ``ds_map`` is the scaled map
+    ``T.conjugated(in_filter, out_filter)``, built on its first read and kept;
+    otherwise it is None.  Reading it raises AttributeError when the scaled
+    object has no ``conjugated``.  ``run`` hands the report the map for that
+    read, which drops it; it is neither compared nor shown in the repr.
     """
 
     verdict: str
@@ -225,13 +228,23 @@ class ScalingReport:
     logdet: float | None
     in_filter: np.ndarray | None
     out_filter: np.ndarray | None
-    ds_map: ChoiMap | None
     history: tuple[IterationRecord, ...]
     failure_reason: str | None = None
+    _map: ChoiMap | None = field(default=None, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
         return self.verdict == VERDICT_CONVERGED
+
+    @functools.cached_property
+    def ds_map(self) -> ChoiMap | None:
+        if not self.converged:
+            return None
+        ds_map = self._map.conjugated(self.in_filter, self.out_filter)
+        # The map is needed for this one read only: do not keep it, or its
+        # storage, alive as long as the report.
+        object.__setattr__(self, "_map", None)
+        return ds_map
 
 
 def run(T: ChoiMap, tol: Tolerances = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
@@ -259,10 +272,9 @@ def run(T: ChoiMap, tol: Tolerances = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_I
         return ScalingReport(
             verdict=VERDICT_PRECONDITION, iterations=0, in_residual=None,
             out_residual=None, logdet=None, in_filter=None, out_filter=None,
-            ds_map=None, history=(), failure_reason=str(exc))
-    verdict, reason, ds_map = VERDICT_CONVERGED, None, None
+            history=(), failure_reason=str(exc))
     if _converged(state, tol):
-        ds_map = T.conjugated(state.in_filter, state.out_filter)
+        verdict, reason = VERDICT_CONVERGED, None
     elif growth > threshold:
         verdict = VERDICT_NO_SUPPORT
         reason = f"log-determinant growth {growth:.3f} exceeded {threshold:.3f}"
@@ -272,8 +284,8 @@ def run(T: ChoiMap, tol: Tolerances = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_I
     return ScalingReport(
         verdict=verdict, iterations=state.n, in_residual=state.in_residual,
         out_residual=state.out_residual, logdet=state.logdet,
-        in_filter=state.in_filter, out_filter=state.out_filter, ds_map=ds_map,
-        history=tuple(history), failure_reason=reason)
+        in_filter=state.in_filter, out_filter=state.out_filter,
+        history=tuple(history), failure_reason=reason, _map=T)
 
 
 @dataclass(frozen=True)

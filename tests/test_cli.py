@@ -23,7 +23,7 @@ from opscale.io import (ValidationError, atomic_write_json, load_json,
                         map_to_obj, matrix_to_obj, obj_to_matrix,
                         parse_pattern_matrix, parse_state, state_to_obj)
 from opscale.numkernel import frob
-from opscale.posmap import haar_unitary
+from opscale.posmap import ChoiMap, haar_unitary
 from test_fnf import floor_crossing_state, near_psd_state, overflowing_state
 from test_scaling import trace_to_corner_map
 
@@ -521,6 +521,21 @@ class TestScaleCommand:
         code, rep = run_cli_json(capsys, "scale", str(slow), "--max-iter", "1")
         assert code == 4
         assert rep["verdict"] == "max-iter-inconclusive"
+
+    def test_builds_no_scaled_storage(self, capsys, workspace, monkeypatch):
+        calls, conjugated = [], ChoiMap.conjugated
+
+        def counted(self, P, Q):
+            calls.append((self.k, self.m))
+            return conjugated(self, P, Q)
+        monkeypatch.setattr(ChoiMap, "conjugated", counted)
+        code, rep = run_cli_json(capsys, "scale", str(workspace["map"]))
+        assert code == 0 and rep["ds_check"]["is_doubly_stochastic"] is True
+        assert calls == []
+        # fnf reads ds_map, the filtered state, so the count is live.
+        assert run_cli_json(capsys, "fnf", str(workspace["state"]),
+                            "--out", str(workspace["dir"] / "f"))[0] == 0
+        assert calls == [(2, 3)]
 
     def test_history_file(self, capsys, workspace, tmp_path):
         hist = tmp_path / "hist.json"

@@ -14,6 +14,7 @@ from opscale.numkernel import (DEFAULT_TOL, NotPositiveDefinite,
                                kron, partial_trace_first, partial_trace_second,
                                pd_inv_sqrt, rank_tol, realign, spectral_rank,
                                svd, unrealign)
+from opscale.posmap import ChoiMap
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -103,6 +104,13 @@ class TestHermitianStorage:
         C[0, 1] = 1.0
         with pytest.raises(ValueError, match="is not Hermitian"):
             hermitian_storage(2, 2, C, "storage")
+
+    def test_a_small_non_hermitian_storage_is_refused(self):
+        rng = np.random.default_rng(0)
+        G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        for c in (1.0, 1e-10):
+            with pytest.raises(ValueError, match="is not Hermitian"):
+                ChoiMap(2, 2, c * G, check_positivity=False)
 
     def test_shape_message_with_numpy_integer_dimensions(self):
         with pytest.raises(ValueError, match=r"^storage must be \(6, 6\), got \(4, 4\)$"):

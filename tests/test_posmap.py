@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from opscale import fixtures, posmap
 from opscale.numkernel import (Tolerances, frob, kron, partial_trace_first,
                                partial_trace_second)
-from opscale.posmap import (BlockCertificate, ChoiMap, PositivityViolation,
-                            from_state, haar_unitary, invariance_defect,
+from opscale.posmap import (BlockCertificate, ChoiMap, FilteredMap,
+                            PositivityViolation, from_state, haar_unitary, invariance_defect,
                             is_doubly_stochastic, pattern_matrix,
                             sampled_support_falsifier,
                             verify_block_certificate)
@@ -344,6 +344,25 @@ class TestConjugation:
             want = Q @ T.apply(P @ X @ P.conj().T) @ Q.conj().T
             assert frob(S.apply(X) - want) < 1e-10 * max(1.0, frob(want))
 
+    def test_filtered_map_applies_the_conjugated_map(self):
+        # FilteredMap(T, P, Q) is conjugated(P, Q) without its storage, both ways
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            k = int(rng.integers(1, 4))
+            m = int(rng.integers(1, 4))
+            T = fixtures.random_cp_map(k, m, rng)
+            P = random_complex(rng, k, k)
+            Q = random_complex(rng, m, m)
+            S, F = T.conjugated(P, Q), FilteredMap(T, P, Q)
+            assert (F.k, F.m) == (k, m)
+            X = random_complex(rng, k, k)
+            Z = random_complex(rng, m, m)
+            for got, want in ((F.apply(X), S.apply(X)),
+                              (F.apply_adjoint(Z), S.apply_adjoint(Z))):
+                assert frob(got - want) < 1e-10 * max(1.0, frob(want))
+        with pytest.raises(ValueError, match="wrong shapes"):
+            FilteredMap(T, np.eye(k + 1), np.eye(m))
+
     def test_unitary_conjugation_preserves_ds(self):
         rng = np.random.default_rng(9)
         T = fixtures.trace_ds_map(3, 3)
@@ -495,6 +514,15 @@ class TestCertificates:
         assert not rep.invariance.passed
         assert not rep.passed
         assert invariance_defect(T, cert, rng=rng) > 1e-3
+
+    def test_invariance_fails_for_a_small_unstructured_map(self):
+        rng = np.random.default_rng(22)
+        _, cert = fixtures.direct_sum_map(
+            [fixtures.random_cp_map(2, 2, rng), fixtures.random_cp_map(1, 1, rng)])
+        T = fixtures.random_cp_map(3, 3, rng)
+        small = ChoiMap(3, 3, 1e-10 * T.choi, check_positivity=False)
+        for S in (T, small):
+            assert not verify_block_certificate(S, cert, rng=rng).invariance.passed
 
     def test_decomposition_fails_for_non_projectors(self):
         rng = np.random.default_rng(23)

@@ -13,8 +13,8 @@ from opscale import fixtures, numkernel, scaling
 from opscale.matcomb import NonnegPattern, has_support, has_total_support
 from opscale.numkernel import (NotPositiveDefinite, NumericalFailure, Tolerances,
                                as_complex_matrix, frob, kron)
-from opscale.posmap import (BlockCertificate, ChoiMap, haar_unitary,
-                            is_doubly_stochastic, pattern_matrix,
+from opscale.posmap import (BlockCertificate, ChoiMap, FilteredMap,
+                            haar_unitary, is_doubly_stochastic, pattern_matrix,
                             verify_block_certificate)
 from opscale.scaling import (VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
                              VERDICT_NO_SUPPORT, VERDICT_PRECONDITION,
@@ -377,6 +377,94 @@ class TestOperatorInterface:
         assert np.array_equal(got.in_filter, want.in_filter)
         assert np.array_equal(got.out_filter, want.out_filter)
         assert np.array_equal(got.ds_map.choi, want.ds_map.choi)
+
+
+class ApplyOnly:
+    """Exposes only the scaling protocol: ``k``, ``m``, ``apply`` and
+    ``apply_adjoint``; no ``conjugated``."""
+
+    __slots__ = ("k", "m", "_map")
+
+    def __init__(self, T):
+        self.k, self.m, self._map = T.k, T.m, T
+
+    def apply(self, X):
+        return self._map.apply(X)
+
+    def apply_adjoint(self, Y):
+        return self._map.apply_adjoint(Y)
+
+
+@pytest.fixture
+def conjugations(monkeypatch):
+    """Every ``ChoiMap.conjugated`` call, as the shapes of its filters."""
+    calls, conjugated = [], ChoiMap.conjugated
+
+    def counted(self, P, Q):
+        calls.append((np.shape(P), np.shape(Q)))
+        return conjugated(self, P, Q)
+    monkeypatch.setattr(ChoiMap, "conjugated", counted)
+    return calls
+
+
+class TestDsMapOnRead:
+    """``run`` builds no storage; ``ds_map`` is built when it is read."""
+
+    @pytest.mark.parametrize("k, m", [(1, 3), (2, 3), (4, 4), (5, 2)])
+    def test_first_read_is_the_conjugation_bit_for_bit(self, k, m, conjugations):
+        T = fixtures.random_cp_map(k, m, np.random.default_rng([k, m, 8]))
+        report = run(T)
+        assert report.converged and conjugations == []
+        got = report.ds_map
+        assert conjugations == [((k, k), (m, m))]
+        assert report._map is None    # the report drops the map once read
+        want = T.conjugated(report.in_filter, report.out_filter)
+        assert (got.k, got.m) == (k, m)
+        assert np.array_equal(got.choi, want.choi)
+        assert report.ds_map is got and len(conjugations) == 2
+
+    def test_none_unless_converged(self, conjugations):
+        T = fixtures.random_cp_map(3, 3, np.random.default_rng(3))
+        for report in (run(T, max_iter=1), run(fixtures.no_support_map()),
+                       run(trace_to_corner_map())):
+            assert not report.converged and report.ds_map is None
+        assert conjugations == []
+
+    def test_the_map_is_neither_compared_nor_shown(self):
+        report = run(fixtures.random_cp_map(2, 3, np.random.default_rng(9)))
+        assert "_map" not in repr(report) and "ChoiMap" not in repr(report)
+        assert dataclasses.replace(report, _map=None) == report
+
+    @pytest.mark.parametrize("k, m", [(1, 2), (2, 3), (3, 3), (4, 2)])
+    def test_operator_without_conjugated(self, k, m):
+        T = fixtures.random_cp_map(k, m, np.random.default_rng([k, m, 10]))
+        report = run(ApplyOnly(T))
+        assert report.converged
+        scaled = FilteredMap(ApplyOnly(T), report.in_filter, report.out_filter)
+        assert is_doubly_stochastic(scaled, ds_slack(TOL))
+        with pytest.raises(AttributeError, match="conjugated"):
+            report.ds_map
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(1, 5), m=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       max_iter=st.sampled_from([0, 1, 3, 10000]))
+def test_filtered_check_agrees_with_the_dense_check(k, m, seed, max_iter):
+    """The check through the filters gives the dense check's verdict, and
+    defects that differ by rounding: a few eps times the size of the
+    congruence, ``||P||^2 ||Q||^2 ||C||``."""
+    T = fixtures.random_cp_map(k, m, np.random.default_rng(seed))
+    report = run(T, max_iter=max_iter)
+    P, Q = report.in_filter, report.out_filter
+    dense = report.ds_map if report.converged else T.conjugated(P, Q)
+    want = is_doubly_stochastic(dense, ds_slack(TOL))
+    got = is_doubly_stochastic(FilteredMap(T, P, Q), ds_slack(TOL))
+    assert got.is_doubly_stochastic == want.is_doubly_stochastic
+    if report.converged:
+        assert got.is_doubly_stochastic
+    rounding = 16 * np.finfo(float).eps * frob(P) ** 2 * frob(Q) ** 2 * frob(T.choi)
+    assert abs(got.forward_defect - want.forward_defect) <= rounding
+    assert abs(got.adjoint_defect - want.adjoint_defect) <= rounding
 
 
 def trace_to_corner_map():
