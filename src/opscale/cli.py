@@ -314,7 +314,10 @@ def cmd_fnf(args, seed: int, tol: Tolerances) -> int:
 
 def cmd_tilde(args, seed: int, tol: Tolerances) -> int:
     T = parse_map(load_json(args.path), rng=np.random.default_rng(seed))
-    lifted = T.tilde_lift()
+    try:
+        lifted = T.tilde_lift()
+    except SizeGuardError as exc:
+        raise ValidationError(str(exc)) from exc
     out = args.out or os.path.splitext(args.path)[0] + ".tilde.json"
     report = _envelope(seed, tol)
     report.update({"input": args.path, "output": out,

@@ -38,7 +38,9 @@ import numpy as np
 
 
 class SizeGuardError(ValueError):
-    """Raised when a brute-force oracle is asked to exceed its size guard."""
+    """Raised when an input exceeds a fixed size guard: a brute-force
+    oracle's cell limit or the entry cap of :meth:`ChoiMap.tilde_lift`'s
+    storage."""
 
 
 # Exhaustive oracles enumerate subsets of rows and columns; the acceptance

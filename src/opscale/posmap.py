@@ -40,8 +40,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcomb import (NonnegPattern, TotalSupportResult, ZeroSubmatrixWitness,
-                      has_total_support)
+from .matcomb import (NonnegPattern, SizeGuardError, TotalSupportResult,
+                      ZeroSubmatrixWitness, has_total_support)
 from .numkernel import (DEFAULT_TOL, Tolerances, as_complex_matrix, frob,
                         hermitian_part, hermitian_storage, kron, psd_storage,
                         rank_tol)
@@ -49,6 +49,11 @@ from .numkernel import (DEFAULT_TOL, Tolerances, as_complex_matrix, frob,
 _POSITIVITY_REL = 1e-8    # allowed negative eigenvalue of T(v v*), times ||C||_F
 _POSITIVITY_TRIALS = 200
 _CHECK_SEED = 42
+# The lift's storage has (km)^4 entries: 2^24 complex128 (256 MiB, km <= 64),
+# and its construction holds a few more arrays of that size.
+_TILDE_MAX_ENTRIES = 1 << 24
+_INVARIANCE_REL = 1e-8    # allowed invariance defect, times ||C||_F
+_STRICT_RANK_SAMPLES = 20   # sampled PSD X per block and intermediate rank
 
 
 class PositivityViolation(ValueError):
@@ -186,15 +191,21 @@ class ChoiMap:
 
         Sends a block matrix with m x m grid of k x k blocks ``B_ij`` to
         ``kron(T(sum_i B_ii), Id_k)``.  The lift is scalable to doubly
-        stochastic exactly when the original map is.
+        stochastic exactly when the original map is.  Its storage has
+        ``(km)^4`` entries; above ``_TILDE_MAX_ENTRIES`` (km > 64) it raises
+        :class:`opscale.matcomb.SizeGuardError` before allocating any.
         """
         k, m = self.k, self.m
+        n = m * k
+        if n ** 4 > _TILDE_MAX_ENTRIES:
+            raise SizeGuardError(f"tilde lift of a {k}x{m} map needs (km)^4 = "
+                                 f"{n ** 4} storage entries, above the cap of "
+                                 f"{_TILDE_MAX_ENTRIES}")
         eye_m = np.eye(m)
         eye_k = np.eye(k)
         # [(i1,i2), (p1,p2), (j1,j2), (q1,q2)] =
         #     delta(i1,j1) * C[i2][j2][p1, q1] * delta(p2,q2)
         lifted = np.einsum("ae,bcfg,dh->abcdefgh", eye_m, self._blocks, eye_k)
-        n = m * k
         return ChoiMap(n, n, lifted.reshape(n * n, n * n), check_positivity=False)
 
 
@@ -321,21 +332,19 @@ class FalsifierReport:
 
 
 def sampled_support_falsifier(T: ChoiMap, trials: int = 20,
-                              rng: np.random.Generator | None = None,
-                              include_canonical: bool = True) -> FalsifierReport:
+                              rng: np.random.Generator | None = None) -> FalsifierReport:
     """Attack support and total support with sampled basis pairs.
 
-    Trial 0 uses the canonical bases when ``include_canonical`` is set; the
-    rest are Haar random.  Support of the induced map requires support of the
-    pattern matrix in every orthonormal basis pair, so one failing pattern is
-    a proof of failure.  One :func:`has_total_support` call per trial decides
+    Trial 0 uses the canonical bases; the rest are Haar random.  Support of
+    the induced map requires support of the pattern matrix in every
+    orthonormal basis pair, so one failing pattern is a proof of failure.  One :func:`has_total_support` call per trial decides
     both: its result's ``support`` is the support verdict of the same flow.
     """
     rng = rng if rng is not None else np.random.default_rng(_CHECK_SEED)
     support_cex = None
     total_cex = None
     for trial in range(trials):
-        canonical = include_canonical and trial == 0
+        canonical = trial == 0
         if canonical:
             V, W = np.eye(T.k, dtype=complex), np.eye(T.m, dtype=complex)
         else:
@@ -429,36 +438,28 @@ class CertificateReport:
                 and self.strict_rank_increase.passed and self.rank_ratio.passed)
 
 
-def invariance_defect(T: ChoiMap, cert: BlockCertificate,
-                      samples: int = 20,
-                      rng: np.random.Generator | None = None) -> float:
-    """Worst defect of ``T(V_a M_k V_a) inside W_a M_m W_a``.
+def invariance_defect(T: ChoiMap, cert: BlockCertificate) -> float:
+    """Worst defect ``||(Id - W_a) T(V_a) (Id - W_a)||_F`` over the blocks.
 
-    Checks the compression ``(Id - W_a) T(V_a X V_a) (Id - W_a)`` for
-    X = V_a (deterministic; enough for a positive map since the image of the
-    projector dominates) and for sampled random Hermitian X.
+    For a positive T no image of a block leaves it by more: a Hermitian
+    ``X = V_a X V_a`` with ``||X||_F <= 1`` lies between -V_a and V_a, so the
+    compression Z of T(X) lies between -c and c, c that of T(V_a), and
+    ``0 <= tr((c + Z)(c - Z)) = ||c||_F^2 - ||Z||_F^2``.  Draws no random numbers.
     """
-    rng = rng if rng is not None else np.random.default_rng(_CHECK_SEED)
-    k, m = T.k, T.m
     worst = 0.0
     for Va, Wa in zip(cert.input_projectors, cert.output_projectors):
-        comp = np.eye(m) - Wa
+        comp = np.eye(T.m) - Wa
         worst = max(worst, frob(comp @ T.apply(Va) @ comp))
-        for _ in range(samples):
-            Z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-            X = hermitian_part(Z)
-            X = X / max(frob(X), 1e-300)
-            worst = max(worst, frob(comp @ T.apply(Va @ X @ Va) @ comp))
     return worst
 
 
-def certificate_admissibility(T: ChoiMap, cert: BlockCertificate, defect_tol: float = 1e-8,
-                              samples: int = 20, rng: np.random.Generator | None = None):
+def certificate_admissibility(T: ChoiMap, cert: BlockCertificate):
     """The ``decomposition`` and ``invariance`` conditions of a certificate
     for T: structure defect at most ``1e-10 * max(k, m)``, and
-    :func:`invariance_defect` at most ``defect_tol * ||storage||_F``.  The
-    defect is linear in T and the limit scales with it, so ``c * T`` gets
-    T's verdict for every c > 0.
+    :func:`invariance_defect` at most ``_INVARIANCE_REL * ||storage||_F``.
+    The defect is linear in T and the limit scales with it, so ``c * T``
+    gets T's verdict for every c > 0.  Both are decided, not sampled, and
+    draw no random numbers.
     Raises ValueError when the certificate's dimensions do not match T."""
     if cert.input_projectors[0].shape[0] != T.k or cert.output_projectors[0].shape[0] != T.m:
         raise ValueError("certificate dimensions do not match the map")
@@ -467,30 +468,27 @@ def certificate_admissibility(T: ChoiMap, cert: BlockCertificate, defect_tol: fl
         passed=bool(sdef <= 1e-10 * max(T.k, T.m)), sampled=False,
         detail="projector families are orthogonal decompositions of both spaces",
         worst_defect=float(sdef))
-    idef = invariance_defect(T, cert, samples=samples, rng=rng)
+    idef = invariance_defect(T, cert)
     invariance = CertificateCondition(
-        passed=bool(idef <= defect_tol * frob(T.choi)), sampled=True,
+        passed=bool(idef <= _INVARIANCE_REL * frob(T.choi)), sampled=False,
         detail="each input block maps into the matching output block",
         worst_defect=float(idef))
     return decomposition, invariance
 
 
 def verify_block_certificate(T: ChoiMap, cert: BlockCertificate,
-                             defect_tol: float = 1e-8,
                              tol: Tolerances = DEFAULT_TOL,
-                             samples: int = 20,
                              rng: np.random.Generator | None = None) -> CertificateReport:
     """Check a block certificate against a map, condition by condition.
 
     * decomposition and invariance: :func:`certificate_admissibility`;
     * strict rank increase: ``rank(X) * rank(W_a) < rank(T(X)) * rank(V_a)``
-      for sampled PSD X of every intermediate rank inside a block (sampled,
-      not a proof);
+      for ``_STRICT_RANK_SAMPLES`` sampled PSD X of every intermediate rank
+      inside a block (sampled, not a proof; the only draws from ``rng``);
     * rank ratio: ``rank(W_a) / rank(V_a) = m / k`` exactly, on integer ranks.
     """
     rng = rng if rng is not None else np.random.default_rng(_CHECK_SEED)
-    decomposition, invariance = certificate_admissibility(
-        T, cert, defect_tol, samples, rng)
+    decomposition, invariance = certificate_admissibility(T, cert)
     k, m = T.k, T.m
     ratio_ok = True
     ranks = []
@@ -508,7 +506,7 @@ def verify_block_certificate(T: ChoiMap, cert: BlockCertificate,
     def no_counterexample() -> bool:
         for Va, (rv, rw) in zip(cert.input_projectors, ranks):
             for r in range(1, rv):
-                for _ in range(samples):
+                for _ in range(_STRICT_RANK_SAMPLES):
                     Z = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
                     root = Va @ Z
                     X = root @ root.conj().T

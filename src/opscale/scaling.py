@@ -45,6 +45,10 @@ DEFAULT_MAX_ITER = 10000
 # reported as a numerical failure instead of silently continuing.
 _STEP_DEFECT_LIMIT = 1e-6
 
+# A filter commutes with a certificate projector when ||M P - P M||_F is at
+# most this much of ||M||_F.
+_COMMUTATION_REL = 1e-8
+
 
 class PreconditionFailed(ValueError):
     """T(Id) or T*(Id) is not positive definite at tolerance."""
@@ -300,8 +304,7 @@ class CommutationReport:
 
 def block_commutation_check(T: ChoiMap, cert: BlockCertificate,
                             n_steps: int = 50,
-                            tol: Tolerances = DEFAULT_TOL,
-                            rel_tol: float = 1e-8) -> CommutationReport:
+                            tol: Tolerances = DEFAULT_TOL) -> CommutationReport:
     """Check that every iterate, 0..``n_steps`` or up to convergence,
     commutes with the certificate's projectors.  A certificate that fails
     :func:`opscale.posmap.certificate_admissibility`'s decomposition or
@@ -320,7 +323,7 @@ def block_commutation_check(T: ChoiMap, cert: BlockCertificate,
                 scale = max(frob(M), 1e-300)
                 for P in family:
                     defect = frob(M @ P - P @ M)
-                    if defect > rel_tol * scale:
+                    if defect > _COMMUTATION_REL * scale:
                         return CommutationReport(
                             passed=False, precondition_ok=True, steps_run=state.n,
                             first_failure=(state.n, label, float(defect)))

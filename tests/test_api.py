@@ -1,0 +1,92 @@
+"""The public API: the names ``opscale`` exports, the parameters of its
+functions, and the modules its command line loads.  A change here is a
+change of the behavioural boundary and should be made on purpose."""
+
+import inspect
+import json
+import os
+import subprocess
+import sys
+
+import opscale
+
+PUBLIC_NAMES = [
+    "BipartiteState", "BlockCertificate", "CertificateCondition",
+    "CertificateReport", "ChoiMap", "CommutationReport", "ConditionCheck",
+    "DEFAULT_TOL", "DsCheck", "FalsifierReport", "FnfCheck",
+    "FnfPreconditionFailed", "FnfResult", "FnfVerification",
+    "IterationRecord", "MarginalCheck", "NonnegPattern", "NotPositiveDefinite",
+    "NumericalFailure", "PositivityViolation", "PreconditionFailed",
+    "PreconditionReport", "ScalingInconclusive", "ScalingReport",
+    "ScalingState", "SchmidtTerm", "SizeGuardError", "SufficientReport",
+    "SupportResult", "Tolerances", "TotalSupportResult", "VERDICT_CONVERGED",
+    "VERDICT_INCONCLUSIVE", "VERDICT_NO_SUPPORT", "VERDICT_PRECONDITION",
+    "ZeroFractionReport", "ZeroSubmatrixWitness", "__version__",
+    "block_commutation_check", "check_preconditions", "compute_fnf", "frob",
+    "from_state", "haar_unitary", "has_support", "has_support_bruteforce",
+    "has_total_support", "has_total_support_bruteforce", "hermitian_part",
+    "init", "invariance_defect", "is_doubly_stochastic", "kernel_dim", "kron",
+    "partial_trace_first", "partial_trace_second", "pattern_matrix",
+    "realign", "run", "sampled_support_falsifier", "step",
+    "sufficient_conditions", "unrealign", "verify_block_certificate",
+    "verify_fnf", "zero_fraction_sufficient",
+]
+
+FUNCTION_PARAMETERS = {
+    "block_commutation_check": ["T", "cert", "n_steps", "tol"],
+    "check_preconditions": ["state", "tol"],
+    "compute_fnf": ["state", "tol", "max_iter", "divergence_logdet"],
+    "frob": ["M"],
+    "from_state": ["rho", "k", "m"],
+    "haar_unitary": ["dim", "rng"],
+    "has_support": ["pattern"],
+    "has_support_bruteforce": ["pattern"],
+    "has_total_support": ["pattern"],
+    "has_total_support_bruteforce": ["pattern"],
+    "hermitian_part": ["M"],
+    "init": ["T", "tol"],
+    "invariance_defect": ["T", "cert"],
+    "is_doubly_stochastic": ["T", "eps"],
+    "kernel_dim": ["H", "tol"],
+    "kron": ["A", "B"],
+    "partial_trace_first": ["M", "k", "m"],
+    "partial_trace_second": ["M", "k", "m"],
+    "pattern_matrix": ["T", "basis_in", "basis_out"],
+    "realign": ["M", "k", "m"],
+    "run": ["T", "tol", "max_iter", "divergence_logdet", "keep_history"],
+    "sampled_support_falsifier": ["T", "trials", "rng"],
+    "step": ["state", "T", "tol"],
+    "sufficient_conditions": ["state", "tol", "run_coprime_scaling", "max_iter"],
+    "unrealign": ["R", "k", "m"],
+    "verify_block_certificate": ["T", "cert", "tol", "rng"],
+    "verify_fnf": ["result", "tol", "original"],
+    "zero_fraction_sufficient": ["pattern"],
+}
+
+# numpy is the one runtime dependency; these are installed only for tests.
+TEST_ONLY_PACKAGES = ("scipy", "networkx", "hypothesis", "pytest")
+
+
+def test_exported_names():
+    assert sorted(opscale.__all__) == PUBLIC_NAMES
+
+
+def test_function_parameters():
+    functions = {name: getattr(opscale, name) for name in opscale.__all__
+                 if inspect.isfunction(getattr(opscale, name))}
+    assert {name: list(inspect.signature(f).parameters)
+            for name, f in functions.items()} == FUNCTION_PARAMETERS
+
+
+def test_the_command_line_loads_no_test_only_package():
+    src = os.path.dirname(os.path.dirname(opscale.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, opscale.cli; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert [name for name in loaded
+            if name.split(".")[0] in TEST_ONLY_PACKAGES] == []

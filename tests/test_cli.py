@@ -732,6 +732,16 @@ class TestTildeCommand:
         assert code == 2 and set(rep) == {"version", "error"}
         assert sorted(os.listdir(tmp_path)) == before
 
+    def test_a_lift_above_the_size_cap_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        T = fixtures.random_cp_map(9, 8, np.random.default_rng(3))
+        atomic_write_json(str(path), map_to_obj(T))
+        out = tmp_path / "lift.json"
+        code, rep = run_cli_json(capsys, "tilde", str(path), "--out", str(out))
+        assert code == 2 and set(rep) == {"version", "error"}
+        assert "9x8 map needs (km)^4 = 26873856 storage entries" in rep["error"]
+        assert not out.exists()
+
 
 class TestMissingOutputDirectory:
     """A write into a directory that does not exist is a validation error:
@@ -810,6 +820,24 @@ class TestCertificateCommand:
         code, rep = run_cli_json(capsys, "certificate", str(other), str(cert_path))
         assert code == 5
         assert rep["invariance"]["passed"] is False
+
+    def test_invariance_does_not_depend_on_the_seed(self, capsys, tmp_path):
+        rng = np.random.default_rng(4)
+        T, cert = fixtures.direct_sum_map(
+            [fixtures.random_cp_map(2, 2, rng), fixtures.random_cp_map(1, 1, rng)])
+        atomic_write_json(str(tmp_path / "c.json"), {
+            "input_projectors": [matrix_to_obj(p) for p in cert.input_projectors],
+            "output_projectors": [matrix_to_obj(p) for p in cert.output_projectors],
+        })
+        for name, M in (("sum", T), ("full", fixtures.random_cp_map(3, 3, rng))):
+            atomic_write_json(str(tmp_path / f"{name}.json"), map_to_obj(M))
+            reps = [run_cli_json(capsys, "certificate", str(tmp_path / f"{name}.json"),
+                                 str(tmp_path / "c.json"), "--seed", seed)[1]
+                    for seed in ("1", "2")]
+            for field in ("decomposition", "invariance"):
+                assert reps[0][field] == reps[1][field]
+            assert reps[0]["invariance"]["sampled"] is False
+            assert reps[0]["invariance"]["passed"] is (name == "sum")
 
 
 class TestSeedHandling:
