@@ -7,8 +7,9 @@ included: ``json`` writes each double as the shortest decimal that re-parses
 to the same double.  An entry whose imaginary part is zero, of either sign,
 is written as a bare number.  Decoding makes one Python pass that
 type-checks every cell and lays out its real and imaginary parts, then
-builds the matrix in one NumPy conversion.  ``matrix_to_obj`` builds the
-cells from ``tolist()`` calls and a loop over the complex cells only.  Its
+builds the matrix in one NumPy conversion.  ``matrix_to_obj`` builds each
+cell once: the real parts as floats in one NumPy conversion, and the
+``(re, im)`` pairs of the complex cells from those floats.  Its
 ``data`` is an immutable snapshot: a tuple of floats and ``(re, im)``
 tuples, which ``json`` writes as numbers and pairs, carrying a read-only
 copy of the matrix for the writer.  :func:`obj_to_matrix` reads it back
@@ -17,11 +18,17 @@ without a trip through JSON.
 Every file and report is written by :func:`write_json`, byte for byte in the
 layout of ``json.dumps(obj, indent=2)``.  Keys and scalars go through the
 standard library's C encoder one at a time.  A matrix's ``data`` is written
-from its array: one ``np.unique`` over the bit patterns of the doubles it
-writes, one C encoding of the distinct values, their tokens gathered by
-index, and the text streamed ``_SLICE`` cells per write.  Matrices repeat
-their doubles, a square lift most of all, so each is formatted once.  Any
-other list is written item by item, to the same bytes.  Where ``json`` has
+from its array.  Each double written plays one of three roles: a number
+cell, the real part that opens a pair, or the imaginary part that closes
+one.  The bit patterns of the nonzero doubles are sorted by role, then by
+bits; +0.0, whose bits are all clear, is never sorted and is one fixed
+token per role, and -0.0 sorts apart from it.  One C encoding per role
+formats its distinct doubles, each into one string that carries the
+brackets and indent of the role.  The text is one such string per double,
+gathered by index and joined ``_SLICE`` doubles per write.  Matrices repeat their
+doubles, a square lift most of all, and most of a lift's doubles are +0.0,
+so each is formatted once per role.  Any other list is written item by
+item, to the same bytes.  Where ``json`` has
 no C encoder (PyPy, for one), ``JSONEncoder.encode`` stands in for it.
 
 A state file wraps a matrix: ``{"k": ..., "m": ..., "matrix": {...}}``; the
@@ -66,13 +73,13 @@ def matrix_to_obj(M) -> dict[str, Any]:
     M = np.array(M, dtype=np.complex128, order="C")
     M.setflags(write=False)
     flat = M.reshape(-1)
-    cells = flat.real.tolist()
-    # Only the cells with a nonzero imaginary part become (re, im) pairs.
+    # Each cell is built once: every real part becomes a float, and only
+    # the cells with a nonzero imaginary part become (re, im) pairs of it.
+    cells = flat.real.astype(object)
     at = np.flatnonzero(flat.imag)
-    for idx, pair in zip(at.tolist(), zip(flat.real[at].tolist(),
-                                          flat.imag[at].tolist())):
-        cells[idx] = pair
-    data = _MatrixData(cells)
+    cells[at] = np.fromiter(zip(cells[at].tolist(), flat.imag[at].tolist()),
+                            dtype=object, count=len(at))
+    data = _MatrixData(cells.tolist())
     data._matrix = M
     return {"rows": M.shape[0], "cols": M.shape[1], "data": data}
 
@@ -162,16 +169,26 @@ def load_json(path: str):
 _PLAIN = json.JSONEncoder(separators=(",", ":"))
 if c_make_encoder is None:
     _encode = _PLAIN.encode
+
+    def _encode_list(values: list, sep: str) -> str:
+        return json.JSONEncoder(separators=(sep, ":")).encode(values)
 else:
-    # The stdlib's own C encoder, built once: JSONEncoder.encode builds one
-    # per call, which triples the cost of a scalar.
-    _c_encoder = c_make_encoder(None, _PLAIN.default, encode_basestring_ascii,
-                                None, ":", ",", False, False, True)
+    # The stdlib's own C encoder, built once for scalars: JSONEncoder.encode
+    # builds one per call, which triples the cost of a scalar.  A matrix
+    # builds one per role, with the separator of the role.
+    def _c_make(sep: str):
+        return c_make_encoder(None, _PLAIN.default, encode_basestring_ascii,
+                              None, ":", sep, False, False, True)
+
+    _c_encoder = _c_make(",")
 
     def _encode(obj) -> str:
         return "".join(_c_encoder(obj, 0))
 
-# Matrix cells per write: bounds the text held at once.
+    def _encode_list(values: list, sep: str) -> str:
+        return "".join(_c_make(sep)(values, 0))
+
+# Matrix doubles per write: bounds the text held at once.
 _SLICE = 4096
 
 
@@ -187,44 +204,58 @@ def _key(key) -> str:
 
 def _write_matrix_data(fh, M: np.ndarray, inner: str) -> None:
     """Write the cells of ``M`` as ``matrix_to_obj`` lists them, from the
-    list's opening bracket to its last cell, ``_SLICE`` cells per write.
+    list's opening bracket to its last cell, ``_SLICE`` doubles per write.
     Matrices repeat their doubles (a square lift holds each entry of its
     map many times over, and mostly zeros), so each distinct double, told
-    apart by its bits to keep the sign of a zero, is formatted once."""
+    apart by its bits to keep the sign of a zero, is formatted once for
+    each role it plays; +0.0, whose bits are all clear, is not sorted."""
     flat = M.reshape(-1)
     pair = flat.imag != 0.0
     # The doubles written, in order: each real part, and the imaginary part
-    # of each [re, im] cell.
+    # of each [re, im] cell.  A double's role fixes the text around it: 0
+    # for a number cell, 1 for the real part that opens a pair, 2 for the
+    # imaginary part that closes one.
     kept = np.ones((len(flat), 2), dtype=bool)
     kept[:, 1] = pair
-    distinct, at = np.unique(flat.view(np.int64).reshape(-1, 2)[kept],
-                             return_inverse=True)
-    # What goes before a token, then the distinct tokens.  A number token
-    # holds no comma, so the compact encoding of the distinct values,
-    # brackets dropped, splits into their tokens in order.
-    opening, closing, sep = "[" + inner + "  ", inner + "]", "," + inner
-    strings = np.array(
-        ["[" + inner, "[" + inner + opening, sep, sep + opening, closing + sep,
-         closing + sep + opening, "," + inner + "  "]
-        + _encode(distinct.view(np.float64).tolist())[1:-1].split(","),
-        dtype=object)
-    # A cell's first token follows the list's opening (lead 0), a number (2)
-    # or a pair (4), plus 1 if it opens a pair; a pair's second token
-    # follows its comma (6).
-    lead = np.full(kept.shape, 6)
-    lead[:, 0] = pair
-    lead[1:, 0] += 2 + 2 * pair[:-1]
-    index = np.empty((len(at), 2), dtype=np.intp)
-    index[:, 0] = lead[kept]
-    np.add(at, 7, out=index[:, 1])
-    a = 0
-    for start in range(0, len(flat), _SLICE):
-        cells = pair[start:start + _SLICE]
-        b = a + len(cells) + np.count_nonzero(cells)
-        fh.write("".join(strings[index[a:b]].ravel().tolist()))
-        a = b
-    if pair[-1]:
-        fh.write(closing)
+    role = np.empty(kept.shape, dtype=np.int8)
+    role[:, 0] = pair
+    role[:, 1] = 2
+    role = role[kept]
+    bits = flat.view(np.int64).reshape(-1, 2)[kept]
+    # The nonzero doubles, sorted by bits, then stably by role.
+    at = np.flatnonzero(bits)
+    at = at[bits[at].argsort()]
+    at = at[role[at].argsort(kind="stable")]
+    bits_at, role_at = bits[at], role[at]
+    new = np.ones(len(at), dtype=bool)
+    new[1:] = (bits_at[1:] != bits_at[:-1]) | (role_at[1:] != role_at[:-1])
+    ends = role_at[new].searchsorted((1, 2)).tolist()
+    distinct = bits_at[new].view(np.float64).tolist()
+    # One string per double: first each role's +0.0, then the distinct
+    # doubles, role by role.  Joined by the list's separator, a pair's real
+    # part opens its bracket and its imaginary part, indented two more,
+    # closes it.  Each role's doubles are encoded with what goes between
+    # two of its strings as the separator, a NUL marking where one ends.
+    deeper = inner + "  "
+    zeros, strings = [], []
+    for values, before, after in ((distinct[:ends[0]], "", ""),
+                                  (distinct[ends[0]:ends[1]], "[" + deeper, ""),
+                                  (distinct[ends[1]:], "  ", inner + "]")):
+        text = _encode_list([0.0] + values, after + "\0" + before)
+        zero, *tokens = (before + text[1:-1] + after).split("\0")
+        zeros.append(zero)
+        strings += tokens
+    strings = np.array(zeros + strings, dtype=object)
+    # A +0.0 takes the string of its role, and the j-th distinct double
+    # (from 0) the string at j + 3.
+    index = role.astype(np.intp)
+    index[at] = new.cumsum() + 2
+    sep = "," + inner
+    head = "[" + inner
+    for start in range(0, len(index), _SLICE):
+        fh.write(head)
+        fh.write(sep.join(strings[index[start:start + _SLICE]].tolist()))
+        head = sep
 
 
 def _write(fh, obj, nl: str) -> None:

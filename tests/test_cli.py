@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,7 +20,7 @@ from opscale import cli, fixtures, matcomb, scaling
 from opscale import io as opscale_io
 from opscale.fnf import BipartiteState
 from opscale.io import (ValidationError, atomic_write_json, load_json,
-                        map_to_obj, matrix_to_obj, obj_to_matrix,
+                        map_to_obj, matrix_to_obj, obj_to_matrix, parse_map,
                         parse_pattern_matrix, parse_state, state_to_obj)
 from opscale.numkernel import frob
 from opscale.posmap import ChoiMap, haar_unitary
@@ -297,9 +297,54 @@ def _repeating_matrices(draw):
     return M
 
 
+# Matrices as a square lift writes them: at least 80 % of the cells +0.0,
+# the rest drawn from a small pool that always holds -0.0, so -0.0 lands in
+# real and in imaginary parts.  Also all-zero matrices and matrices with no
+# +0.0 cell at all.
+_nonzero_double = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.0, -0.25, 1e16, float("nan"),
+                     float("-inf")]),
+    st.floats().filter(lambda x: x != 0.0))
+
+
+@st.composite
+def _mostly_zero_matrices(draw):
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    n = shape[0] * shape[1]
+    kind = draw(st.sampled_from(["sparse", "all-zero", "no-zero"]))
+    pool = [-0.0] + draw(st.lists(_nonzero_double, min_size=1, max_size=4))
+    if kind == "all-zero":
+        cells = []
+    elif kind == "sparse":
+        cells = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n // 5)))
+    else:
+        cells = range(n)
+    flat = np.zeros(n, dtype=np.complex128)
+    for idx in cells:
+        flat.real[idx] = draw(st.sampled_from(pool))
+        flat.imag[idx] = draw(st.sampled_from(pool + [0.0]))
+    return flat.reshape(shape)
+
+
 class TestMatrixDataPath:
     """matrix_to_obj's data is written from its array, to the bytes json
     writes for the list it reads as."""
+
+    @pytest.mark.parametrize("slice_len", [1, 3, opscale_io._SLICE])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(M=_mostly_zero_matrices())
+    @example(M=np.zeros((1, 1), dtype=np.complex128))
+    @example(M=np.array([[complex(-0.0, 1.0)]]))
+    @example(M=np.array([[complex(0.0, -0.0)]]))
+    def test_mostly_zero_matrices_match_json_dumps(self, jio, M, slice_len):
+        # The writer sorts only the nonzero bit patterns; +0.0 is one fixed
+        # token, and -0.0 must still be told apart from it.
+        obj = jio.matrix_to_obj(M)
+        with mock.patch.object(jio, "_SLICE", slice_len), \
+                mock.patch.object(jio, "_write_matrix_data",
+                                  wraps=jio._write_matrix_data) as array_path:
+            assert written(obj, jio) == json.dumps(obj, indent=2) + "\n"
+        array_path.assert_called_once()
 
     @pytest.mark.parametrize("slice_len", [1, 3, opscale_io._SLICE])
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -723,6 +768,19 @@ class TestTildeCommand:
         assert rep["check"]["category_match"] is True
         lifted = load_json(str(out))
         assert lifted["k"] == 4 and lifted["m"] == 4
+
+    @pytest.mark.parametrize("k, m", [(2, 3), (3, 3)])
+    def test_lift_file_reads_back_bit_for_bit(self, capsys, tmp_path, k, m):
+        path = tmp_path / "map.json"
+        atomic_write_json(str(path), map_to_obj(
+            fixtures.random_cp_map(k, m, np.random.default_rng(10 * k + m))))
+        out = tmp_path / "lift.json"
+        code, _ = run_cli_json(capsys, "tilde", str(path), "--out", str(out))
+        assert code == 0
+        expected = parse_map(load_json(str(path))).tilde_lift().choi
+        lifted = parse_map(load_json(str(out)))
+        assert (lifted.k, lifted.m) == (k * m, k * m)
+        assert np.array_equal(_bits(lifted.choi), _bits(expected))
 
     def test_refused_check_writes_no_lift_file(self, capsys, workspace, tmp_path):
         out = tmp_path / "t2.json"
