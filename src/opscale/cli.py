@@ -24,7 +24,6 @@ import argparse
 import dataclasses
 import glob
 import json
-import math
 import os
 import sys
 import tempfile
@@ -99,15 +98,16 @@ def _tolerances(args) -> Tolerances:
 def _check_run_limits(args) -> None:
     """Refuse the ``--max-iter``, ``--commutation-steps`` and ``--divergence``
     values that would be taken silently: a negative cap stops before the
-    first step, a negative step count skips the commutation check, and a NaN
-    threshold switches the divergence test off."""
+    first step, a negative step count skips the commutation check, a NaN
+    threshold switches the divergence test off, and one at or below 0 ends
+    every run diverged within a step: the growth starts at 0."""
     for flag, value in (("--max-iter", getattr(args, "max_iter", 0)),
                         ("--commutation-steps", getattr(args, "commutation_steps", 0))):
         if value < 0:
             raise ValidationError(f"{flag} must be nonnegative, got {value}")
     divergence = getattr(args, "divergence", None)
-    if divergence is not None and math.isnan(divergence):
-        raise ValidationError("--divergence must be a number, got nan")
+    if divergence is not None and not divergence > 0.0:
+        raise ValidationError(f"--divergence must be a positive number, got {divergence}")
 
 
 def _envelope(seed: int, tol: Tolerances) -> dict:
@@ -256,7 +256,6 @@ def _fnf_job(path: str, args, seed: int, tol: Tolerances,
     report = _envelope(seed, tol)
     report.update({"input": path, "k": state.k, "m": state.m})
     report["preconditions"] = _to_json(check_preconditions(state, tol))
-    suff = sufficient_conditions(state, tol, run_coprime_scaling=False)
 
     # Each branch only says how the job ended.  A NumericalFailure carries
     # no scaling report, even after a converged run: no coprime verdict.
@@ -276,9 +275,8 @@ def _fnf_job(path: str, args, seed: int, tol: Tolerances,
         verification = verify_fnf(result, tol, original=state)
         outcome, code = "fnf-computed", 0 if verification.passed else 2
 
-    if suff.coprime and scaling is not None:
-        suff = dataclasses.replace(suff, coprime_scaling_verdict=scaling.verdict)
-    report["sufficient_conditions"] = _to_json(suff)
+    report["sufficient_conditions"] = _to_json(
+        sufficient_conditions(state, tol, scaling_report=scaling))
     if scaling is not None:
         report["scaling"] = _scaling_obj(scaling)
     if verification is not None:

@@ -123,7 +123,7 @@ class SufficientReport:
     """Which sufficient conditions for a filter normal form hold.
 
     The kernel conditions are deterministic; the coprime branch reports the
-    numerical support verdict of the induced map's scaling when requested.
+    verdict of the induced map's scaling report, when the caller passes one.
     """
 
     kernel_dim: int
@@ -143,24 +143,23 @@ class SufficientReport:
 
 
 def sufficient_conditions(state: BipartiteState, tol: Tolerances = DEFAULT_TOL,
-                          run_coprime_scaling: bool = True,
-                          max_iter: int = scaling.DEFAULT_MAX_ITER) -> SufficientReport:
+                          scaling_report: scaling.ScalingReport | None = None
+                          ) -> SufficientReport:
     """Evaluate the kernel-dimension conditions and the coprime branch.
 
     A small kernel forces a filter normal form to exist: dimension below
     min(k, m) for rectangular shapes, below k - 1 for square ones, or below
     max(k, m)/min(k, m) when both reduced states are positive definite.  For
     coprime k, m existence is equivalent to the induced map having support,
-    which is probed by a scaling run that raises only NumericalFailure.
+    read off ``scaling_report``, the report of its scaling: none runs here.
     """
     k, m = state.k, state.m
     ker = k * m - spectral_rank(state._spectrum, tol)
     pre = check_preconditions(state, tol)
     coprime = math.gcd(k, m) == 1
     verdict = None
-    if coprime and run_coprime_scaling and pre.ok:
-        verdict = scaling.run(_induced_map(state), tol, max_iter=max_iter,
-                              keep_history=False).verdict
+    if coprime and pre.ok and scaling_report is not None:
+        verdict = scaling_report.verdict
     grants = (c.grants for c in count_bounds(k, m, ker, pre.ok))
     return SufficientReport(ker, pre.ok, *grants, coprime, verdict)
 

@@ -140,7 +140,7 @@ def test_criterion_06_fnf_at_desk_scale(report):
                 ker = trial % min(k, m)       # kernel dimensions 0 .. min-1
                 state = BipartiteState(
                     k, m, fixtures.random_state_matrix(k, m, rng, kernel_dim=ker))
-                suff = sufficient_conditions(state, run_coprime_scaling=False)
+                suff = sufficient_conditions(state)
                 assert suff.kernel_dim == ker
                 assert suff.guaranteed, (k, m, ker)
 

@@ -56,7 +56,7 @@ FUNCTION_PARAMETERS = {
     "run": ["T", "tol", "max_iter", "divergence_logdet", "keep_history"],
     "sampled_support_falsifier": ["T", "trials", "rng"],
     "step": ["state", "T", "tol"],
-    "sufficient_conditions": ["state", "tol", "run_coprime_scaling", "max_iter"],
+    "sufficient_conditions": ["state", "tol", "scaling_report"],
     "unrealign": ["R", "k", "m"],
     "verify_block_certificate": ["T", "cert", "tol", "rng"],
     "verify_fnf": ["result", "tol", "original"],

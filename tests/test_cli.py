@@ -1089,6 +1089,14 @@ BAD_ARGUMENTS = {
                              "--max-iter", "300"),
     "fnf-divergence-nan": ("fnf", "{state}", "--divergence", "nan"),
     "tilde-divergence-nan": ("tilde", "{map}", "--check", "--divergence", "nan"),
+    # Iterate 0's growth is 0, so a threshold at or below 0 would give a
+    # no-support-numerical verdict on a map or state that scales.
+    "scale-divergence-0": ("scale", "{map}", "--divergence", "0"),
+    "scale-divergence-negative": ("scale", "{map}", "--divergence", "-1"),
+    "fnf-divergence-0": ("fnf", "{state}", "--divergence", "0"),
+    "fnf-divergence-negative": ("fnf", "{state}", "--divergence", "-1"),
+    "tilde-divergence-0": ("tilde", "{map}", "--check", "--divergence", "0"),
+    "tilde-divergence-negative": ("tilde", "{map}", "--check", "--divergence", "-1"),
     # Run, a negative step count would skip the commutation check.
     "certificate-commutation-steps-negative": ("certificate", "{map}", "{cert}",
                                                "--commutation-steps", "-3"),
@@ -1239,6 +1247,13 @@ class TestBadArguments:
         code, rep = run_cli_json(capsys, *fill(BAD_ARGUMENTS[name], workspace))
         assert code == 2
         assert flag in rep["error"]
+
+    @pytest.mark.parametrize("divergence", ["1e4", "inf"])
+    def test_positive_divergence_is_taken(self, capsys, workspace, divergence):
+        _, default = run_cli_json(capsys, "scale", str(workspace["map"]))
+        code, rep = run_cli_json(capsys, "scale", str(workspace["map"]),
+                                 "--divergence", divergence)
+        assert (code, rep) == (0, default)
 
     @pytest.mark.parametrize("name", [name for name in BAD_ARGUMENTS
                                       if "seed" in name])

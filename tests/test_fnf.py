@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opscale import fixtures
+from opscale import fixtures, scaling
 from opscale.fnf import (BipartiteState, FnfPreconditionFailed, MarginalCheck,
                          ScalingInconclusive, _gram_defect, check_preconditions,
                          compute_fnf, sufficient_conditions, verify_fnf)
 from opscale.numkernel import (NumericalFailure, Tolerances, frob,
                                hermitian_part, kernel_dim, kron)
 from opscale.posmap import ChoiMap, from_state, haar_unitary
-from opscale.scaling import VERDICT_CONVERGED, VERDICT_NO_SUPPORT
+from opscale.scaling import VERDICT_CONVERGED, VERDICT_NO_SUPPORT, run
 
 TOL = Tolerances()
 
@@ -132,7 +132,7 @@ class TestKeptSpectra:
         tol = data.draw(st.sampled_from(SPECTRAL_TOLS), label="tol")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         state = BipartiteState(k, m, fixtures.random_state_matrix(k, m, rng, kernel_dim=ker))
-        suff = sufficient_conditions(state, tol, run_coprime_scaling=False)
+        suff = sufficient_conditions(state, tol)
         assert suff.kernel_dim == kernel_dim(state.rho, tol)
         pre = check_preconditions(state, tol)
         for check, M in ((pre.first_factor, state.reduced_first()),
@@ -159,7 +159,7 @@ class TestKeptSpectra:
             raise AssertionError("an eigen-solver ran")
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        suff = sufficient_conditions(state, run_coprime_scaling=False)
+        suff = sufficient_conditions(state)
         assert suff.kernel_dim == 2 and suff.rect_kernel
         assert check_preconditions(state).ok
 
@@ -206,7 +206,7 @@ class TestSufficientConditions:
     def test_full_rank_rectangular(self):
         rng = np.random.default_rng(2)
         state = BipartiteState(2, 3, fixtures.random_state_matrix(2, 3, rng))
-        rep = sufficient_conditions(state, run_coprime_scaling=False)
+        rep = sufficient_conditions(state)
         assert rep.kernel_dim == 0
         assert rep.rect_kernel
         assert not rep.square_kernel
@@ -215,24 +215,52 @@ class TestSufficientConditions:
     def test_square_kernel_threshold(self):
         rng = np.random.default_rng(3)
         ok = BipartiteState(3, 3, fixtures.random_state_matrix(3, 3, rng, kernel_dim=1))
-        rep = sufficient_conditions(ok, run_coprime_scaling=False)
+        rep = sufficient_conditions(ok)
         assert rep.kernel_dim == 1 and rep.square_kernel
         edge = BipartiteState(3, 3, fixtures.random_state_matrix(3, 3, rng, kernel_dim=2))
-        rep = sufficient_conditions(edge, run_coprime_scaling=False)
+        rep = sufficient_conditions(edge)
         assert rep.kernel_dim == 2 and not rep.square_kernel
 
     def test_coprime_branch_runs_scaling(self):
         rng = np.random.default_rng(4)
         state = BipartiteState(2, 3, fixtures.random_state_matrix(2, 3, rng))
-        rep = sufficient_conditions(state)
+        report = compute_fnf(state).scaling_report
+        rep = sufficient_conditions(state, scaling_report=report)
         assert rep.coprime
         assert rep.coprime_scaling_verdict == VERDICT_CONVERGED
-        assert sufficient_conditions(state, run_coprime_scaling=False
-                                     ).coprime_scaling_verdict is None
+        assert sufficient_conditions(state).coprime_scaling_verdict is None
+
+    @pytest.mark.parametrize("k, m", [(2, 3), (2, 2)])
+    def test_reads_the_report_and_never_scales(self, monkeypatch, k, m):
+        state = BipartiteState(k, m, fixtures.random_state_matrix(
+            k, m, np.random.default_rng(6), kernel_dim=1))
+        report = run(from_state(state.rho, k, m)[0], keep_history=False)
+        assert report.verdict == VERDICT_CONVERGED
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scaling ran")
+        monkeypatch.setattr(scaling, "run", refuse)
+        without = sufficient_conditions(state)
+        read = sufficient_conditions(state, scaling_report=report)
+        assert without.coprime_scaling_verdict is None
+        expected = report.verdict if math.gcd(k, m) == 1 else None
+        assert read.coprime_scaling_verdict == expected
+        kernel_fields = [f.name for f in dataclasses.fields(read)
+                         if f.name != "coprime_scaling_verdict"]
+        assert ([getattr(read, n) for n in kernel_fields]
+                == [getattr(without, n) for n in kernel_fields])
+
+    def test_singular_marginal_reads_no_verdict(self):
+        rho = np.zeros((6, 6))
+        rho[0, 0] = rho[1, 1] = rho[2, 2] = 1.0  # no weight on the first factor's e1
+        state = BipartiteState(2, 3, rho)
+        report = run(fixtures.random_cp_map(2, 3, np.random.default_rng(0)))
+        rep = sufficient_conditions(state, scaling_report=report)
+        assert rep.coprime and not rep.marginals_pd
+        assert rep.coprime_scaling_verdict is None
 
     def test_blocked_state_earns_no_guarantee(self):
-        rep = sufficient_conditions(diagonal_blocked_state(),
-                                    run_coprime_scaling=False)
+        rep = sufficient_conditions(diagonal_blocked_state())
         assert rep.marginals_pd
         assert rep.kernel_dim == 5
         assert not rep.guaranteed
@@ -334,10 +362,9 @@ class TestScalingRefusals:
     def test_marginal_below_the_floor_mid_run(self):
         state = floor_crossing_state()
         assert check_preconditions(state, FLOOR_TOL).ok
-        for call in (compute_fnf, sufficient_conditions):
-            with pytest.raises(NumericalFailure,
-                               match="^input-side marginal not positive definite: "):
-                call(state, FLOOR_TOL)
+        with pytest.raises(NumericalFailure,
+                           match="^input-side marginal not positive definite: "):
+            compute_fnf(state, FLOOR_TOL)
 
     @pytest.mark.parametrize("divergence", [1e4, math.inf])
     def test_overflowing_iterate(self, divergence):
@@ -367,7 +394,9 @@ class TestAcceptedStatesAreNotRefusedAgain:
         assert outcomes == {"computed", "refused"}
 
     def test_coprime_scaling_runs(self):
-        suff = sufficient_conditions(near_psd_state(2), self.TOL)
+        state = near_psd_state(2)
+        res = compute_fnf(state, self.TOL)
+        suff = sufficient_conditions(state, self.TOL, scaling_report=res.scaling_report)
         assert suff.coprime and suff.coprime_scaling_verdict == VERDICT_CONVERGED
 
 

@@ -79,8 +79,7 @@ def test_count_bounds_agree_on_zeros_and_kernels(k, m, data):
     entries = np.array(cells, dtype=np.float64).reshape(k, m)
     assume(entries.any())
     zf = zero_fraction_sufficient(NonnegPattern(entries))
-    suff = sufficient_conditions(BipartiteState(k, m, np.diag(entries.reshape(-1))),
-                                 run_coprime_scaling=False)
+    suff = sufficient_conditions(BipartiteState(k, m, np.diag(entries.reshape(-1))))
     assert suff.kernel_dim == zf.zero_count
     assert suff.marginals_pd == (not zf.has_zero_row and not zf.has_zero_col)
     assert suff.rect_kernel == zf.rect_few_zeros.grants
@@ -89,7 +88,7 @@ def test_count_bounds_agree_on_zeros_and_kernels(k, m, data):
 
 
 def test_run_limits_have_one_default():
-    for call in (run, compute_fnf, sufficient_conditions):
+    for call in (run, compute_fnf):
         assert inspect.signature(call).parameters["max_iter"].default == DEFAULT_MAX_ITER
     for command in ("scale", "fnf", "tilde"):
         args = cli.build_parser().parse_args([command, "x.json"])
