@@ -46,7 +46,8 @@ from .posmap import (BlockCertificate, FilteredMap, is_doubly_stochastic,
                      pattern_matrix, verify_block_certificate)
 from .scaling import (DEFAULT_MAX_ITER, VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
                       VERDICT_NO_SUPPORT, VERDICT_PRECONDITION,
-                      block_commutation_check, ds_slack, run)
+                      block_commutation_check, check_run_limits, ds_slack,
+                      run)
 
 _VERDICT_EXIT = {
     VERDICT_CONVERGED: 0,
@@ -80,9 +81,15 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-# The flag that sets each Tolerances field.
-_TOLERANCE_FLAGS = {"rank_rel": "--rank-rel", "pd_min": "--pd-min",
-                    "conv_eps": "--tol"}
+# The flag that sets each Tolerances field and each run limit.
+_FLAGS = {"rank_rel": "--rank-rel", "pd_min": "--pd-min", "conv_eps": "--tol",
+          "max_iter": "--max-iter", "divergence_logdet": "--divergence"}
+
+
+def _flag_refusal(exc: ValueError) -> ValidationError:
+    """The library names the parameter first; the user typed the flag."""
+    name, _, rest = str(exc).partition(" ")
+    return ValidationError(f"{_FLAGS.get(name, name)} {rest}")
 
 
 def _tolerances(args) -> Tolerances:
@@ -90,24 +97,21 @@ def _tolerances(args) -> Tolerances:
         return Tolerances(rank_rel=args.rank_rel, pd_min=args.pd_min,
                           conv_eps=args.tol)
     except ValueError as exc:
-        # The library names the field first; the user typed the flag.
-        field, _, rest = str(exc).partition(" ")
-        raise ValidationError(f"{_TOLERANCE_FLAGS.get(field, field)} {rest}") from exc
+        raise _flag_refusal(exc) from exc
 
 
 def _check_run_limits(args) -> None:
-    """Refuse the ``--max-iter``, ``--commutation-steps`` and ``--divergence``
-    values that would be taken silently: a negative cap stops before the
-    first step, a negative step count skips the commutation check, a NaN
-    threshold switches the divergence test off, and one at or below 0 ends
-    every run diverged within a step: the growth starts at 0."""
-    for flag, value in (("--max-iter", getattr(args, "max_iter", 0)),
-                        ("--commutation-steps", getattr(args, "commutation_steps", 0))):
-        if value < 0:
-            raise ValidationError(f"{flag} must be nonnegative, got {value}")
-    divergence = getattr(args, "divergence", None)
-    if divergence is not None and not divergence > 0.0:
-        raise ValidationError(f"--divergence must be a positive number, got {divergence}")
+    """Refuse, before any input is read, the ``--max-iter`` and
+    ``--divergence`` values that :func:`opscale.scaling.check_run_limits`
+    refuses, and a negative ``--commutation-steps``, which would skip the
+    commutation check."""
+    steps = getattr(args, "commutation_steps", 0)
+    if steps < 0:
+        raise ValidationError(f"--commutation-steps must be nonnegative, got {steps}")
+    try:
+        check_run_limits(getattr(args, "max_iter", 0), getattr(args, "divergence", None))
+    except ValueError as exc:
+        raise _flag_refusal(exc) from exc
 
 
 def _envelope(seed: int, tol: Tolerances) -> dict:
@@ -431,11 +435,15 @@ def _selftest_checks(seed: int, tol: Tolerances):
         M[0, 0] = M[0, 0].real
         report = _envelope(seed, tol)
         report.update({"matrix": matrix_to_obj(M), "files": [], "passed": True})
+        # The oracle lists the cells by the file format's rule, not by
+        # reading the written object's.
+        cells = [[z.real, z.imag] if z.imag else z.real for z in M.ravel().tolist()]
+        expected = dict(report, matrix=dict(report["matrix"], data=cells))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "report.json")
             atomic_write_json(path, report)
             with open(path, encoding="utf-8") as fh:
-                return fh.read() == json.dumps(report, indent=2) + "\n"
+                return fh.read() == json.dumps(expected, indent=2) + "\n"
 
     def check_canonical_pattern():
         pat = pattern_matrix(fixtures.boundary_map(), np.eye(2, dtype=complex),

@@ -221,11 +221,14 @@ def compute_fnf(state: BipartiteState, tol: Tolerances = DEFAULT_TOL,
                 divergence_logdet: float | None = None) -> FnfResult:
     """Compute the filter normal form by scaling the induced map.
 
-    Raises FnfPreconditionFailed when a reduced state is singular,
-    ScalingInconclusive (carrying the scaling report) when the scaling does
-    not converge, and NumericalFailure when its update or the filtered
-    state's checks refuse; no partial result is produced in any case.
+    Raises ValueError on the run limits
+    :func:`opscale.scaling.check_run_limits` refuses, FnfPreconditionFailed
+    when a reduced state is singular, ScalingInconclusive (carrying the
+    scaling report) when the scaling does not converge, and NumericalFailure
+    when its update or the filtered state's checks refuse; no partial result
+    is produced in any case.
     """
+    scaling.check_run_limits(max_iter, divergence_logdet)
     k, m = state.k, state.m
     pre = check_preconditions(state, tol)
     if not pre.ok:

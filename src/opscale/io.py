@@ -7,29 +7,30 @@ included: ``json`` writes each double as the shortest decimal that re-parses
 to the same double.  An entry whose imaginary part is zero, of either sign,
 is written as a bare number.  Decoding makes one Python pass that
 type-checks every cell and lays out its real and imaginary parts, then
-builds the matrix in one NumPy conversion.  ``matrix_to_obj`` builds each
-cell once: the real parts as floats in one NumPy conversion, and the
-``(re, im)`` pairs of the complex cells from those floats.  Its
-``data`` is an immutable snapshot: a tuple of floats and ``(re, im)``
-tuples, which ``json`` writes as numbers and pairs, carrying a read-only
-copy of the matrix for the writer.  :func:`obj_to_matrix` reads it back
-without a trip through JSON.
+builds the matrix in one NumPy conversion.  The ``data`` of
+:func:`matrix_to_obj` is a read-only sequence over a private read-only copy
+of the matrix: its length is rows times cols, and its cells, floats and
+``(re, im)`` tuples, are built only when read, all of them in one NumPy
+pass when it is iterated.  :func:`write_json` writes it from the array and
+never builds a cell; :func:`obj_to_matrix` reads its cells back without a
+trip through JSON.  ``json`` does not serialize the sequence itself;
+``default=list`` makes it write the list of cells.
 
 Every file and report is written by :func:`write_json`, byte for byte in the
-layout of ``json.dumps(obj, indent=2)``.  Keys and scalars go through the
-standard library's C encoder one at a time.  A matrix's ``data`` is written
-from its array.  Each double written plays one of three roles: a number
-cell, the real part that opens a pair, or the imaginary part that closes
-one.  The bit patterns of the nonzero doubles are sorted by role, then by
-bits; +0.0, whose bits are all clear, is never sorted and is one fixed
-token per role, and -0.0 sorts apart from it.  One C encoding per role
-formats its distinct doubles, each into one string that carries the
-brackets and indent of the role.  The text is one such string per double,
-gathered by index and joined ``_SLICE`` doubles per write.  Matrices repeat their
+layout of ``json.dumps(obj, indent=2, default=list)``.  Keys and scalars go
+through the standard library's C encoder one at a time.  A matrix's ``data``
+is written from its array.  Each double written plays one of three roles: a
+number cell, the real part that opens a pair, or the imaginary part that
+closes one.  The bit patterns of the nonzero doubles are sorted by role,
+then by bits; +0.0, whose bits are all clear, is never sorted and is one
+fixed token per role, and -0.0 sorts apart from it.  One C encoding per role
+formats its distinct doubles, each into one string that carries the brackets
+and indent of the role.  The text is one such string per double, gathered by
+index and joined ``_SLICE`` doubles per write.  Matrices repeat their
 doubles, a square lift most of all, and most of a lift's doubles are +0.0,
-so each is formatted once per role.  Any other list is written item by
-item, to the same bytes.  Where ``json`` has
-no C encoder (PyPy, for one), ``JSONEncoder.encode`` stands in for it.
+so each is formatted once per role.  Any other list is written item by item,
+to the same bytes.  Where ``json`` has no C encoder (PyPy, for one),
+``JSONEncoder.encode`` stands in for it.
 
 A state file wraps a matrix: ``{"k": ..., "m": ..., "matrix": {...}}``; the
 matrix must pass :func:`opscale.numkernel.hermitian_storage` and be positive
@@ -46,8 +47,10 @@ from __future__ import annotations
 
 import contextlib
 import json
+import operator
 import os
 import tempfile
+from collections.abc import Sequence
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
@@ -62,26 +65,44 @@ class ValidationError(ValueError):
     """Malformed or inconsistent input file."""
 
 
-class _MatrixData(tuple):
-    """The ``data`` of :func:`matrix_to_obj`: its cells, floats and
-    ``(re, im)`` tuples, in a tuple that cannot change.  Its ``_matrix`` is a
-    read-only copy of the matrix it lists, from which :func:`write_json`
-    writes it."""
+class _MatrixData(Sequence):
+    """The ``data`` of :func:`matrix_to_obj`: the cells of the read-only
+    matrix ``_matrix``, row-major, in a sequence that cannot change.  A cell
+    is a float, or an ``(re, im)`` tuple of floats when its imaginary part
+    is nonzero; a -0.0 imaginary part leaves it bare.  Cells are built when
+    they are read, so :func:`write_json`, which writes from ``_matrix``,
+    never builds one."""
+
+    __slots__ = ("_matrix",)
+
+    def __init__(self, matrix: np.ndarray):
+        self._matrix = matrix
+
+    def __len__(self) -> int:
+        return self._matrix.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        z = self._matrix.reshape(-1)[operator.index(index)]
+        re, im = float(z.real), float(z.imag)
+        return (re, im) if im else re
+
+    def __iter__(self):
+        # Every real part becomes a float in one NumPy conversion, and only
+        # the cells with a nonzero imaginary part become (re, im) pairs of it.
+        flat = self._matrix.reshape(-1)
+        cells = flat.real.astype(object)
+        at = np.flatnonzero(flat.imag)
+        cells[at] = np.fromiter(zip(cells[at].tolist(), flat.imag[at].tolist()),
+                                dtype=object, count=len(at))
+        return iter(cells.tolist())
 
 
 def matrix_to_obj(M) -> dict[str, Any]:
     M = np.array(M, dtype=np.complex128, order="C")
     M.setflags(write=False)
-    flat = M.reshape(-1)
-    # Each cell is built once: every real part becomes a float, and only
-    # the cells with a nonzero imaginary part become (re, im) pairs of it.
-    cells = flat.real.astype(object)
-    at = np.flatnonzero(flat.imag)
-    cells[at] = np.fromiter(zip(cells[at].tolist(), flat.imag[at].tolist()),
-                            dtype=object, count=len(at))
-    data = _MatrixData(cells.tolist())
-    data._matrix = M
-    return {"rows": M.shape[0], "cols": M.shape[1], "data": data}
+    return {"rows": M.shape[0], "cols": M.shape[1], "data": _MatrixData(M)}
 
 
 def _is_real(x) -> bool:
@@ -125,7 +146,7 @@ def obj_to_matrix(obj) -> np.ndarray:
         data = obj["data"]
     except KeyError as exc:
         raise ValidationError(f"matrix object missing rows/cols/data: {exc}") from exc
-    if not isinstance(data, (list, tuple)) or len(data) != rows * cols:
+    if not isinstance(data, (list, tuple, _MatrixData)) or len(data) != rows * cols:
         raise ValidationError(
             f"matrix data must list {rows * cols} row-major entries")
     # One pass type-checks the cells and lays out re, im pairs; plain floats
@@ -259,8 +280,8 @@ def _write_matrix_data(fh, M: np.ndarray, inner: str) -> None:
 
 
 def _write(fh, obj, nl: str) -> None:
-    """Write ``obj`` as ``json.dumps(obj, indent=2)`` lays it out at the
-    depth whose line break and indent is ``nl``."""
+    """Write ``obj`` as ``json.dumps(obj, indent=2, default=list)`` lays it
+    out at the depth whose line break and indent is ``nl``."""
     if isinstance(obj, dict) and obj:
         inner = nl + "  "
         head = "{" + inner
@@ -269,16 +290,19 @@ def _write(fh, obj, nl: str) -> None:
             _write(fh, value, inner)
             head = "," + inner
         fh.write(nl + "}")
+    elif type(obj) is _MatrixData:
+        if obj:
+            _write_matrix_data(fh, obj._matrix, nl + "  ")
+            fh.write(nl + "]")
+        else:
+            fh.write("[]")
     elif isinstance(obj, (list, tuple)) and obj:
         inner = nl + "  "
-        if type(obj) is _MatrixData:
-            _write_matrix_data(fh, obj._matrix, inner)
-        else:
-            head = "[" + inner
-            for item in obj:
-                fh.write(head)
-                _write(fh, item, inner)
-                head = "," + inner
+        head = "[" + inner
+        for item in obj:
+            fh.write(head)
+            _write(fh, item, inner)
+            head = "," + inner
         fh.write(nl + "]")
     else:
         fh.write(_encode(obj))
@@ -286,9 +310,11 @@ def _write(fh, obj, nl: str) -> None:
 
 def write_json(fh, obj) -> None:
     """Write ``obj`` to the text file ``fh`` as ``json.dumps(obj, indent=2)``
-    would, byte for byte, then a newline.  An unsupported value raises the
-    same ``TypeError`` as ``json``; a container that holds itself recurses
-    until ``RecursionError``, where ``json`` raises ``ValueError``."""
+    would, byte for byte, then a newline; the ``data`` of
+    :func:`matrix_to_obj`, which ``json`` serializes only with
+    ``default=list``, as its list of cells.  Any other unsupported value
+    raises the same ``TypeError`` as ``json``; a container that holds itself
+    recurses until ``RecursionError``, where ``json`` raises ``ValueError``."""
     _write(fh, obj, "\n")
     fh.write("\n")
 

@@ -94,10 +94,17 @@ _ONE = np.complex128(1.0)
 _TWO = np.complex128(2.0)
 
 
+def _hermitian_mean(M: np.ndarray, Mh: np.ndarray, out=None) -> np.ndarray:
+    """(M + Mh) / 2 for ``Mh = M*``, written to ``out`` when it is given."""
+    out = np.add(M, Mh, out=out)
+    out /= _TWO
+    return out
+
+
 def hermitian_part(M) -> np.ndarray:
     """(M + M*) / 2.  Every stored Hermitian matrix is symmetrized this way."""
     M = np.asarray(M, dtype=np.complex128)
-    return (M + M.conj().T) / _TWO
+    return _hermitian_mean(M, M.conj().T)
 
 
 def frob(M) -> float:
@@ -128,12 +135,15 @@ def hermitian_storage(k, m, data, what: str) -> np.ndarray:
     n = int(k) * int(m)
     if C.shape != (n, n):
         raise ValueError(f"{what} must be {(n, n)}, got {C.shape}")
-    defect = frob(C - C.conj().T)
+    # One conjugate transpose, laid out as C is, serves the defect and the
+    # symmetrized copy, which is written into it.
+    H = np.conjugate(C.T, order="C")
+    defect = _complex_frob((C - H).reshape(-1))
     if defect > 1e-8 * frob(C):
         raise ValueError(f"{what} is not Hermitian: defect {defect:.3e}")
-    C = hermitian_part(C)
-    C.setflags(write=False)
-    return C
+    H = _hermitian_mean(C, H, out=H)
+    H.setflags(write=False)
+    return H
 
 
 def psd_storage(k, m, data, what: str) -> tuple[np.ndarray, np.ndarray]:

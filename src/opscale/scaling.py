@@ -251,6 +251,19 @@ class ScalingReport:
         return ds_map
 
 
+def check_run_limits(max_iter: int, divergence_logdet: float | None) -> None:
+    """Refuse, with ValueError naming the parameter first, the run limits of
+    :func:`run` that give a false verdict: a negative ``max_iter`` stops
+    before the first step, a NaN ``divergence_logdet`` switches the
+    divergence test off, and one at or below 0 ends every run diverged
+    within a step, since the growth starts at 0."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    if divergence_logdet is not None and not divergence_logdet > 0.0:
+        raise ValueError(
+            f"divergence_logdet must be a positive number, got {divergence_logdet}")
+
+
 def run(T: ChoiMap, tol: Tolerances = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
         divergence_logdet: float | None = None,
         keep_history: bool = True) -> ScalingReport:
@@ -258,8 +271,10 @@ def run(T: ChoiMap, tol: Tolerances = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_I
     log-determinant's growth since iterate 0 exceeds the divergence threshold
     (default ``50 * k * m``), or ``max_iter`` is hit.  The test reads growth,
     not the log-determinant itself, which scaling T by c shifts by
-    ``-(k m / 2) log c`` at every iterate.  Raises only the update's
-    NumericalFailure."""
+    ``-(k m / 2) log c`` at every iterate.  Raises ValueError, before the
+    first step, on the run limits :func:`check_run_limits` refuses, and
+    otherwise only the update's NumericalFailure."""
+    check_run_limits(max_iter, divergence_logdet)
     threshold = 50.0 * T.k * T.m if divergence_logdet is None else float(divergence_logdet)
     history: list[IterationRecord] = []
     try:

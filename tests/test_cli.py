@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from unittest import mock
@@ -44,7 +45,7 @@ class TestMatrixRoundTrip:
         rng = np.random.default_rng(0)
         for _ in range(20):
             M = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-            back = obj_to_matrix(json.loads(json.dumps(matrix_to_obj(M))))
+            back = obj_to_matrix(json.loads(json.dumps(matrix_to_obj(M), default=list)))
             assert np.array_equal(back, M)
 
     def test_real_entries_stay_scalars(self):
@@ -53,7 +54,7 @@ class TestMatrixRoundTrip:
 
     def test_awkward_floats_survive(self):
         vals = np.array([[1e-300, 1e300], [np.pi, 1 / 3], [-0.0, 5e-324]])
-        back = obj_to_matrix(json.loads(json.dumps(matrix_to_obj(vals))))
+        back = obj_to_matrix(json.loads(json.dumps(matrix_to_obj(vals), default=list)))
         assert np.array_equal(back, vals.astype(complex))
 
     def test_validation_failures(self):
@@ -140,12 +141,12 @@ class TestMatrixCodecProperties:
         M = parts.view(np.complex128)
         expected = M.copy()
         expected.imag[expected.imag == 0.0] = 0.0
-        back = obj_to_matrix(json.loads(json.dumps(matrix_to_obj(M))))
+        back = obj_to_matrix(json.loads(json.dumps(matrix_to_obj(M), default=list)))
         assert np.array_equal(_bits(back), _bits(expected))
 
     def test_round_trip_keeps_negative_zero_real_parts(self):
         M = np.array([[-0.0, complex(-0.0, 1.0)], [2.0, complex(-0.0, -0.0)]])
-        back = obj_to_matrix(json.loads(json.dumps(matrix_to_obj(M))))
+        back = obj_to_matrix(json.loads(json.dumps(matrix_to_obj(M), default=list)))
         assert np.signbit(back.real).tolist() == [[True, True], [False, True]]
         assert np.signbit(back.imag).tolist() == [[False, False], [False, False]]
 
@@ -265,7 +266,7 @@ class TestJsonWriter:
                     jio.map_to_obj(fixtures.random_cp_map(3, 5, rng).tilde_lift()),
                     jio.matrix_to_obj(pattern),
                     jio.matrix_to_obj(np.eye(3)), jio.matrix_to_obj(1j * np.eye(2))):
-            assert written(obj, jio) == json.dumps(obj, indent=2) + "\n"
+            assert written(obj, jio) == json.dumps(obj, indent=2, default=list) + "\n"
 
     @pytest.mark.parametrize("obj", [
         {"a": object()}, [1.0, np.int64(3)], [[1.0, 2.0], {1, 2}],
@@ -343,7 +344,7 @@ class TestMatrixDataPath:
         with mock.patch.object(jio, "_SLICE", slice_len), \
                 mock.patch.object(jio, "_write_matrix_data",
                                   wraps=jio._write_matrix_data) as array_path:
-            assert written(obj, jio) == json.dumps(obj, indent=2) + "\n"
+            assert written(obj, jio) == json.dumps(obj, indent=2, default=list) + "\n"
         array_path.assert_called_once()
 
     @pytest.mark.parametrize("slice_len", [1, 3, opscale_io._SLICE])
@@ -354,7 +355,7 @@ class TestMatrixDataPath:
         with mock.patch.object(jio, "_SLICE", slice_len), \
                 mock.patch.object(jio, "_write_matrix_data",
                                   wraps=jio._write_matrix_data) as array_path:
-            assert written(obj, jio) == json.dumps(obj, indent=2) + "\n"
+            assert written(obj, jio) == json.dumps(obj, indent=2, default=list) + "\n"
         array_path.assert_called_once()
 
     @pytest.mark.parametrize("change", [
@@ -367,12 +368,12 @@ class TestMatrixDataPath:
         obj = jio.matrix_to_obj(np.array([[1.0, 2 + 1j], [-0.0, 3 - 2j]]))
         with pytest.raises((TypeError, AttributeError)):
             change(obj["data"])
-        assert written(obj, jio) == json.dumps(obj, indent=2) + "\n"
+        assert written(obj, jio) == json.dumps(obj, indent=2, default=list) + "\n"
 
     def test_source_changed_after_the_call_is_not_written(self, jio):
         M = np.array([[1.0, 2 + 1j], [-0.0, 3 - 2j]])
         obj = jio.matrix_to_obj(M)
-        expected = json.dumps(obj, indent=2) + "\n"
+        expected = json.dumps(obj, indent=2, default=list) + "\n"
         M[:] = 9.0
         assert written(obj, jio) == expected
 
@@ -391,11 +392,59 @@ class TestMatrixDataPath:
         assert np.array_equal(_bits(obj_to_matrix(obj)), _bits(expected))
 
 
+def _tuple_cells(M):
+    """The cells of ``matrix_to_obj(M)["data"]`` as the tuple that data was
+    before it became a sequence over the array: the reference for its
+    cells."""
+    flat = np.array(M, dtype=np.complex128, order="C").reshape(-1)
+    cells = flat.real.astype(object)
+    at = np.flatnonzero(flat.imag)
+    cells[at] = np.fromiter(zip(cells[at].tolist(), flat.imag[at].tolist()),
+                            dtype=object, count=len(at))
+    return tuple(cells.tolist())
+
+
+def _cell_bits(cell):
+    """A cell as the bytes of its doubles: a float, or a pair of floats."""
+    if type(cell) is float:
+        return struct.pack("<d", cell)
+    assert type(cell) is tuple and len(cell) == 2
+    assert all(type(part) is float for part in cell)
+    return tuple(struct.pack("<d", part) for part in cell)
+
+
+class TestMatrixDataCells:
+    """matrix_to_obj's data builds, when read, exactly the cells it held as
+    a tuple: a float, or an (re, im) tuple when the imaginary part is
+    nonzero, -0.0 included among the zeros."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(M=st.one_of(
+        _mostly_zero_matrices(),
+        arrays(np.float64, st.tuples(st.integers(1, 5),
+                                     st.integers(1, 5).map(lambda c: 2 * c)),
+               elements=st.floats()).map(lambda parts: parts.view(np.complex128))))
+    @example(M=np.array([[complex(1.0, -0.0), complex(-0.0, float("nan"))],
+                         [complex(float("-inf"), float("inf")),
+                          complex(float("nan"), 0.0)]]))
+    def test_cells_match_the_tuple_bit_for_bit(self, M):
+        data = matrix_to_obj(M)["data"]
+        want = [_cell_bits(cell) for cell in _tuple_cells(M)]
+        n = len(want)
+        assert len(data) == n == M.size
+        assert [_cell_bits(cell) for cell in data] == want
+        assert [_cell_bits(data[idx]) for idx in range(n)] == want
+        assert [_cell_bits(data[idx - n]) for idx in range(n)] == want
+        for idx in (n, -n - 1):
+            with pytest.raises(IndexError):
+                data[idx]
+
+
 class TestStateAndMapFiles:
     def test_state_round_trip(self):
         rng = np.random.default_rng(1)
         state = BipartiteState(2, 3, fixtures.random_state_matrix(2, 3, rng))
-        back = parse_state(json.loads(json.dumps(state_to_obj(state))))
+        back = parse_state(json.loads(json.dumps(state_to_obj(state), default=list)))
         assert np.array_equal(back.rho, state.rho)
 
     @pytest.mark.parametrize("k, m, message", [
@@ -854,6 +903,43 @@ class TestWrittenLayout:
         assert len(files) == 1 + 4 + 2 * 4 + 1
         for path in files:
             self.assert_layout(path.read_text(encoding="utf-8"))
+
+
+class TestNoCellsOnTheWritePath:
+    """Commands write matrices from their arrays: with the cells of
+    matrix_to_obj's data made unreadable, each writes the same files and
+    stdout and exits with the same code."""
+
+    @staticmethod
+    def outputs(capsys, argv, directory):
+        before = set(directory.rglob("*"))
+        code, out = run_cli(capsys, *argv)
+        written = {}
+        for path in sorted(set(directory.rglob("*")) - before):
+            written[path] = path.read_bytes()
+            path.unlink()
+        return code, out, written
+
+    @pytest.mark.parametrize("command", ["tilde", "fnf", "scale", "selftest"])
+    def test_commands_build_no_cells(self, capsys, workspace, tmp_path, command):
+        argv = {"tilde": ("tilde", str(workspace["map"]), "--out",
+                          str(tmp_path / "lift.json")),
+                "fnf": ("fnf", str(workspace["state"])),
+                "scale": ("scale", str(workspace["map"])),
+                "selftest": ("selftest",)}[command]
+        code, out, written = self.outputs(capsys, argv, tmp_path)
+
+        def unreadable(*args):
+            raise AssertionError("a cell of matrix_to_obj's data was read")
+
+        with mock.patch.object(opscale_io._MatrixData, "__iter__", unreadable), \
+                mock.patch.object(opscale_io._MatrixData, "__getitem__", unreadable):
+            assert self.outputs(capsys, argv, tmp_path) == (code, out, written)
+        assert code == 0
+        if command == "scale":
+            assert json.loads(out)["input_filter"]["rows"] == 2
+        elif command != "selftest":
+            assert written
 
 
 class TestCertificateCommand:

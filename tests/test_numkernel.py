@@ -117,6 +117,52 @@ class TestHermitianStorage:
             hermitian_storage(np.int64(2), np.uint8(3), np.eye(4), "storage")
 
 
+def _parent_hermitian_storage(data, what):
+    """The Hermiticity check and symmetrization of ``hermitian_storage`` as
+    written before it made one conjugate copy: the reference for both."""
+    C = as_complex_matrix(data)
+    defect = frob(C - C.conj().T)
+    if defect > 1e-8 * frob(C):
+        raise ValueError(f"{what} is not Hermitian: defect {defect:.3e}")
+    return (C + C.conj().T) / 2
+
+
+@st.composite
+def _near_hermitian_storages(draw):
+    """A storage for a k x m pair: a Hermitian one, or one whose entries are
+    perturbed by a relative size from 1e-18 to 1, around the refusal limit
+    of 1e-8, all scaled by 2**e."""
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = k * m
+    parts = draw(arrays(np.float64, (n, 2 * n),
+                        elements=st.floats(-4.0, 4.0, allow_subnormal=False)))
+    C = parts.view(np.complex128)
+    C = C + C.conj().T
+    noise = draw(st.sampled_from([0.0, 1e-18, 1e-12, 1e-9, 3e-9, 1e-8, 3e-8, 1e-6, 1.0]))
+    if noise:
+        D = draw(arrays(np.float64, (n, 2 * n),
+                        elements=st.floats(-1.0, 1.0))).view(np.complex128)
+        C = C + noise * D
+    return k, m, C * 2.0 ** draw(st.integers(-400, 400))
+
+
+class TestHermitianStorageBitForBit:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(storage=_near_hermitian_storages())
+    def test_matches_the_two_copy_formula(self, storage):
+        k, m, C = storage
+        try:
+            want = _parent_hermitian_storage(C, "storage")
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                hermitian_storage(k, m, C, "storage")
+            assert str(got.value) == str(exc)
+            return
+        got = hermitian_storage(k, m, C, "storage")
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestEig:
     def test_golden_eigenvalues(self):
         # [[0,1],[1,1]] has eigenvalues golden ratio and -1/golden.

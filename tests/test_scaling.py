@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opscale import fixtures, numkernel, scaling
+from opscale.fnf import BipartiteState, compute_fnf
 from opscale.matcomb import NonnegPattern, has_support, has_total_support
 from opscale.numkernel import (NotPositiveDefinite, NumericalFailure, Tolerances,
                                as_complex_matrix, frob, kron)
@@ -326,6 +328,48 @@ def run_outcome(T):
     except NumericalFailure as exc:
         return "NumericalFailure", str(exc)
     return report.verdict, report.iterations
+
+
+class TestRunLimits:
+    """run, and compute_fnf through it, refuse the limits that give a false
+    verdict before the first step: a divergence threshold at or below 0 ends
+    a converging run diverged, and a NaN one switches the test off."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"divergence_logdet": 0.0}, "divergence_logdet must be a positive number, got 0.0"),
+        ({"divergence_logdet": -1.0}, "divergence_logdet must be a positive number, got -1.0"),
+        ({"divergence_logdet": math.nan}, "divergence_logdet must be a positive number, got nan"),
+        ({"max_iter": -1}, "max_iter must be nonnegative, got -1"),
+    ])
+    def test_refused_before_the_first_step(self, kwargs, message):
+        T = fixtures.random_cp_map(2, 3, np.random.default_rng(0))
+        state = BipartiteState(2, 3, fixtures.random_state_matrix(
+            2, 3, np.random.default_rng(0)))
+        # A singular reduced state: compute_fnf refuses the limit first.
+        singular = BipartiteState(2, 2, np.diag([1.0, 0.0, 0.0, 0.0]))
+        with mock.patch.object(scaling, "_iterates", side_effect=AssertionError):
+            for call in (lambda: run(T, **kwargs),
+                         lambda: compute_fnf(state, **kwargs),
+                         lambda: compute_fnf(singular, **kwargs)):
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == message
+
+    @pytest.mark.parametrize("divergence", [math.inf, 1e4])
+    def test_positive_thresholds_are_taken(self, divergence):
+        T = fixtures.random_cp_map(2, 3, np.random.default_rng(0))
+        want = run(T)
+        got = run(T, divergence_logdet=divergence)
+        assert (want.verdict, want.iterations) == (VERDICT_CONVERGED, 17)
+        assert (got.verdict, got.iterations) == (want.verdict, want.iterations)
+        assert np.array_equal(got.in_filter, want.in_filter)
+        assert np.array_equal(got.out_filter, want.out_filter)
+        state = BipartiteState(2, 3, fixtures.random_state_matrix(
+            2, 3, np.random.default_rng(0)))
+        coefficients = [[t.coeff for t in result.schmidt]
+                        for result in (compute_fnf(state),
+                                       compute_fnf(state, divergence_logdet=divergence))]
+        assert coefficients[0] == coefficients[1]
 
 
 class TestIterationCounts:
