@@ -439,6 +439,11 @@ class TestMatrixDataCells:
             with pytest.raises(IndexError):
                 data[idx]
 
+    def test_an_empty_matrix_is_an_empty_list(self, jio):
+        obj = jio.matrix_to_obj(np.zeros((0, 3)))
+        assert len(obj["data"]) == 0 and list(obj["data"]) == []
+        assert written(obj, jio) == json.dumps(obj, indent=2, default=list) + "\n"
+
 
 class TestStateAndMapFiles:
     def test_state_round_trip(self):

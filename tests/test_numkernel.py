@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -149,6 +149,11 @@ def _near_hermitian_storages(draw):
 class TestHermitianStorageBitForBit:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(storage=_near_hermitian_storages())
+    # Dividing by the complex 2 turns a -0.0 real part with a +0.0 imaginary
+    # part into +0.0, where halving would keep it.
+    @example(storage=(1, 1, np.array([[complex(-0.0, 0.0)]])))
+    @example(storage=(1, 2, np.array([[complex(-0.0, -0.0), complex(-0.0, 1.0)],
+                                      [complex(-0.0, -1.0), complex(2.0, -0.0)]])))
     def test_matches_the_two_copy_formula(self, storage):
         k, m, C = storage
         try:
