@@ -202,7 +202,8 @@ def herm_eig(H) -> tuple[np.ndarray, np.ndarray]:
     # floating-point error, so the scaling step's filter products, which can
     # overflow, stay @.  These cannot, short of |H| near the double range:
     # an entry of (V w) V* is at most max|w|, and the floor below bounds
-    # those of pd_inv_sqrt's S by bottom**-0.5 and of S H S by dim**2 / pd_min.
+    # those of pd_inv_sqrt's S and Q by dim * bottom**-0.5, at any relaxation
+    # in [1, 2), and of S H Q by dim**2 / pd_min.
     R = (V * w).dot(V.conj().T)
     R -= H
     residual = _complex_frob(R.ravel(order="K"))
@@ -214,8 +215,8 @@ def herm_eig(H) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def pd_inv_sqrt(H, tol: Tolerances = DEFAULT_TOL,
-                what: str = "matrix") -> tuple[np.ndarray, float, float]:
+def pd_inv_sqrt(H, tol: Tolerances = DEFAULT_TOL, what: str = "matrix",
+                relaxation: float = 1.0) -> tuple[np.ndarray, float, float]:
     """Inverse square root of a positive definite Hermitian matrix.
 
     Returns ``(S, logsum, residual)`` with ``S = H^(-1/2)``, ``logsum`` the
@@ -228,6 +229,14 @@ def pd_inv_sqrt(H, tol: Tolerances = DEFAULT_TOL,
     and the floor alone decides which matrices are accepted.  ``what`` names
     H in the error messages.  H must be Hermitian, as the scaling step's
     marginals are: :func:`herm_eig` refuses one that is not.
+
+    A ``relaxation`` w other than 1 gives, from the same eigendecomposition,
+    the overrelaxed root ``S = c H^(-w/2)``, with the scalar c that keeps
+    ``tr(S H S) = dim`` as at w = 1.  ``logsum`` is then ``-2 log det S``,
+    which is ``log det H`` at w = 1, and ``residual`` that of ``S H Q = I``
+    for ``Q = H^(w/2 - 1) / c``, which is ``S H S - I`` at w = 1.  For w in
+    (0, 2) its rounding error is bounded as at w = 1, by epsilon times the
+    condition number of H, and it is held to the same contract.
     """
     H = np.asarray(H, dtype=np.complex128)
     w, V = herm_eig(H)
@@ -237,14 +246,24 @@ def pd_inv_sqrt(H, tol: Tolerances = DEFAULT_TOL,
             f"{what} not positive definite: eigenvalue {bottom:.6e} "
             f"vs largest {top:.6e} (floor {tol.pd_min:g} relative)",
             min_eigenvalue=bottom, max_eigenvalue=top)
-    S = hermitian_part((V * np.power(w, -0.5)).dot(V.conj().T))
-    residual = identity_defect(S.dot(H).dot(S))
-    limit = H.shape[0] * _INV_SQRT_RECON_REL * (top / bottom)
+    dim = H.shape[0]
+    logsum = float(np.add.reduce(np.log(w)))
+    if relaxation == 1.0:
+        S = Q = hermitian_part((V * np.power(w, -0.5)).dot(V.conj().T))
+    else:
+        c2 = dim / float(np.add.reduce(np.power(w, 1.0 - relaxation)))
+        c = math.sqrt(c2)
+        Vh = V.conj().T
+        S = hermitian_part((V * (c * np.power(w, -0.5 * relaxation))).dot(Vh))
+        Q = (V * (np.power(w, 0.5 * relaxation - 1.0) / c)).dot(Vh)
+        logsum = relaxation * logsum - dim * math.log(c2)
+    residual = identity_defect(S.dot(H).dot(Q))
+    limit = dim * _INV_SQRT_RECON_REL * (top / bottom)
     if residual > limit:
         raise NumericalFailure(
             f"{what} inverse square root residual {residual:.3e} exceeds "
             f"contract {limit:.3e}", residual=residual)
-    return S, float(np.add.reduce(np.log(w))), residual
+    return S, logsum, residual
 
 
 def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

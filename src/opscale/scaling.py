@@ -15,6 +15,24 @@ One driver, ``_iterates``, runs the update from the identity filter pair
 reach ``tol.conv_eps`` or an iteration cap.  ``run`` consumes it with a history
 and a divergence stop, ``block_commutation_check`` with a commutator test.
 
+The update converges linearly, at a rate that tends to 1 near the boundary
+of scalability.  So at iterate 256 the driver switches to overrelaxed steps
+(Thibault, Chizat, Dossal and Papadakis, arXiv:1711.01851) when the plain
+steps have shown a steady geometric rate rho: the residual fell by at least
+0.1 % over the last 32 of them, at rates that their two halves agree on
+within 3 %, which neither a stalled residual nor one falling like 1/n does.
+Each marginal's root ``M^(-1/2)`` then becomes ``c M^(-w/2)``, from the same
+eigendecomposition, with ``w = min(1.9, 2 / (1 + sqrt(1 - rho)))`` and the
+scalar c that keeps the trace invariants; the log-determinant advances by
+that of the factors applied, and every contract of the step holds as for a
+plain one.  The run falls back to plain steps for good, from the last
+iterate accepted, when a contract refuses an overrelaxed step or when the
+residual reaches no new low, below its value at the switch, for as many
+steps as the plain rate takes to lower it by a factor e, 1 / (1 - rho),
+and at least 32.
+``init``, and ``step`` on an iterate whose ``relaxation`` is 1, are the
+plain update, and a run that ends before iterate 256 is the plain run.
+
 ``init``, ``step`` and ``run`` use the map only through its dimensions
 ``k`` and ``m`` and its methods ``apply`` (``M_k -> M_m``) and
 ``apply_adjoint`` (``M_m -> M_k``), so any object with those members can be
@@ -26,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,6 +62,19 @@ DEFAULT_MAX_ITER = 10000
 # A step whose marginal traces drift this far from sqrt(k) and sqrt(m) is
 # reported as a numerical failure instead of silently continuing.
 _STEP_DEFECT_LIMIT = 1e-6
+
+# The driver's switch to overrelaxed steps (see _iterates and _relaxation):
+# the iterate of the switch, a power of two; the plain steps before it whose
+# rate decides it; the least fall of the residual over those steps, as a
+# share of it, that shows a rate; how far the rates of their two halves may
+# differ, relative to the later one; and the largest relaxation.
+_SWITCH_AT = 256
+_RATE_WINDOW = 32
+_RATE_MARKS = frozenset((_SWITCH_AT - _RATE_WINDOW, _SWITCH_AT - _RATE_WINDOW // 2,
+                         _SWITCH_AT))
+_MIN_WINDOW_DECAY = 1e-3
+_RATE_SPREAD = 0.03
+_MAX_RELAXATION = 1.9
 
 # A filter commutes with a certificate projector when ||M P - P M||_F is at
 # most this much of ||M||_F.
@@ -71,6 +102,13 @@ class ScalingState:
     ``marginal_defect`` is the distance of the renormalized output marginal
     ``out_filter T(in_filter in_filter* / sqrt(k)) out_filter*`` from
     Id/sqrt(m), read off the residual of its inverse square root.
+    ``relaxation`` is the w of the overrelaxed update that ``step`` applies
+    to this iterate, and that its successor carries on; it is 1, the plain
+    update, unless :func:`_iterates` set it.  On an iterate that an
+    overrelaxed step produced, ``marginal_defect`` is the residual of the
+    overrelaxed root over sqrt(m), and ``in_marginal_eig_logsum`` is
+    ``-2 log det`` of the root that ``in_filter_next`` absorbed (see
+    :func:`opscale.numkernel.pd_inv_sqrt`).
     """
 
     n: int
@@ -84,6 +122,7 @@ class ScalingState:
     out_residual: float
     marginal_defect: float
     in_marginal_eig_logsum: float
+    relaxation: float = 1.0
 
     def trace_defects(self, k: int, m: int) -> tuple[float, float]:
         """Distance of tr(in_marginal) from sqrt(k) and tr(out_marginal)
@@ -95,9 +134,9 @@ class ScalingState:
 
 
 def _new_state(**fields) -> ScalingState:
-    """``ScalingState(**fields)`` without the eleven ``object.__setattr__``
+    """``ScalingState(**fields)`` without the twelve ``object.__setattr__``
     calls of a frozen dataclass's ``__init__``, 4 us of a 4x4 step.  The
-    class has no ``__post_init__`` and no field defaults to skip."""
+    class has no ``__post_init__``, and every caller passes every field."""
     state = object.__new__(ScalingState)
     state.__dict__.update(fields)
     return state
@@ -113,26 +152,33 @@ def _scalars(k: int, m: int) -> tuple:
 
 
 def _advance(T: ChoiMap, n: int, X, Y, B, logdet: float, in_logsum: float,
-             tol: Tolerances) -> ScalingState:
+             tol: Tolerances, relaxation: float = 1.0) -> ScalingState:
     """The scaling update: renormalize the output marginal ``B`` of the
     filter pair ``(X, Y)``, recompute the input marginal, and prepare the
     next input filter.  ``in_logsum`` is the eigenvalue log-sum of the input
-    marginal that ``X`` already absorbed.  Each of its refusals, an overflow
-    included, is a NumericalFailure, and no numpy warning escapes."""
+    marginal that ``X`` already absorbed.  A ``relaxation`` w other than 1
+    applies both marginals' overrelaxed roots ``c M^(-w/2)`` in place of
+    ``M^(-1/2)``; their scalars keep both trace invariants, and their
+    log-sums are the log-determinants of the factors applied.  Each of its
+    refusals, an overflow included, is a NumericalFailure, and no numpy
+    warning escapes."""
     k, m = T.k, T.m
     y_scale, y_norm, x_scale, x_norm, k_root, m_root = _scalars(k, m)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            B_is, B_logsum, B_residual = pd_inv_sqrt(B, tol, "output-side marginal")
+            B_is, B_logsum, B_residual = pd_inv_sqrt(B, tol, "output-side marginal",
+                                                     relaxation)
             Y1 = y_scale * (B_is @ Y)
             Y1h = Y1.conj().T
 
             A1 = hermitian_part(X.conj().T @ T.apply_adjoint((Y1h * y_norm) @ Y1) @ X)
-            A1_is, A1_logsum, _ = pd_inv_sqrt(A1, tol, "input-side marginal")
+            A1_is, A1_logsum, _ = pd_inv_sqrt(A1, tol, "input-side marginal",
+                                              relaxation)
             X2 = x_scale * (X @ A1_is)
             B1 = hermitian_part(Y1 @ T.apply((X2 * x_norm) @ X2.conj().T) @ Y1h)
 
-            # det X advances by det(A)^(-1/2) * k^(-k/4), det Y by det(B)^(-1/2) * m^(-m/4).
+            # det X advances by exp(-in_logsum / 2) * k^(-k/4), det Y by
+            # exp(-B_logsum / 2) * m^(-m/4): det(A)^(-1/2) and det(B)^(-1/2) plain.
             logdet += m * (-0.5 * in_logsum - (k / 4.0) * math.log(k))
             logdet += k * (-0.5 * B_logsum - (m / 4.0) * math.log(m))
 
@@ -142,7 +188,7 @@ def _advance(T: ChoiMap, n: int, X, Y, B, logdet: float, in_logsum: float,
                 in_residual=identity_defect(k_root * A1),
                 out_residual=identity_defect(m_root * B1),
                 marginal_defect=B_residual / math.sqrt(m),
-                in_marginal_eig_logsum=A1_logsum)
+                in_marginal_eig_logsum=A1_logsum, relaxation=relaxation)
             drift = max(state.trace_defects(k, m))
     except NotPositiveDefinite as exc:
         raise NumericalFailure(str(exc)) from exc
@@ -180,11 +226,15 @@ def step(state: ScalingState, T: ChoiMap, tol: Tolerances = DEFAULT_TOL) -> Scal
     input marginal and the next input filter; raises only NumericalFailure."""
     return _advance(T, state.n + 1, state.in_filter_next, state.out_filter,
                     state.out_marginal, state.logdet,
-                    state.in_marginal_eig_logsum, tol)
+                    state.in_marginal_eig_logsum, tol, state.relaxation)
+
+
+def _residual(state: ScalingState) -> float:
+    return max(state.in_residual, state.out_residual)
 
 
 def _converged(state: ScalingState, tol: Tolerances) -> bool:
-    return max(state.in_residual, state.out_residual) <= tol.conv_eps
+    return _residual(state) <= tol.conv_eps
 
 
 def ds_slack(tol: Tolerances) -> float:
@@ -192,13 +242,71 @@ def ds_slack(tol: Tolerances) -> float:
     return 10.0 * tol.conv_eps
 
 
+def _relaxation(first: float, middle: float, last: float) -> tuple[float, float]:
+    """The w of the overrelaxed steps and their patience, from the residuals
+    of the plain iterates at the start, middle and end of the rate window,
+    or ``(1.0, 0.0)`` when they show no steady geometric rate.
+
+    The rate is the geometric mean of the window's residual ratios, ``rho =
+    (last / first)^(1/_RATE_WINDOW)``, and w the optimal overrelaxation of a
+    linear rate rho, ``2 / (1 + sqrt(1 - rho))`` (Thibault, Chizat, Dossal
+    and Papadakis, arXiv:1711.01851), capped at _MAX_RELAXATION.  A rate is
+    shown when the residual fell by at least _MIN_WINDOW_DECAY of itself
+    over the window, which a stalled residual does not, and steady when the
+    window's two halves agree on it within _RATE_SPREAD; a residual that
+    falls like 1/n, as on a map with support but no total support, gives
+    halves about 7 % apart at iterate 256.  The patience is the number of
+    steps that the plain rate takes to lower the residual by a factor e,
+    ``1 / (1 - rho)``, and at least _RATE_WINDOW."""
+    early, late = math.log(middle / first), math.log(last / middle)
+    if (last > (1.0 - _MIN_WINDOW_DECAY) * first
+            or abs(early - late) > _RATE_SPREAD * abs(late)):
+        return 1.0, 0.0
+    rho = (last / first) ** (1.0 / _RATE_WINDOW)
+    return (min(_MAX_RELAXATION, 2.0 / (1.0 + math.sqrt(1.0 - rho))),
+            max(float(_RATE_WINDOW), 1.0 / (1.0 - rho)))
+
+
 def _iterates(T: ChoiMap, tol: Tolerances, max_iter: int):
     """``init``'s iterate, then ``step``'s until one converged or reached
-    ``max_iter``; both are called through the module globals."""
+    ``max_iter``; both are called through the module globals.
+
+    At iterate _SWITCH_AT, when :func:`_relaxation` finds a steady geometric
+    rate in the plain steps before it, the iterate is given that relaxation,
+    so that the steps from it on are overrelaxed.  They fall back to plain
+    steps for the rest of the run, from the last iterate accepted, when a
+    contract refuses an overrelaxed step, or when the residual reaches no new
+    low, below its value at the switch, within the relaxation's patience.
+    Overrelaxed steps first raise the residual, for longer the closer the
+    plain rate is to 1, and near the rounding floor they stall above the
+    floor of plain ones.  A run that ends before the switch has every
+    iterate of the plain update.
+    """
     state = init(T, tol)
     yield state
+    window = []     # plain residuals at the rate window's start, middle and end
+    low = None      # (lowest residual, its iterate) while the steps are overrelaxed
     while not _converged(state, tol) and state.n < max_iter:
-        state = step(state, T, tol)
+        if state.n in _RATE_MARKS:
+            window.append(_residual(state))
+            if state.n == _SWITCH_AT:
+                relaxation, patience = _relaxation(*window)
+                if relaxation != 1.0:
+                    state = replace(state, relaxation=relaxation)
+                    low = (window[-1], state.n)
+        elif low is not None:
+            if _residual(state) < low[0]:
+                low = (_residual(state), state.n)
+            elif state.n - low[1] >= patience:
+                state, low = replace(state, relaxation=1.0), None
+        try:
+            following = step(state, T, tol)
+        except NumericalFailure:
+            if low is None:
+                raise
+            state, low = replace(state, relaxation=1.0), None
+            following = step(state, T, tol)
+        state = following
         yield state
 
 
@@ -273,7 +381,9 @@ def run(T: ChoiMap, tol: Tolerances = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_I
     not the log-determinant itself, which scaling T by c shifts by
     ``-(k m / 2) log c`` at every iterate.  Raises ValueError, before the
     first step, on the run limits :func:`check_run_limits` refuses, and
-    otherwise only the update's NumericalFailure."""
+    otherwise only the update's NumericalFailure.  From iterate 256 on, the
+    steps may be overrelaxed (see the module docstring); ``iterations`` and
+    ``history`` count plain and overrelaxed steps alike."""
     check_run_limits(max_iter, divergence_logdet)
     threshold = 50.0 * T.k * T.m if divergence_logdet is None else float(divergence_logdet)
     history: list[IterationRecord] = []

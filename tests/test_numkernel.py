@@ -228,6 +228,30 @@ class TestPdInvSqrt:
             S, _, _ = pd_inv_sqrt((U * w) @ U.conj().T)
             assert np.isfinite(S).all()
 
+    @pytest.mark.parametrize("relaxation", [0.5, 1.5, 1.9])
+    def test_overrelaxed_root(self, relaxation):
+        # S = c H^(-w/2) with tr(S H S) = dim, logsum = -2 log det S, and
+        # the residual of S H Q = I within the plain contract, up to
+        # condition numbers near the 1e10 floor.
+        rng = np.random.default_rng(6)
+        for trial in range(40):
+            dim = 1 + trial % 6
+            cond = 10.0 ** rng.uniform(0.0, 9.9)
+            H = conditioned_hermitian(rng, dim, cond)
+            S, logsum, residual = pd_inv_sqrt(H, relaxation=relaxation)
+            w, U = np.linalg.eigh(H)
+            c = np.sqrt(dim / np.sum(w ** (1.0 - relaxation)))
+            root = c * (U * w ** (-relaxation / 2)) @ U.conj().T
+            assert frob(S - root) <= 1e-12 * frob(root)
+            assert frob(S - S.conj().T) == 0.0
+            Q = (U * w ** (relaxation / 2 - 1)) @ U.conj().T / c
+            assert abs(residual - frob(S @ H @ Q - np.eye(dim))) <= 1e-10 * dim * cond
+            assert residual <= dim * numkernel._INV_SQRT_RECON_REL * cond
+            logdet_S = dim * np.log(c) - relaxation / 2 * np.sum(np.log(w))
+            assert abs(logsum + 2 * logdet_S) <= 1e-12 * max(1.0, abs(logsum))
+            # the trace that the scaling step's invariants rest on
+            assert abs(np.trace(S @ H @ S).real - dim) <= 1e-10 * dim * cond
+
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             pd_inv_sqrt(np.diag([1.0, -1.0]))

@@ -883,3 +883,262 @@ class TestRotatedClassicalMaps:
         for A in patterns(k, m):
             pattern = NonnegPattern(A)
             assert bool(has_total_support(pattern)) == bool(has_support(pattern))
+
+
+# --------------------------------------------------- overrelaxed steps
+
+def item9_map(eps):
+    """A rank-2 3x3 map plus ``eps`` times the identity in its storage:
+    strictly positive and scalable, and slower to scale as eps -> 0."""
+    T = fixtures.random_cp_map(3, 3, np.random.default_rng(3), rank=2)
+    return ChoiMap(3, 3, T.choi + eps * np.eye(9))
+
+
+def driver_relaxations(T, tol=TOL, max_iter=10000):
+    """The ``relaxation`` of every iterate the driver hands out."""
+    return [state.relaxation for state in scaling._iterates(T, tol, max_iter)]
+
+
+def filtered_check(T, report):
+    return is_doubly_stochastic(FilteredMap(T, report.in_filter, report.out_filter),
+                                ds_slack(TOL))
+
+
+class TestOverrelaxedStep:
+    """``step`` on an iterate that carries a relaxation w applies each
+    marginal's root ``c M^(-w/2)`` and keeps every invariant of the plain
+    update."""
+
+    @pytest.mark.parametrize("relaxation", [0.5, 1.3, 1.9])
+    def test_factors_invariants_and_logdet(self, relaxation):
+        T = rotated_triangular_map(4, 1e-6, np.random.default_rng(1))
+        k = m = 4
+        state = init(T)
+        for _ in range(5):
+            state = step(state, T)
+        state = dataclasses.replace(state, relaxation=relaxation)
+        for _ in range(10):
+            new = step(state, T)
+            assert new.relaxation == relaxation and new.n == state.n + 1
+            # the factors applied, recomputed from the previous iterate
+            for M, before, after, dim, on_the_left in (
+                    (state.out_marginal, state.out_filter, new.out_filter, m, True),
+                    (new.in_marginal, new.in_filter, new.in_filter_next, k, False)):
+                w, U = np.linalg.eigh(M)
+                c = math.sqrt(dim / np.sum(w ** (1.0 - relaxation)))
+                root = (U * (c * w ** (-relaxation / 2))) @ U.conj().T
+                want = dim ** -0.25 * (root @ before if on_the_left else before @ root)
+                assert frob(after - want) <= 1e-10 * frob(want)
+            din, dout = new.trace_defects(k, m)
+            assert din < 1e-10 and dout < 1e-10
+            assert abs(new.logdet - logdet_oracle(new, k, m)) < 1e-8
+            state = new
+
+    def test_two_applies_and_two_eigendecompositions_a_step(self, monkeypatch):
+        T = rotated_triangular_map(4, 1e-8, np.random.default_rng(0))
+        counts = {"apply": 0, "herm_eig": 0}
+
+        class Counted(OperatorOnly):
+            __slots__ = ()
+
+            def apply(self, X):
+                counts["apply"] += 1
+                return super().apply(X)
+
+            def apply_adjoint(self, Y):
+                counts["apply"] += 1
+                return super().apply_adjoint(Y)
+
+        real_eig = numkernel.herm_eig
+
+        def counted_eig(H):
+            counts["herm_eig"] += 1
+            return real_eig(H)
+        monkeypatch.setattr(numkernel, "herm_eig", counted_eig)
+        report = run(Counted(T))
+        assert report.converged and 256 < report.iterations < 1000
+        # init makes two applies of its own for T(Id) and T*(Id)
+        assert counts == {"apply": 4 + 2 * report.iterations,
+                          "herm_eig": 2 + 2 * report.iterations}
+
+
+class TestRelaxationSwitch:
+    def test_rate_rule(self):
+        rho = 0.98
+        omega, patience = scaling._relaxation(1.0, rho ** 16, rho ** 32)
+        assert omega == pytest.approx(2.0 / (1.0 + math.sqrt(1.0 - rho)), rel=1e-12)
+        assert patience == pytest.approx(50.0, rel=1e-12)
+        assert scaling._relaxation(1.0, 0.9999 ** 16, 0.9999 ** 32) == (
+            1.9, pytest.approx(1e4, rel=1e-9))
+        assert scaling._relaxation(1.0, 0.5 ** 16, 0.5 ** 32) == (
+            pytest.approx(2.0 / (1.0 + math.sqrt(0.5))), 32.0)
+        # stalled, rising, and falling like 1/n at iterate 256
+        assert scaling._relaxation(1.0, 1.0, 1.0) == (1.0, 0.0)
+        assert scaling._relaxation(1.0, 1.01, 1.02) == (1.0, 0.0)
+        assert scaling._relaxation(1 / 224, 1 / 240, 1 / 256) == (1.0, 0.0)
+
+    def test_switch_fires_at_256_on_the_workload_map_kinds(self):
+        T = rotated_triangular_map(4, 1e-8, np.random.default_rng(0))
+        relaxations = driver_relaxations(T)
+        assert set(relaxations[:257]) == {1.0}
+        assert 1.0 < relaxations[257] <= 1.9
+        assert set(relaxations[257:]) == {relaxations[257]}
+        assert len(relaxations) - 1 < 400 < reference_run(T, keep_history=False)[1]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from([(2, 2), (2, 4), (3, 3)]), seed=st.integers(0, 2**32 - 1))
+    def test_never_fires_on_support_without_total_support(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        while True:
+            A = (rng.random(shape) < 0.6).astype(float)
+            pattern = NonnegPattern(A)
+            if has_support(pattern) and not has_total_support(pattern):
+                break
+        T = rotated_classical_map(A, rng)
+        relaxations = driver_relaxations(T, max_iter=300)
+        assert len(relaxations) == 301 and set(relaxations) == {1.0}
+
+    def test_stalled_residual_never_fires(self):
+        # the no-support fixture's residual stalls until its filters overflow
+        states = []
+        with pytest.raises(NumericalFailure, match="not finite"):
+            for state in scaling._iterates(fixtures.no_support_map(), TOL, 5000):
+                states.append(state)
+        assert len(states) > 300 and {s.relaxation for s in states} == {1.0}
+
+
+class TestNearBoundaryLadder:
+    """The eps-ladder of the near-boundary map: the plain run at eps = 1e-2,
+    overrelaxed convergence at 1e-4 and 1e-5, and the verdict of the plain
+    run, inconclusive at the cap, at 1e-6."""
+
+    def test_eps_1e_2_is_the_plain_run(self):
+        T = item9_map(1e-2)
+        got = run(T)
+        assert got.converged and got.iterations == 93
+        assert repr(report_fields(got)) == repr(reference_run(T))
+
+    def test_eps_1e_4_converges_in_under_a_thousand_steps(self):
+        T = item9_map(1e-4)
+        report = run(T)
+        assert report.converged and report.iterations < 1000
+        assert filtered_check(T, report)
+
+    def test_eps_1e_5_converges_within_the_cap(self):
+        # the plain run ends max-iter-inconclusive at the cap
+        T = item9_map(1e-5)
+        report = run(T, keep_history=False)
+        assert report.converged and report.iterations < 5000
+        assert filtered_check(T, report)
+
+    def test_eps_1e_6_keeps_its_verdict(self):
+        report = run(item9_map(1e-6), keep_history=False)
+        assert report.verdict == VERDICT_INCONCLUSIVE
+        assert report.iterations == scaling.DEFAULT_MAX_ITER
+
+
+def pattern_without_support(k, m, index):
+    """The ``index``-th, cyclically, of the k x m 0/1 patterns without
+    support but with nonzero lines, in ``patterns``' order: the others fail
+    the precondition at iterate 0."""
+    found = [A for A in patterns(k, m) if A.sum(0).all() and A.sum(1).all()
+             and not has_support(NonnegPattern(A))]
+    return found[index % len(found)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(source=st.one_of(
+    st.tuples(st.just("triangular"), st.integers(2, 6),
+              st.sampled_from([1e-4, 1e-6, 1e-8]), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("no-support"), st.sampled_from([(2, 3), (3, 2), (3, 3)]),
+              st.integers(0, 10**6), st.integers(0, 2**32 - 1))))
+def test_overrelaxed_run_against_the_plain_iteration(source):
+    """``run`` gives the plain iteration's verdict, or its refusal; a
+    converged result is doubly stochastic; a run that ends before the switch
+    is the plain run, bit for bit."""
+    if source[0] == "triangular":
+        _, n, eps, seed = source
+        T = rotated_triangular_map(n, eps, np.random.default_rng(seed))
+    else:
+        _, (k, m), index, seed = source
+        T = rotated_classical_map(pattern_without_support(k, m, index),
+                                  np.random.default_rng(seed))
+    try:
+        want = reference_run(T)
+    except NumericalFailure as exc:
+        with pytest.raises(NumericalFailure) as got:
+            run(T)
+        assert str(got.value) == str(exc)
+        return
+    report = run(T)
+    assert report.verdict == want[0]
+    if report.converged:
+        assert filtered_check(T, report)
+    if want[1] < scaling._SWITCH_AT:
+        assert repr(report_fields(report)) == repr(want)
+
+
+class TestRelaxationFallback:
+    """A refused overrelaxed step sends the run back to plain steps from the
+    last iterate accepted, and the run ends in its verdict, not a raise."""
+
+    @staticmethod
+    def tighten_relaxed_roots(monkeypatch, after=0):
+        """The inverse-power residual's contract, tightened as in
+        ``test_tightened_contract_fires_as_before``, on overrelaxed roots
+        only, from the ``after``-th overrelaxed step on."""
+        real, relaxed_steps = scaling.pd_inv_sqrt, []
+
+        def pd_inv_sqrt(H, tol, what, relaxation=1.0):
+            if relaxation != 1.0 and what.startswith("output"):
+                relaxed_steps.append(what)
+            if relaxation == 1.0 or len(relaxed_steps) <= after:
+                return real(H, tol, what, relaxation)
+            with mock.patch.object(numkernel, "_INV_SQRT_RECON_REL", 1e-17):
+                return real(H, tol, what, relaxation)
+        monkeypatch.setattr(scaling, "pd_inv_sqrt", pd_inv_sqrt)
+
+    @pytest.mark.parametrize("T", [
+        rotated_triangular_map(4, 1e-8, np.random.default_rng(0)),
+        rotated_triangular_map(3, 1e-6, np.random.default_rng(1)),
+        item9_map(1e-4)], ids=["tri-4x4-1e-8", "tri-3x3-1e-6", "eps-1e-4"])
+    def test_refused_at_the_switch_is_the_plain_run(self, monkeypatch, T):
+        assert driver_relaxations(T)[-1] != 1.0       # the switch fires untouched
+        self.tighten_relaxed_roots(monkeypatch)
+        got = run(T)
+        assert got.converged
+        assert repr(report_fields(got)) == repr(reference_run(T))
+
+    def test_refused_later_resumes_from_the_last_iterate_accepted(self, monkeypatch):
+        T = rotated_triangular_map(4, 1e-8, np.random.default_rng(0))
+        self.tighten_relaxed_roots(monkeypatch, after=10)
+        states = list(scaling._iterates(T, TOL, 10000))
+        relaxations = [s.relaxation for s in states]
+        omega = relaxations[257]
+        assert omega != 1.0
+        assert relaxations[:257] == [1.0] * 257
+        assert relaxations[257:267] == [omega] * 10
+        assert set(relaxations[267:]) == {1.0}
+        # iterate 267 is the plain step from iterate 266, the last accepted
+        resumed = step(dataclasses.replace(states[266], relaxation=1.0), T)
+        assert ([_bits(getattr(resumed, f.name)) for f in dataclasses.fields(resumed)]
+                == [_bits(getattr(states[267], f.name)) for f in dataclasses.fields(resumed)])
+        assert scaling._converged(states[-1], TOL)
+
+    def test_no_new_low_falls_back(self, monkeypatch):
+        # A relaxation near 2 makes the residual oscillate above its value at
+        # the switch: the run returns to plain steps and still converges.
+        T = rotated_triangular_map(4, 1e-8, np.random.default_rng(0))
+        monkeypatch.setattr(scaling, "_relaxation", lambda *window: (1.999, 32.0))
+        states = list(scaling._iterates(T, TOL, 10000))
+        relaxations = [s.relaxation for s in states]
+        back = relaxations.index(1.0, 257)
+        assert relaxations[257:back] == [1.999] * (back - 257)
+        # the last overrelaxed iterate ends a window of 32 without a new low
+        residuals = [scaling._residual(s) for s in states]
+        last, window = back - 1, scaling._RATE_WINDOW
+        assert last - window >= 256
+        assert min(residuals[last - window + 1:last + 1]) >= min(residuals[256:last - window + 1])
+        assert scaling._converged(states[-1], TOL)
+        report = run(T)
+        assert report.converged and filtered_check(T, report)
