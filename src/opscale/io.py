@@ -7,30 +7,29 @@ included: ``json`` writes each double as the shortest decimal that re-parses
 to the same double.  An entry whose imaginary part is zero, of either sign,
 is written as a bare number.  Decoding makes one Python pass that
 type-checks every cell and lays out its real and imaginary parts, then
-builds the matrix in one NumPy conversion.  The ``data`` of
-:func:`matrix_to_obj` is a read-only sequence over a private read-only copy
-of the matrix: its length is rows times cols, and its cells, floats and
-``(re, im)`` tuples, are built only when read, all of them in one NumPy
-pass when it is iterated.  :func:`write_json` writes it from the array and
-never builds a cell; :func:`obj_to_matrix` reads its cells back without a
-trip through JSON.  ``json`` does not serialize the sequence itself;
-``default=list`` makes it write the list of cells.
+builds the matrix in one NumPy conversion; it reads JSON values only,
+lists and tuples of cells.  The ``data`` of :func:`matrix_to_obj` is the
+flat read-only complex128 view of a private read-only copy of the matrix:
+its length is rows times cols.  :func:`write_json` writes it as the list of
+its cells; ``json`` does not serialize it, and :func:`obj_to_matrix` does
+not read it back, so a matrix object goes through the text that
+:func:`write_json` or :func:`atomic_write_json` gives.
 
 Every file and report is written by :func:`write_json`, byte for byte in the
-layout of ``json.dumps(obj, indent=2, default=list)``.  Keys and scalars go
-through the standard library's C encoder one at a time.  A matrix's ``data``
-is written from its array.  Each double written plays one of three roles: a
-number cell, the real part that opens a pair, or the imaginary part that
-closes one.  The bit patterns of the nonzero doubles are sorted by role,
-then by bits; +0.0, whose bits are all clear, is never sorted and is one
-fixed token per role, and -0.0 sorts apart from it.  One C encoding per role
-formats its distinct doubles, each into one string that carries the brackets
-and indent of the role.  The text is one such string per double, gathered by
-index and joined ``_SLICE`` doubles per write.  Matrices repeat their
-doubles, a square lift most of all, and most of a lift's doubles are +0.0,
-so each is formatted once per role.  Any other list is written item by item,
-to the same bytes.  Where ``json`` has no C encoder (PyPy, for one),
-``JSONEncoder.encode`` stands in for it.
+layout of ``json.dumps(obj, indent=2)`` with a matrix's ``data`` listed as
+its cells.  Keys and scalars go through the standard library's C encoder one
+at a time.  A matrix's ``data`` is written from its array.  Each double
+written plays one of three roles: a number cell, the real part that opens a
+pair, or the imaginary part that closes one.  The bit patterns of the
+nonzero doubles are sorted by role, then by bits; +0.0, whose bits are all
+clear, is never sorted and is one fixed token per role, and -0.0 sorts apart
+from it.  One C encoding per role formats its distinct doubles, each into
+one string that carries the brackets and indent of the role.  The text is
+one such string per double, gathered by index and joined ``_SLICE`` doubles
+per write.  Matrices repeat their doubles, a square lift most of all, and
+most of a lift's doubles are +0.0, so each is formatted once per role.  Any
+other list is written item by item, to the same bytes.  Where ``json`` has
+no C encoder (PyPy, for one), ``JSONEncoder.encode`` stands in for it.
 
 A state file wraps a matrix: ``{"k": ..., "m": ..., "matrix": {...}}``; the
 matrix must pass :func:`opscale.numkernel.hermitian_storage` and be positive
@@ -47,10 +46,8 @@ from __future__ import annotations
 
 import contextlib
 import json
-import operator
 import os
 import tempfile
-from collections.abc import Sequence
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
@@ -65,44 +62,12 @@ class ValidationError(ValueError):
     """Malformed or inconsistent input file."""
 
 
-class _MatrixData(Sequence):
-    """The ``data`` of :func:`matrix_to_obj`: the cells of the read-only
-    matrix ``_matrix``, row-major, in a sequence that cannot change.  A cell
-    is a float, or an ``(re, im)`` tuple of floats when its imaginary part
-    is nonzero; a -0.0 imaginary part leaves it bare.  Cells are built when
-    they are read, so :func:`write_json`, which writes from ``_matrix``,
-    never builds one."""
-
-    __slots__ = ("_matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        self._matrix = matrix
-
-    def __len__(self) -> int:
-        return self._matrix.size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        z = self._matrix.reshape(-1)[operator.index(index)]
-        re, im = float(z.real), float(z.imag)
-        return (re, im) if im else re
-
-    def __iter__(self):
-        # Every real part becomes a float in one NumPy conversion, and only
-        # the cells with a nonzero imaginary part become (re, im) pairs of it.
-        flat = self._matrix.reshape(-1)
-        cells = flat.real.astype(object)
-        at = np.flatnonzero(flat.imag)
-        cells[at] = np.fromiter(zip(cells[at].tolist(), flat.imag[at].tolist()),
-                                dtype=object, count=len(at))
-        return iter(cells.tolist())
-
-
 def matrix_to_obj(M) -> dict[str, Any]:
+    """The matrix object of ``M``, its ``data`` a flat read-only view of a
+    private copy: :func:`write_json` writes it as the list of its cells."""
     M = np.array(M, dtype=np.complex128, order="C")
     M.setflags(write=False)
-    return {"rows": M.shape[0], "cols": M.shape[1], "data": _MatrixData(M)}
+    return {"rows": M.shape[0], "cols": M.shape[1], "data": M.reshape(-1)}
 
 
 def _is_real(x) -> bool:
@@ -146,11 +111,11 @@ def obj_to_matrix(obj) -> np.ndarray:
         data = obj["data"]
     except KeyError as exc:
         raise ValidationError(f"matrix object missing rows/cols/data: {exc}") from exc
-    if not isinstance(data, (list, tuple, _MatrixData)) or len(data) != rows * cols:
+    if not isinstance(data, (list, tuple)) or len(data) != rows * cols:
         raise ValidationError(
             f"matrix data must list {rows * cols} row-major entries")
     # One pass type-checks the cells and lays out re, im pairs; plain floats
-    # and pairs of floats, all that matrix_to_obj writes, skip the general
+    # and pairs of floats, all that a written matrix holds, skip the general
     # check.  The float64 buffer viewed as complex128 keeps the sign of a
     # zero real part, which re + 1j * im would lose.
     parts: list[float] = []
@@ -224,7 +189,7 @@ def _key(key) -> str:
 
 
 def _write_matrix_data(fh, M: np.ndarray, inner: str) -> None:
-    """Write the cells of ``M`` as ``matrix_to_obj`` lists them, from the
+    """Write the cells of ``M`` by the file format's rule, from the
     list's opening bracket to its last cell, ``_SLICE`` doubles per write.
     Matrices repeat their doubles (a square lift holds each entry of its
     map many times over, and mostly zeros), so each distinct double, told
@@ -280,8 +245,9 @@ def _write_matrix_data(fh, M: np.ndarray, inner: str) -> None:
 
 
 def _write(fh, obj, nl: str) -> None:
-    """Write ``obj`` as ``json.dumps(obj, indent=2, default=list)`` lays it
-    out at the depth whose line break and indent is ``nl``."""
+    """Write ``obj`` as ``json.dumps(obj, indent=2)`` lays it out at the
+    depth whose line break and indent is ``nl``, a 1-D complex128 array as
+    the list of its cells."""
     if isinstance(obj, dict) and obj:
         inner = nl + "  "
         head = "{" + inner
@@ -290,9 +256,10 @@ def _write(fh, obj, nl: str) -> None:
             _write(fh, value, inner)
             head = "," + inner
         fh.write(nl + "}")
-    elif type(obj) is _MatrixData:
-        if obj:
-            _write_matrix_data(fh, obj._matrix, nl + "  ")
+    elif (type(obj) is np.ndarray and obj.ndim == 1
+          and obj.dtype == np.complex128):
+        if len(obj):
+            _write_matrix_data(fh, np.ascontiguousarray(obj), nl + "  ")
             fh.write(nl + "]")
         else:
             fh.write("[]")
@@ -310,11 +277,12 @@ def _write(fh, obj, nl: str) -> None:
 
 def write_json(fh, obj) -> None:
     """Write ``obj`` to the text file ``fh`` as ``json.dumps(obj, indent=2)``
-    would, byte for byte, then a newline; the ``data`` of
-    :func:`matrix_to_obj`, which ``json`` serializes only with
-    ``default=list``, as its list of cells.  Any other unsupported value
-    raises the same ``TypeError`` as ``json``; a container that holds itself
-    recurses until ``RecursionError``, where ``json`` raises ``ValueError``."""
+    would, byte for byte, then a newline; a 1-D complex128 array, such as
+    the ``data`` of :func:`matrix_to_obj`, which ``json`` does not
+    serialize, as the list of its cells.  Any other unsupported value, other
+    arrays among them, raises the same ``TypeError`` as ``json``; a
+    container that holds itself recurses until ``RecursionError``, where
+    ``json`` raises ``ValueError``."""
     _write(fh, obj, "\n")
     fh.write("\n")
 

@@ -208,7 +208,7 @@ def herm_eig(H) -> tuple[np.ndarray, np.ndarray]:
     R -= H
     residual = _complex_frob(R.ravel(order="K"))
     limit = dim * max(_complex_frob(H.ravel(order="K")), 1e-300) * _EIG_RECON_REL
-    if residual > limit:
+    if not residual <= limit:
         raise NumericalFailure(
             f"eigendecomposition residual {residual:.3e} exceeds contract {limit:.3e}",
             residual=residual)
@@ -259,7 +259,7 @@ def pd_inv_sqrt(H, tol: Tolerances = DEFAULT_TOL, what: str = "matrix",
         logsum = relaxation * logsum - dim * math.log(c2)
     residual = identity_defect(S.dot(H).dot(Q))
     limit = dim * _INV_SQRT_RECON_REL * (top / bottom)
-    if residual > limit:
+    if not residual <= limit:
         raise NumericalFailure(
             f"{what} inverse square root residual {residual:.3e} exceeds "
             f"contract {limit:.3e}", residual=residual)
@@ -277,7 +277,7 @@ def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r = len(s)
     residual = frob(U[:, :r] @ np.diag(s) @ V[:, :r].conj().T - M)
     limit = max(M.shape) * max(frob(M), 1e-300) * _EIG_RECON_REL
-    if residual > limit:
+    if not residual <= limit:
         raise NumericalFailure(
             f"SVD residual {residual:.3e} exceeds contract {limit:.3e}",
             residual=residual)
@@ -326,8 +326,9 @@ def spectral_rank(w, tol: Tolerances = DEFAULT_TOL) -> int:
 def rank_tol(H, tol: Tolerances = DEFAULT_TOL) -> int:
     """Rank of the Hermitian part of a square matrix by :func:`spectral_rank`.
     It symmetrizes H before :func:`herm_eig` decomposes it, so a caller's
-    projector or image need not be Hermitian to the last bit."""
-    H = hermitian_part(_require_square(H, "herm_eig input"))
+    projector or image need not be Hermitian to the last bit.  A matrix with
+    a non-finite entry is refused with ValueError."""
+    H = hermitian_part(as_complex_matrix(_require_square(H, "herm_eig input")))
     return spectral_rank(herm_eig(H)[0], tol)
 
 

@@ -339,7 +339,10 @@ def sampled_support_falsifier(T: ChoiMap, trials: int = 20,
     the induced map requires support of the pattern matrix in every
     orthonormal basis pair, so one failing pattern is a proof of failure.  One :func:`has_total_support` call per trial decides
     both: its result's ``support`` is the support verdict of the same flow.
+    A negative ``trials`` is refused with ValueError.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     rng = rng if rng is not None else np.random.default_rng(_CHECK_SEED)
     support_cex = None
     total_cex = None

@@ -434,8 +434,11 @@ def block_commutation_check(T: ChoiMap, cert: BlockCertificate,
     commutes with the certificate's projectors.  A certificate that fails
     :func:`opscale.posmap.certificate_admissibility`'s decomposition or
     invariance condition, or a map whose T(Id) or T*(Id) is singular, is
-    rejected (``precondition_ok`` false).  Raises ValueError when the
-    certificate's dimensions do not match T's k and m, and NumericalFailure."""
+    rejected (``precondition_ok`` false).  Raises ValueError on a negative
+    ``n_steps``, which would check no step, and when the certificate's
+    dimensions do not match T's k and m, and NumericalFailure."""
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     rejected = CommutationReport(passed=False, precondition_ok=False,
                                  steps_run=0, first_failure=None)
     if not all(c.passed for c in certificate_admissibility(T, cert)):

@@ -1,6 +1,7 @@
 """The public API: the names ``opscale`` exports, the parameters of its
-functions, and the modules its command line loads.  A change here is a
-change of the behavioural boundary and should be made on purpose."""
+functions, the names and parameters of ``opscale.io``, and the modules its
+command line loads.  A change here is a change of the behavioural boundary
+and should be made on purpose."""
 
 import inspect
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 
 import opscale
+import opscale.io
 
 PUBLIC_NAMES = [
     "BipartiteState", "BlockCertificate", "CertificateCondition",
@@ -63,6 +65,24 @@ FUNCTION_PARAMETERS = {
     "zero_fraction_sufficient": ["pattern"],
 }
 
+# opscale.io is not re-exported, but its names are called from outside the
+# package: the command line calls them all, and the benchmark's inputs,
+# checks and tracer call load_json, obj_to_matrix, matrix_to_obj,
+# atomic_write_json and parse_map by name.
+IO_CLASSES = ["ValidationError"]
+IO_FUNCTION_PARAMETERS = {
+    "atomic_write_json": ["path", "obj"],
+    "load_json": ["path"],
+    "map_to_obj": ["T"],
+    "matrix_to_obj": ["M"],
+    "obj_to_matrix": ["obj"],
+    "parse_map": ["obj", "rng"],
+    "parse_pattern_matrix": ["obj"],
+    "parse_state": ["obj"],
+    "state_to_obj": ["state"],
+    "write_json": ["fh", "obj"],
+}
+
 # numpy is the one runtime dependency; these are installed only for tests.
 TEST_ONLY_PACKAGES = ("scipy", "networkx", "hypothesis", "pytest")
 
@@ -76,6 +96,17 @@ def test_function_parameters():
                  if inspect.isfunction(getattr(opscale, name))}
     assert {name: list(inspect.signature(f).parameters)
             for name, f in functions.items()} == FUNCTION_PARAMETERS
+
+
+def test_io_surface():
+    public = {name: value for name, value in vars(opscale.io).items()
+              if not name.startswith("_")
+              and getattr(value, "__module__", None) == opscale.io.__name__}
+    assert sorted(name for name, value in public.items()
+                  if inspect.isclass(value)) == IO_CLASSES
+    assert {name: list(inspect.signature(f).parameters)
+            for name, f in public.items()
+            if inspect.isfunction(f)} == IO_FUNCTION_PARAMETERS
 
 
 def test_the_command_line_loads_no_test_only_package():

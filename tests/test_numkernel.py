@@ -461,6 +461,39 @@ class TestRank:
             assert spectral_rank(herm_eig(H)[0]) == rank_tol(H) == 3
 
 
+NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                                     ids=["nan", "+inf", "-inf"])
+
+
+class TestNonFiniteInput:
+    """A non-finite entry is refused by every rank and eigendecomposition
+    contract: NaN compares false, so each test is written so that NaN fails."""
+
+    @NON_FINITE
+    def test_rank_and_kernel_refuse(self, value):
+        for f in (rank_tol, kernel_dim):
+            with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+                f(np.diag([value, 1.0]))
+
+    @NON_FINITE
+    def test_decompositions_refuse(self, value):
+        for f in (herm_eig, pd_inv_sqrt):
+            with pytest.raises(NumericalFailure, match="^eigendecomposition residual nan "):
+                f(np.diag([value, 1.0]))
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            svd(np.diag([value, 1.0]))
+
+    def test_a_nan_residual_breaks_each_contract(self, monkeypatch):
+        # The residual of a finite input, made NaN where each contract
+        # reads its own.
+        for name, call in (("_complex_frob", herm_eig), ("identity_defect", pd_inv_sqrt),
+                           ("frob", svd)):
+            with monkeypatch.context() as patch:
+                patch.setattr(numkernel, name, lambda *args: np.nan)
+                with pytest.raises(NumericalFailure, match="residual nan exceeds"):
+                    call(np.diag([2.0, 1.0]))
+
+
 class TestRealign:
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(6)

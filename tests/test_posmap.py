@@ -488,6 +488,13 @@ class TestFalsifier:
         assert rep.total_support_falsified
         assert rep.total_support_counterexample.failing_entry is not None
 
+    def test_negative_trial_count_is_refused(self):
+        T = fixtures.no_support_map()
+        with pytest.raises(ValueError, match="^trials must be nonnegative, got -2$"):
+            sampled_support_falsifier(T, trials=-2)
+        rep = sampled_support_falsifier(T, trials=0)
+        assert rep.trials == 0 and rep.support_inconclusive
+
     def test_generic_cp_map_stays_inconclusive(self):
         rng = np.random.default_rng(17)
         T = fixtures.random_cp_map(3, 3, rng)

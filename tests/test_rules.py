@@ -4,6 +4,7 @@ the paper's count bounds on zeros and on kernel dimensions.  So has each rule
 of a scaling run: its iteration cap and the slack its result is checked with."""
 
 import inspect
+import io
 import json
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from opscale import cli, fixtures, scaling
 from opscale.fnf import (BipartiteState, check_preconditions, compute_fnf,
                          sufficient_conditions, verify_fnf)
-from opscale.io import atomic_write_json, map_to_obj, matrix_to_obj, parse_map
+from opscale.io import (atomic_write_json, map_to_obj, matrix_to_obj, parse_map,
+                        write_json)
 from opscale.matcomb import NonnegPattern, zero_fraction_sufficient
 from opscale.numkernel import (NotPositiveDefinite, NumericalFailure, Tolerances,
                                pd_inv_sqrt)
@@ -24,9 +26,17 @@ from opscale.scaling import DEFAULT_MAX_ITER, PreconditionFailed, ds_slack, init
 STATE_LOADERS = {
     "BipartiteState": lambda rho: BipartiteState(2, 2, rho),
     "from_state": lambda rho: from_state(rho, 2, 2),
-    "parse_map": lambda rho: parse_map(
-        {"kind": "state", "k": 2, "m": 2, "matrix": matrix_to_obj(rho)}),
+    "parse_map": lambda rho: parse_map(through_text(
+        {"kind": "state", "k": 2, "m": 2, "matrix": matrix_to_obj(rho)})),
 }
+
+
+def through_text(obj):
+    """``obj`` parsed back from the text :func:`write_json` gives, as a
+    file holds it."""
+    buf = io.StringIO()
+    write_json(buf, obj)
+    return json.loads(buf.getvalue())
 
 
 def raised(call, *args) -> ValueError | None:

@@ -561,6 +561,17 @@ class TestCommutation:
         assert report.first_failure is not None
         assert report.first_failure[:2] == (n_steps, "input")
 
+    def test_negative_step_count_is_refused(self):
+        # n_steps = -3 used to check iterate 0 alone and pass, as n_steps = 0
+        # does; the command line refuses it as --commutation-steps.
+        rng = np.random.default_rng(12)
+        T, cert = fixtures.direct_sum_map(
+            [fixtures.random_cp_map(2, 2, rng), fixtures.random_cp_map(2, 2, rng)])
+        with pytest.raises(ValueError, match="^n_steps must be nonnegative, got -3$"):
+            block_commutation_check(T, cert, n_steps=-3)
+        assert block_commutation_check(T, cert, n_steps=0) == CommutationReport(
+            passed=True, precondition_ok=True, steps_run=0, first_failure=None)
+
     def test_singular_marginal_is_rejected_not_raised(self):
         cert = BlockCertificate((np.eye(2, dtype=complex),),
                                 (np.eye(2, dtype=complex),))
