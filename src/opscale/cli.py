@@ -1,13 +1,16 @@
 """Command line interface.
 
-Every subcommand prints one machine-readable JSON report to stdout and uses
-a stable exit-code contract:
+Every subcommand but ``selftest`` prints one machine-readable JSON report to
+stdout and uses a stable exit-code contract:
 
     0  verdict computed / scaling converged / all checks passed
     2  I/O, validation or precondition errors
     3  scaling diverged (no-support-numerical)
     4  scaling hit the iteration cap (max-iter-inconclusive)
     5  certificate verification failed
+
+``selftest`` instead prints an ``[ok]``/``[FAIL]`` line per check, naming any
+exception raised, then ``N failure(s)``, and exits 1 if a check failed.
 
 ``main`` resolves the seed and the tolerances once and hands them to the
 subcommand.  ``support``, ``scale`` and ``fnf`` run through one job runner,
@@ -83,7 +86,8 @@ def _resolve_seed(args) -> int:
 
 # The flag that sets each Tolerances field and each run limit.
 _FLAGS = {"rank_rel": "--rank-rel", "pd_min": "--pd-min", "conv_eps": "--tol",
-          "max_iter": "--max-iter", "divergence_logdet": "--divergence"}
+          "max_iter": "--max-iter", "divergence_logdet": "--divergence",
+          "n_steps": "--commutation-steps"}
 
 
 def _flag_refusal(exc: ValueError) -> ValidationError:
@@ -102,12 +106,7 @@ def _tolerances(args) -> Tolerances:
 
 def _check_run_limits(args) -> None:
     """Refuse, before any input is read, the ``--max-iter`` and
-    ``--divergence`` values that :func:`opscale.scaling.check_run_limits`
-    refuses, and a negative ``--commutation-steps``, which would skip the
-    commutation check."""
-    steps = getattr(args, "commutation_steps", 0)
-    if steps < 0:
-        raise ValidationError(f"--commutation-steps must be nonnegative, got {steps}")
+    ``--divergence`` that :func:`opscale.scaling.check_run_limits` refuses."""
     try:
         check_run_limits(getattr(args, "max_iter", 0), getattr(args, "divergence", None))
     except ValueError as exc:
@@ -177,8 +176,8 @@ def _support_job(path: str, args, seed: int, tol: Tolerances,
     report = _envelope(seed, tol)
     report.update({"input": path, "k": pattern.k, "m": pattern.m,
                    "zero_eps": pattern.zero_eps})
-    tot = has_total_support(pattern) if args.total else None
-    sup = tot.support if args.total else has_support(pattern)
+    tot = has_total_support(pattern)
+    sup = tot.support
     report["support"] = sup.has_support
     report["witness"] = _to_json(sup.witness)
     if args.total:
@@ -191,9 +190,7 @@ def _support_job(path: str, args, seed: int, tol: Tolerances,
             oracle = {"support": has_support_bruteforce(pattern)}
             if args.total:
                 oracle["total_support"] = has_total_support_bruteforce(pattern)
-            oracle["agrees"] = (oracle["support"] == sup.has_support
-                                and oracle.get("total_support", None)
-                                in (None, report.get("total_support")))
+            oracle["agrees"] = all(report[key] == value for key, value in oracle.items())
             report["oracle"] = oracle
         except SizeGuardError as exc:
             raise ValidationError(str(exc)) from exc
@@ -360,17 +357,18 @@ def cmd_certificate(args, seed: int, tol: Tolerances) -> int:
     rng = np.random.default_rng(seed)
     T = parse_map(load_json(args.map), rng=rng)
     cert = _parse_certificate(load_json(args.cert))
+    steps = args.commutation_steps
     try:
         result = verify_block_certificate(T, cert, tol=tol, rng=rng)
+        # block_commutation_check refuses a negative count; 0 turns it off.
+        comm = block_commutation_check(T, cert, n_steps=steps, tol=tol) if steps else None
     except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        raise _flag_refusal(exc) from exc
     report = _envelope(seed, tol)
     report.update({"map": args.map, "certificate": args.cert})
     report.update(_to_json(result))
     passed = result.passed
-    if args.commutation_steps > 0:
-        comm = block_commutation_check(T, cert, n_steps=args.commutation_steps,
-                                       tol=tol)
+    if comm is not None:
         report["commutation"] = _to_json(comm)
         passed = passed and comm.passed
     _emit(report)

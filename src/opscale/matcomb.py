@@ -25,9 +25,9 @@ component.  For the first entry that fails, one residual search from its
 column gives the witness: the reached rows and the unreached columns, because
 reached rows keep all their nonzeros inside the reached set and so send all
 their flow into it.  Which maximum flow the solver finds changes none of
-this; :func:`has_total_support` says why.  Its result also carries the
-support verdict of the same flow, as ``support``.  Both brute-force oracles
-read one enumeration of the maximal zero blocks.
+this; :func:`has_total_support` says why.  Support is one read of the same
+flow: :func:`has_support` returns that result's ``support``.  Both
+brute-force oracles read one enumeration of the maximal zero blocks.
 """
 
 from __future__ import annotations
@@ -53,14 +53,18 @@ class NonnegPattern:
     """A rectangular nonnegative matrix with a structural-zero threshold.
 
     Entries less than or equal to ``zero_eps`` count as zeros (default 0,
-    exact).  The entry array is stored read-only.
+    exact), and a nonzero imaginary part is refused.  The entry array is
+    stored read-only.
     """
 
     entries: np.ndarray
     zero_eps: float = 0.0
 
     def __post_init__(self):
-        A = np.array(self.entries, dtype=np.float64, order="C")
+        A = np.asarray(self.entries)
+        if np.iscomplexobj(A) and (A.imag != 0).any():  # a NaN one too
+            raise ValueError("pattern entries must be real")
+        A = np.array(A.real, dtype=np.float64, order="C")
         if A.ndim != 2 or A.shape[0] == 0 or A.shape[1] == 0:
             raise ValueError(f"pattern must be a nonempty 2-d matrix, got shape {A.shape}")
         if not np.isfinite(A).all():
@@ -154,9 +158,8 @@ class TotalSupportResult:
 
     @property
     def support(self) -> SupportResult:
-        """The support verdict of the same flow: a refusal without a failing
-        entry is a support refusal, and its witness is :func:`has_support`'s
-        source-side cut."""
+        """The support verdict of the same flow, which :func:`has_support`
+        returns: a refusal without a failing entry is a support refusal."""
         if self.has_total_support or self.failing_entry is not None:
             return SupportResult(True, None)
         return SupportResult(False, self.witness)
@@ -345,21 +348,16 @@ def _cut_witness(mask: np.ndarray, seen: list[bool]) -> ZeroSubmatrixWitness:
 
 
 def has_support(pattern: NonnegPattern) -> SupportResult:
-    """Decide support.  On failure the result carries a zero-submatrix witness."""
-    k, m = pattern.k, pattern.m
-    mask = pattern.nonzero_mask()
-    net, source, sink = _build_net(mask)
-    value = net.max_flow(source, sink)
-    if value == k * m:
-        return SupportResult(True, None)
-    return SupportResult(False, _cut_witness(mask, net.residual_reachable(source)))
+    """Decide support: the ``support`` of :func:`has_total_support`, one read
+    of its flow.  On failure the witness is the flow's source-side cut."""
+    return has_total_support(pattern).support
 
 
 def has_total_support(pattern: NonnegPattern) -> TotalSupportResult:
     """Decide total support.
 
-    Runs one maximum flow.  Without support the result carries the same cut
-    witness as :func:`has_support`.  Otherwise a structural nonzero (i, j)
+    Runs one maximum flow.  Without support the witness is its source-side
+    cut, with no failing entry.  Otherwise a structural nonzero (i, j)
     lies on a positive diagonal exactly when some maximum flow routes a unit
     through it: either the flow found already does, or a residual path from
     column j back to row i closes a rerouting cycle with the arc (i, j).  The

@@ -11,6 +11,9 @@ required to go through these helpers instead of hand-rolling index math:
 * Rank and positive-definiteness cutoffs are relative to the largest
   eigenvalue magnitude, never absolute; each is written once, in
   :func:`spectral_rank`, :func:`below_pd_floor` and :func:`psd_storage`.
+  Two cutoffs in :mod:`opscale.fnf` are neither: the Schmidt expansion drops
+  coefficients at or below ``rank_rel * ||rho||_F``, and ``verify_fnf`` calls
+  a filter singular when ``s_min <= 1e-10 * s_max`` of its singular values.
 
 The one checked coercion, :func:`as_complex_matrix`, copies only what is not
 already a C-ordered complex128 array; :func:`frob` is numpy's norm.

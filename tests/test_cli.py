@@ -1,5 +1,6 @@
 """File formats and the command line front door."""
 
+import contextlib
 import importlib.util
 import io
 import json
@@ -8,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -22,9 +24,11 @@ from opscale.fnf import BipartiteState
 from opscale.io import (ValidationError, atomic_write_json, load_json,
                         map_to_obj, matrix_to_obj, obj_to_matrix, parse_map,
                         parse_pattern_matrix, parse_state, state_to_obj)
+from opscale.matcomb import NonnegPattern
 from opscale.numkernel import frob
 from opscale.posmap import ChoiMap, haar_unitary
 from test_fnf import floor_crossing_state, near_psd_state, overflowing_state
+from test_matcomb import structured_patterns
 from test_scaling import trace_to_corner_map
 
 
@@ -584,6 +588,55 @@ class TestSupportCommand:
         assert rep["witness"] == plain["witness"]
 
     @pytest.mark.parametrize("total", [[], ["--total"]], ids=["support", "total"])
+    def test_one_total_support_call_per_pattern(self, capsys, tmp_path, monkeypatch,
+                                                total):
+        patterns = [np.eye(3), np.array([[0.0, 1.0], [1.0, 1.0]]),
+                    np.array([[1.0, 1.0], [0.0, 0.0]]), np.ones((4, 6))]
+        for idx, A in enumerate(patterns):
+            atomic_write_json(str(tmp_path / f"p{idx}.json"), matrix_to_obj(A))
+        calls = {"has_total_support": 0, "max_flow": 0}
+        original_total, original_flow = cli.has_total_support, matcomb._FlowNet.max_flow
+
+        def total_support(pattern):
+            calls["has_total_support"] += 1
+            return original_total(pattern)
+
+        def max_flow(net, *args):
+            calls["max_flow"] += 1
+            return original_flow(net, *args)
+
+        monkeypatch.setattr(cli, "has_total_support", total_support)
+        monkeypatch.setattr(matcomb._FlowNet, "max_flow", max_flow)
+        code, summary = run_cli_json(capsys, "support", str(tmp_path), "--batch",
+                                     "--out", str(tmp_path / "out"), *total)
+        assert (code, summary["jobs"], summary["failed"]) == (0, len(patterns), 0)
+        assert calls == {"has_total_support": len(patterns), "max_flow": len(patterns)}
+
+    # Zero lines, a pattern without support, one with support but not total
+    # support, and the oracle's size guard, besides the drawn patterns.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pat=structured_patterns(), oracle=st.booleans())
+    @example(pat=NonnegPattern(np.array([[0.0, 0.0], [1.0, 1.0]])), oracle=True)
+    @example(pat=NonnegPattern(np.array([[0.0, 1.0], [0.0, 1.0]])), oracle=True)
+    @example(pat=NonnegPattern(np.array([[0.0, 1.0], [1.0, 1.0]])), oracle=True)
+    @example(pat=NonnegPattern(np.eye(6)[[0, 1, 2, 3, 4, 4]]), oracle=False)
+    @example(pat=NonnegPattern(np.ones((5, 4))), oracle=True)
+    def test_plain_report_is_the_total_report_without_total_fields(self, pat, oracle):
+        flags = ["--oracle"] if oracle else []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "p.json")
+            atomic_write_json(path, matrix_to_obj(pat.entries))
+            plain = support_stdout(path, *flags)
+            code, text = support_stdout(path, "--total", *flags)
+        expected = json.loads(text)
+        assert ("total_support" in expected) == (code == 0)
+        expected.pop("total_support", None)
+        expected.pop("total_witness", None)
+        if oracle and code == 0:
+            del expected["oracle"]["total_support"]
+        assert plain == (code, json.dumps(expected, indent=2) + "\n")
+
+    @pytest.mark.parametrize("total", [[], ["--total"]], ids=["support", "total"])
     def test_oracle_size_guard_is_exit_2(self, capsys, tmp_path, total):
         path = tmp_path / "p5.json"
         atomic_write_json(str(path), matrix_to_obj(np.ones((5, 5))))
@@ -608,6 +661,14 @@ class TestSupportCommand:
         code, rep = run_cli_json(capsys, "support", str(path))
         assert code == 2
         assert "error" in rep
+
+
+def support_stdout(path, *flags):
+    """Exit code and stdout of ``opscale support path flags``, in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["support", path, *flags])
+    return code, out.getvalue()
 
 
 class TestScaleCommand:
@@ -1312,6 +1373,13 @@ class TestBadArguments:
         assert code == 2
         assert flag in rep["error"]
 
+    def test_negative_commutation_steps_is_the_library_refusal(self, capsys, workspace):
+        # block_commutation_check's message, with the flag for its parameter.
+        code, rep = run_cli_json(capsys, *fill(
+            BAD_ARGUMENTS["certificate-commutation-steps-negative"], workspace))
+        assert (code, rep) == (2, {"version": cli.__version__,
+                                   "error": "--commutation-steps must be nonnegative, got -3"})
+
     @pytest.mark.parametrize("divergence", ["1e4", "inf"])
     def test_positive_divergence_is_taken(self, capsys, workspace, divergence):
         _, default = run_cli_json(capsys, "scale", str(workspace["map"]))
@@ -1552,3 +1620,16 @@ class TestSelftest:
         assert code == 0
         assert "FAIL" not in out
         assert "0 failure(s)" in out
+
+    def test_failing_and_raising_checks_exit_1(self, capsys, monkeypatch):
+        def raising():
+            raise ValueError("no luck")
+
+        monkeypatch.setattr(cli, "_selftest_checks", lambda seed, tol: [
+            ("passing check", lambda: True), ("false check", lambda: False),
+            ("raising check", raising)])
+        code, out = run_cli(capsys, "selftest")
+        assert code == 1
+        assert out.splitlines() == ["[ok] passing check", "[FAIL] false check",
+                                    "[FAIL] raising check (ValueError: no luck)",
+                                    "2 failure(s)"]

@@ -11,6 +11,7 @@ forced-unit flow per entry.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,23 @@ class TestPatternValidation:
         pat = NonnegPattern(np.ones((2, 3)))
         assert pat.k == 2 and pat.m == 3
 
+    @pytest.mark.parametrize("z", [1 + 2j, 1 - 1e-300j, complex(1.0, float("nan"))],
+                             ids=["2j", "tiny", "nan"])
+    def test_refuses_a_nonzero_imaginary_part(self, z):
+        # A cast to float64 would drop the imaginary part with a ComplexWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^pattern entries must be real$"):
+                NonnegPattern(np.array([[z, 0], [0, 1]]))
+
+    def test_complex_with_zero_imaginary_parts_is_its_real_part(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pat = NonnegPattern(np.array([[1 - 0j, 0], [0.5, 2]]))
+        assert pat.entries.dtype == np.float64
+        assert np.array_equal(pat.entries, [[1.0, 0.0], [0.5, 2.0]])
+        assert not pat.entries.flags.writeable
+
 
 class TestKnownPatterns:
     def test_boundary_pattern_support_without_total(self):
@@ -331,11 +349,31 @@ class TestOneFlow:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(structured_patterns())
     def test_total_support_result_carries_the_support_verdict(self, pat):
-        sup, ref = has_total_support(pat).support, has_support(pat)
-        assert sup.has_support == ref.has_support
-        assert sup.witness == ref.witness
-        if not ref:
+        sup = has_total_support(pat).support
+        assert sup.has_support == lift_support_oracle(pat)
+        if sup:
+            assert sup.witness is None
+        else:
             assert sup.witness.check(pat)
+            assert sup.witness.weight > pat.k * pat.m
+
+    def test_support_is_a_read_of_the_total_support_flow(self, monkeypatch):
+        calls = []
+        original = matcomb.has_total_support
+
+        def counted(pattern):
+            calls.append(pattern)
+            return original(pattern)
+
+        monkeypatch.setattr(matcomb, "has_total_support", counted)
+        rng = np.random.default_rng(107)
+        patterns = [NonnegPattern(np.array([[0.0, 1.0], [1.0, 1.0]])),
+                    NonnegPattern(np.array([[1.0, 1.0], [0.0, 0.0]]))]
+        patterns += [random_pattern(rng, 10) for _ in range(100)]
+        for pat in patterns:
+            calls.clear()
+            assert has_support(pat) == original(pat).support
+            assert len(calls) == 1 and calls[0] is pat
 
     def test_one_flow_and_one_search_per_column(self, monkeypatch):
         calls = {"max_flow": 0, "residual_reachable": 0}
