@@ -23,10 +23,9 @@ from .numkernel import (DEFAULT_TOL, NotPositiveDefinite, NumericalFailure,
                         partial_trace_first, partial_trace_second, realign,
                         unrealign)
 from .posmap import (BlockCertificate, CertificateCondition, CertificateReport,
-                     ChoiMap, DsCheck, FalsifierReport, PositivityViolation,
-                     from_state, haar_unitary, invariance_defect,
-                     is_doubly_stochastic, pattern_matrix,
-                     sampled_support_falsifier, verify_block_certificate)
+                     ChoiMap, DsCheck, PositivityViolation, from_state,
+                     haar_unitary, invariance_defect, is_doubly_stochastic,
+                     pattern_matrix, verify_block_certificate)
 from .scaling import (VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
                       VERDICT_NO_SUPPORT, VERDICT_PRECONDITION,
                       CommutationReport, IterationRecord, PreconditionFailed,
@@ -49,10 +48,9 @@ __all__ = [
     "ConditionCheck", "ZeroFractionReport",
     # positive maps
     "ChoiMap", "from_state", "PositivityViolation", "DsCheck",
-    "is_doubly_stochastic", "pattern_matrix", "sampled_support_falsifier",
-    "FalsifierReport", "haar_unitary", "BlockCertificate",
-    "CertificateCondition", "CertificateReport", "verify_block_certificate",
-    "invariance_defect",
+    "is_doubly_stochastic", "pattern_matrix", "haar_unitary",
+    "BlockCertificate", "CertificateCondition", "CertificateReport",
+    "verify_block_certificate", "invariance_defect",
     # scaling
     "init", "step", "run", "ScalingState", "ScalingReport", "IterationRecord",
     "PreconditionFailed", "CommutationReport", "block_commutation_check",

@@ -53,8 +53,8 @@ class NonnegPattern:
     """A rectangular nonnegative matrix with a structural-zero threshold.
 
     Entries less than or equal to ``zero_eps`` count as zeros (default 0,
-    exact), and a nonzero imaginary part is refused.  The entry array is
-    stored read-only.
+    exact); string entries and a nonzero imaginary part are refused.  The
+    entry array is stored read-only.
     """
 
     entries: np.ndarray
@@ -62,6 +62,10 @@ class NonnegPattern:
 
     def __post_init__(self):
         A = np.asarray(self.entries)
+        if A.dtype.kind in "SUO" and any(isinstance(x, (str, bytes)) for x in A.flat):
+            raise ValueError("pattern entries must be numbers, not strings")
+        if A.dtype.kind == "O":
+            A = A.astype(np.complex128)
         if np.iscomplexobj(A) and (A.imag != 0).any():  # a NaN one too
             raise ValueError("pattern entries must be real")
         A = np.array(A.real, dtype=np.float64, order="C")
@@ -115,6 +119,9 @@ class ZeroSubmatrixWitness:
         """Re-verify all witness invariants against a pattern."""
         k, m = pattern.k, pattern.m
         if not self.alpha or not self.beta:
+            return False
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                   for i in (*self.alpha, *self.beta)):
             return False
         alpha_set, beta_set = set(self.alpha), set(self.beta)
         if len(alpha_set) != len(self.alpha) or len(beta_set) != len(self.beta):

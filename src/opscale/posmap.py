@@ -40,8 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcomb import (NonnegPattern, SizeGuardError, TotalSupportResult,
-                      ZeroSubmatrixWitness, has_total_support)
+from .matcomb import NonnegPattern, SizeGuardError
 from .numkernel import (DEFAULT_TOL, Tolerances, as_complex_matrix, frob,
                         hermitian_part, hermitian_storage, kron, psd_storage,
                         rank_tol)
@@ -288,84 +287,6 @@ def pattern_matrix(T: ChoiMap, basis_in, basis_out) -> NonnegPattern:
     P = np.maximum(P, 0.0)
     eps = 1e-10 * float(P.max(initial=0.0))
     return NonnegPattern(P, zero_eps=eps)
-
-
-@dataclass(frozen=True)
-class BasisCounterexample:
-    """A basis pair whose pattern matrix disproves (total) support."""
-
-    trial: int
-    canonical: bool
-    basis_in: np.ndarray
-    basis_out: np.ndarray
-    witness: ZeroSubmatrixWitness
-    failing_entry: tuple[int, int] | None
-
-
-@dataclass(frozen=True)
-class FalsifierReport:
-    """Outcome of sampling basis pairs to attack (total) support.
-
-    A counterexample is a proof of failure; its absence proves nothing, and
-    ``support_inconclusive`` / ``total_support_inconclusive`` then stay True.
-    """
-
-    trials: int
-    support_counterexample: BasisCounterexample | None
-    total_support_counterexample: BasisCounterexample | None
-
-    @property
-    def support_falsified(self) -> bool:
-        return self.support_counterexample is not None
-
-    @property
-    def total_support_falsified(self) -> bool:
-        return self.total_support_counterexample is not None
-
-    @property
-    def support_inconclusive(self) -> bool:
-        return not self.support_falsified
-
-    @property
-    def total_support_inconclusive(self) -> bool:
-        return not self.total_support_falsified
-
-
-def sampled_support_falsifier(T: ChoiMap, trials: int = 20,
-                              rng: np.random.Generator | None = None) -> FalsifierReport:
-    """Attack support and total support with sampled basis pairs.
-
-    Trial 0 uses the canonical bases; the rest are Haar random.  Support of
-    the induced map requires support of the pattern matrix in every
-    orthonormal basis pair, so one failing pattern is a proof of failure.  One :func:`has_total_support` call per trial decides
-    both: its result's ``support`` is the support verdict of the same flow.
-    A negative ``trials`` is refused with ValueError.
-    """
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
-    rng = rng if rng is not None else np.random.default_rng(_CHECK_SEED)
-    support_cex = None
-    total_cex = None
-    for trial in range(trials):
-        canonical = trial == 0
-        if canonical:
-            V, W = np.eye(T.k, dtype=complex), np.eye(T.m, dtype=complex)
-        else:
-            V, W = haar_unitary(T.k, rng), haar_unitary(T.m, rng)
-        tot: TotalSupportResult = has_total_support(pattern_matrix(T, V, W))
-        if not tot.support and support_cex is None:
-            support_cex = BasisCounterexample(
-                trial=trial, canonical=canonical, basis_in=V, basis_out=W,
-                witness=tot.witness, failing_entry=None)
-        if not tot and total_cex is None:
-            total_cex = BasisCounterexample(
-                trial=trial, canonical=canonical, basis_in=V, basis_out=W,
-                witness=tot.witness, failing_entry=tot.failing_entry)
-        if support_cex is not None and total_cex is not None:
-            break
-    return FalsifierReport(trials=trials,
-                           support_counterexample=support_cex,
-                           total_support_counterexample=total_cex)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import opscale.io
 PUBLIC_NAMES = [
     "BipartiteState", "BlockCertificate", "CertificateCondition",
     "CertificateReport", "ChoiMap", "CommutationReport", "ConditionCheck",
-    "DEFAULT_TOL", "DsCheck", "FalsifierReport", "FnfCheck",
+    "DEFAULT_TOL", "DsCheck", "FnfCheck",
     "FnfPreconditionFailed", "FnfResult", "FnfVerification",
     "IterationRecord", "MarginalCheck", "NonnegPattern", "NotPositiveDefinite",
     "NumericalFailure", "PositivityViolation", "PreconditionFailed",
@@ -29,7 +29,7 @@ PUBLIC_NAMES = [
     "has_total_support", "has_total_support_bruteforce", "hermitian_part",
     "init", "invariance_defect", "is_doubly_stochastic", "kernel_dim", "kron",
     "partial_trace_first", "partial_trace_second", "pattern_matrix",
-    "realign", "run", "sampled_support_falsifier", "step",
+    "realign", "run", "step",
     "sufficient_conditions", "unrealign", "verify_block_certificate",
     "verify_fnf", "zero_fraction_sufficient",
 ]
@@ -56,7 +56,6 @@ FUNCTION_PARAMETERS = {
     "pattern_matrix": ["T", "basis_in", "basis_out"],
     "realign": ["M", "k", "m"],
     "run": ["T", "tol", "max_iter", "divergence_logdet", "keep_history"],
-    "sampled_support_falsifier": ["T", "trials", "rng"],
     "step": ["state", "T", "tol"],
     "sufficient_conditions": ["state", "tol", "scaling_report"],
     "unrealign": ["R", "k", "m"],

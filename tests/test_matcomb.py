@@ -202,6 +202,20 @@ class TestPatternValidation:
             with pytest.raises(ValueError, match="^pattern entries must be real$"):
                 NonnegPattern(np.array([[z, 0], [0, 1]]))
 
+    @pytest.mark.parametrize("entries", [[["1", "2"]], [[b"1", b"2"]],
+                                         np.array([["1", 2]], dtype=object)],
+                             ids=["str", "bytes", "object-str"])
+    def test_refuses_string_entries(self, entries):
+        with pytest.raises(ValueError, match="^pattern entries must be numbers, not strings$"):
+            NonnegPattern(entries)
+
+    def test_object_entries_are_cast_as_numbers(self):
+        with pytest.raises(ValueError, match="^pattern entries must be real$"):
+            NonnegPattern(np.array([[1 + 2j, 0]], dtype=object))
+        pat = NonnegPattern(np.array([[1, 0.5], [np.float32(2), 1 + 0j]], dtype=object))
+        assert pat.entries.dtype == np.float64
+        assert np.array_equal(pat.entries, [[1.0, 0.5], [2.0, 1.0]])
+
     def test_complex_with_zero_imaginary_parts_is_its_real_part(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -307,6 +321,16 @@ class TestWitnesses:
                                    weight=good.weight + 1,
                                    tight_violation=good.tight_violation)
         assert not bad.check(pat)
+
+    @pytest.mark.parametrize("index, valid", [
+        (0, True), (np.int64(0), True), (0.5, False), ("0", False), (False, False),
+    ], ids=["int", "numpy-int", "float", "str", "bool"])
+    def test_witness_check_refuses_non_integer_indices(self, index, valid):
+        # witnesses are rebuilt from JSON reports, whose indices are unchecked
+        pat = NonnegPattern(np.array([[0.0, 1.0], [1.0, 1.0]]))
+        for alpha, beta in (((index,), (0,)), ((0,), (index,))):
+            w = ZeroSubmatrixWitness(alpha=alpha, beta=beta, weight=4, tight_violation=True)
+            assert w.check(pat) is valid
 
     @pytest.mark.parametrize("max_dim, trials", [(4, 400), (10, 1200)])
     def test_failing_entry_is_off_every_positive_diagonal(self, max_dim, trials):

@@ -2,17 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opscale import fixtures, posmap
-from opscale.matcomb import SizeGuardError
+from opscale.matcomb import (NonnegPattern, SizeGuardError, has_support,
+                             has_total_support)
 from opscale.numkernel import (Tolerances, frob, kron, partial_trace_first,
                                partial_trace_second)
 from opscale.posmap import (BlockCertificate, ChoiMap, FilteredMap,
                             PositivityViolation, from_state, haar_unitary, invariance_defect,
                             is_doubly_stochastic, pattern_matrix,
-                            sampled_support_falsifier,
                             verify_block_certificate)
 
 
@@ -70,6 +70,41 @@ def classical_lift(A):
     for j in range(k):
         blocks[j, :, j, :] = np.diag(A[:, j])
     return blocks.reshape(k * m, k * m)
+
+
+def rotated_classical_map(A, rng):
+    """The map of the k x m nonnegative pattern A in matcomb's orientation,
+    ``X -> sum_ij A[i, j] X[i, i] E_jj``, rotated to ``X -> V T(U X U*) V*``
+    by Haar unitaries U and V.  A product rotation is an equivalence, so the
+    rotated map scales to doubly stochastic exactly when the unrotated one
+    does, and that one is A's classical scaling problem."""
+    k, m = A.shape
+    T = ChoiMap(k, m, classical_lift(A.T), check_positivity=False)
+    mask = pattern_matrix(T, np.eye(k), np.eye(m)).nonzero_mask()
+    assert np.array_equal(mask, A > 0)
+    return T.conjugated(haar_unitary(k, rng), haar_unitary(m, rng))
+
+
+@st.composite
+def nonzero_maps(draw):
+    """A nonzero positive map with k, m <= 4: a random map of any storage
+    rank, a sandwich map, one of the two refusing fixtures, or the rotated
+    classical map of a 0/1 pattern without support."""
+    kind = draw(st.sampled_from(["random", "sandwich", "fixture", "classical"]))
+    if kind == "fixture":
+        return draw(st.sampled_from([fixtures.no_support_map, fixtures.boundary_map]))()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "sandwich":
+        d = draw(st.integers(1, 4))
+        r = draw(st.integers(1, d))
+        return fixtures.sandwich_map(random_complex(rng, d, r) @ random_complex(rng, r, d))
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if kind == "random":
+        return fixtures.random_cp_map(k, m, rng, rank=draw(st.integers(1, k * m)))
+    A = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=k * m,
+                               max_size=k * m))).reshape(k, m)
+    assume(A.any() and not has_support(NonnegPattern(A)))
+    return rotated_classical_map(A, rng)
 
 
 class TestPositivityProof:
@@ -473,34 +508,45 @@ class TestPatternMatrix:
             pattern_matrix(T, np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
 
 
-class TestFalsifier:
-    def test_no_support_fixture_falsified_in_canonical_basis(self):
-        rep = sampled_support_falsifier(fixtures.no_support_map(), trials=5,
-                                        rng=np.random.default_rng(15))
-        assert rep.support_falsified
-        assert rep.support_counterexample.canonical
-        assert rep.support_counterexample.witness is not None
+class TestCanonicalPattern:
+    """Support and total support of a map's pattern in the canonical basis
+    pair: ``has_total_support(pattern_matrix(T, Id, Id))`` and its
+    ``support``."""
 
-    def test_boundary_map_total_support_falsified(self):
-        rep = sampled_support_falsifier(fixtures.boundary_map(), trials=5,
-                                        rng=np.random.default_rng(16))
-        assert rep.support_inconclusive
-        assert rep.total_support_falsified
-        assert rep.total_support_counterexample.failing_entry is not None
+    @staticmethod
+    def canonical(T):
+        return pattern_matrix(T, np.eye(T.k), np.eye(T.m))
 
-    def test_negative_trial_count_is_refused(self):
-        T = fixtures.no_support_map()
-        with pytest.raises(ValueError, match="^trials must be nonnegative, got -2$"):
-            sampled_support_falsifier(T, trials=-2)
-        rep = sampled_support_falsifier(T, trials=0)
-        assert rep.trials == 0 and rep.support_inconclusive
+    def test_no_support_fixture_refused_in_canonical_basis(self):
+        pat = self.canonical(fixtures.no_support_map())
+        sup = has_total_support(pat).support
+        assert not sup
+        assert sup.witness.check(pat)
 
-    def test_generic_cp_map_stays_inconclusive(self):
-        rng = np.random.default_rng(17)
-        T = fixtures.random_cp_map(3, 3, rng)
-        rep = sampled_support_falsifier(T, trials=10, rng=rng)
-        assert rep.support_inconclusive
-        assert rep.total_support_inconclusive
+    def test_boundary_map_total_support_refused(self):
+        pat = self.canonical(fixtures.boundary_map())
+        tot = has_total_support(pat)
+        assert tot.support
+        assert not tot
+        assert tot.failing_entry is not None
+        assert tot.witness.check(pat)
+
+    def test_generic_cp_map_has_total_support(self):
+        T = fixtures.random_cp_map(3, 3, np.random.default_rng(17))
+        assert has_total_support(self.canonical(T))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(T=nonzero_maps(), seed=st.integers(0, 2**32 - 1))
+    def test_haar_basis_pairs_give_total_support(self, T, seed):
+        # T(vv*) is PSD with trace v* T*(Id) v, so a Haar v misses the proper
+        # subspace ker T*(Id) and an independent Haar w then misses
+        # ker T(vv*): every entry is positive, even where the canonical
+        # pattern has no support.  The pair is drawn from a stream apart from
+        # the map's, so it is independent of a map's own rotation.
+        rng = np.random.default_rng([seed, 1])
+        pat = pattern_matrix(T, haar_unitary(T.k, rng), haar_unitary(T.m, rng))
+        assert pat.nonzero_mask().all()
+        assert has_total_support(pat)
 
 
 class TestCertificates:

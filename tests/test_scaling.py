@@ -24,7 +24,7 @@ from opscale.scaling import (VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
                              PreconditionFailed, block_commutation_check, init,
                              ds_slack, run, step)
 from test_fnf import FLOOR_TOL, floor_crossing_state
-from test_posmap import classical_lift
+from test_posmap import classical_lift, rotated_classical_map
 
 TOL = Tolerances()
 
@@ -849,19 +849,6 @@ def patterns(k, m):
     """Every k x m 0/1 pattern."""
     for bits in itertools.product((0.0, 1.0), repeat=k * m):
         yield np.array(bits).reshape(k, m)
-
-
-def rotated_classical_map(A, rng):
-    """The map of the k x m nonnegative pattern A in matcomb's orientation,
-    ``X -> sum_ij A[i, j] X[i, i] E_jj``, rotated to ``X -> V T(U X U*) V*``
-    by Haar unitaries U and V.  A product rotation is an equivalence, so the
-    rotated map scales to doubly stochastic exactly when the unrotated one
-    does, and that one is A's classical scaling problem."""
-    k, m = A.shape
-    T = ChoiMap(k, m, classical_lift(A.T), check_positivity=False)
-    mask = pattern_matrix(T, np.eye(k), np.eye(m)).nonzero_mask()
-    assert np.array_equal(mask, A > 0)
-    return T.conjugated(haar_unitary(k, rng), haar_unitary(m, rng))
 
 
 class TestRotatedClassicalMaps:
