@@ -13,7 +13,12 @@ stdout and uses a stable exit-code contract:
 exception raised, then ``N failure(s)``, and exits 1 if a check failed.
 
 ``main`` resolves the seed and the tolerances once and hands them to the
-subcommand.  ``support``, ``scale`` and ``fnf`` run through one job runner,
+subcommand, and it is the one place that reports a refusal: any library
+``ValueError`` (``ValidationError``, ``SizeGuardError`` and numpy's
+``LinAlgError`` among them) and any ``NumericalFailure`` ends the command
+with exit 2, an ``error`` report and nothing on stderr.  So does a
+``ValueError`` from a programming fault, which shows no traceback.
+``support``, ``scale`` and ``fnf`` run through one job runner,
 ``_run``, which is the only writer of ``<prefix>.report.json`` files.  Batch
 mode (``--batch``) treats the input path as a directory of ``*.json`` jobs,
 runs them one at a time (``--jobs`` is accepted for compatibility), writes
@@ -40,9 +45,8 @@ from .fnf import (BipartiteState, FnfPreconditionFailed, ScalingInconclusive,
 from .io import (ValidationError, atomic_write_json, load_json, map_to_obj,
                  matrix_to_obj, obj_to_matrix, parse_map, parse_pattern_matrix,
                  parse_state, state_to_obj, write_json)
-from .matcomb import (NonnegPattern, SizeGuardError, has_support,
-                      has_support_bruteforce, has_total_support,
-                      has_total_support_bruteforce)
+from .matcomb import (NonnegPattern, has_support, has_support_bruteforce,
+                      has_total_support, has_total_support_bruteforce)
 from .numkernel import (NumericalFailure, Tolerances, frob, kron, realign,
                         unrealign)
 from .posmap import (BlockCertificate, FilteredMap, is_doubly_stochastic,
@@ -60,7 +64,7 @@ _VERDICT_EXIT = {
 }
 
 # A job or a command that raises one of these exits 2 with an error report.
-_REFUSALS = (ValidationError, NumericalFailure)
+_REFUSALS = (ValueError, NumericalFailure)
 
 # Every file a job writes is its prefix plus one of these; _run writes the report.
 _FNF_OUTPUTS = (".filters.json", ".state.json", ".schmidt.json", ".report.json")
@@ -90,27 +94,11 @@ _FLAGS = {"rank_rel": "--rank-rel", "pd_min": "--pd-min", "conv_eps": "--tol",
           "n_steps": "--commutation-steps"}
 
 
-def _flag_refusal(exc: ValueError) -> ValidationError:
-    """The library names the parameter first; the user typed the flag."""
-    name, _, rest = str(exc).partition(" ")
-    return ValidationError(f"{_FLAGS.get(name, name)} {rest}")
-
-
-def _tolerances(args) -> Tolerances:
-    try:
-        return Tolerances(rank_rel=args.rank_rel, pd_min=args.pd_min,
-                          conv_eps=args.tol)
-    except ValueError as exc:
-        raise _flag_refusal(exc) from exc
-
-
-def _check_run_limits(args) -> None:
-    """Refuse, before any input is read, the ``--max-iter`` and
-    ``--divergence`` that :func:`opscale.scaling.check_run_limits` refuses."""
-    try:
-        check_run_limits(getattr(args, "max_iter", 0), getattr(args, "divergence", None))
-    except ValueError as exc:
-        raise _flag_refusal(exc) from exc
+def _flag_refusal(exc: Exception) -> str:
+    """A refusal's message, with a leading parameter name given as its flag."""
+    message = str(exc)
+    name, _, rest = message.partition(" ")
+    return f"{_FLAGS[name]} {rest}" if name in _FLAGS else message
 
 
 def _envelope(seed: int, tol: Tolerances) -> dict:
@@ -169,10 +157,7 @@ def _add_common(sub, batch: bool = False):
 def _support_job(path: str, args, seed: int, tol: Tolerances,
                  prefix: str | None) -> tuple[dict, int]:
     A = parse_pattern_matrix(load_json(path))
-    try:
-        pattern = NonnegPattern(A, zero_eps=args.zero_eps)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    pattern = NonnegPattern(A, zero_eps=args.zero_eps)
     report = _envelope(seed, tol)
     report.update({"input": path, "k": pattern.k, "m": pattern.m,
                    "zero_eps": pattern.zero_eps})
@@ -186,14 +171,11 @@ def _support_job(path: str, args, seed: int, tol: Tolerances,
         if tot.failing_entry is not None:
             report["total_witness"]["entry"] = list(tot.failing_entry)
     if args.oracle:
-        try:
-            oracle = {"support": has_support_bruteforce(pattern)}
-            if args.total:
-                oracle["total_support"] = has_total_support_bruteforce(pattern)
-            oracle["agrees"] = all(report[key] == value for key, value in oracle.items())
-            report["oracle"] = oracle
-        except SizeGuardError as exc:
-            raise ValidationError(str(exc)) from exc
+        oracle = {"support": has_support_bruteforce(pattern)}
+        if args.total:
+            oracle["total_support"] = has_total_support_bruteforce(pattern)
+        oracle["agrees"] = all(report[key] == value for key, value in oracle.items())
+        report["oracle"] = oracle
     return report, 0
 
 
@@ -313,10 +295,7 @@ def cmd_fnf(args, seed: int, tol: Tolerances) -> int:
 
 def cmd_tilde(args, seed: int, tol: Tolerances) -> int:
     T = parse_map(load_json(args.path), rng=np.random.default_rng(seed))
-    try:
-        lifted = T.tilde_lift()
-    except SizeGuardError as exc:
-        raise ValidationError(str(exc)) from exc
+    lifted = T.tilde_lift()
     out = args.out or os.path.splitext(args.path)[0] + ".tilde.json"
     report = _envelope(seed, tol)
     report.update({"input": args.path, "output": out,
@@ -345,12 +324,9 @@ def _parse_certificate(obj) -> BlockCertificate:
     for field in ("input_projectors", "output_projectors"):
         if field not in obj or not isinstance(obj[field], list) or not obj[field]:
             raise ValidationError(f'certificate needs a nonempty "{field}" list')
-    try:
-        return BlockCertificate(
-            tuple(obj_to_matrix(o) for o in obj["input_projectors"]),
-            tuple(obj_to_matrix(o) for o in obj["output_projectors"]))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return BlockCertificate(
+        tuple(obj_to_matrix(o) for o in obj["input_projectors"]),
+        tuple(obj_to_matrix(o) for o in obj["output_projectors"]))
 
 
 def cmd_certificate(args, seed: int, tol: Tolerances) -> int:
@@ -358,12 +334,9 @@ def cmd_certificate(args, seed: int, tol: Tolerances) -> int:
     T = parse_map(load_json(args.map), rng=rng)
     cert = _parse_certificate(load_json(args.cert))
     steps = args.commutation_steps
-    try:
-        result = verify_block_certificate(T, cert, tol=tol, rng=rng)
-        # block_commutation_check refuses a negative count; 0 turns it off.
-        comm = block_commutation_check(T, cert, n_steps=steps, tol=tol) if steps else None
-    except ValueError as exc:
-        raise _flag_refusal(exc) from exc
+    result = verify_block_certificate(T, cert, tol=tol, rng=rng)
+    # block_commutation_check refuses a negative count; 0 turns it off.
+    comm = block_commutation_check(T, cert, n_steps=steps, tol=tol) if steps else None
     report = _envelope(seed, tol)
     report.update({"map": args.map, "certificate": args.cert})
     report.update(_to_json(result))
@@ -602,10 +575,13 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        _check_run_limits(args)
-        return args.func(args, _resolve_seed(args), _tolerances(args))
+        # Refused before any input is read, in this order.
+        check_run_limits(getattr(args, "max_iter", 0), getattr(args, "divergence", None))
+        seed = _resolve_seed(args)
+        tol = Tolerances(rank_rel=args.rank_rel, pd_min=args.pd_min, conv_eps=args.tol)
+        return args.func(args, seed, tol)
     except _REFUSALS as exc:
-        _emit({"version": __version__, "error": str(exc)})
+        _emit({"version": __version__, "error": _flag_refusal(exc)})
         return 2
 
 

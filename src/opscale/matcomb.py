@@ -32,6 +32,7 @@ brute-force oracles read one enumeration of the maximal zero blocks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,8 @@ class NonnegPattern:
     """A rectangular nonnegative matrix with a structural-zero threshold.
 
     Entries less than or equal to ``zero_eps`` count as zeros (default 0,
-    exact); string entries and a nonzero imaginary part are refused.  The
-    entry array is stored read-only.
+    exact); entries that are not numbers, such as strings or None, and a
+    nonzero imaginary part are refused.  The entry array is stored read-only.
     """
 
     entries: np.ndarray
@@ -62,9 +63,13 @@ class NonnegPattern:
 
     def __post_init__(self):
         A = np.asarray(self.entries)
-        if A.dtype.kind in "SUO" and any(isinstance(x, (str, bytes)) for x in A.flat):
+        if A.dtype.kind in "SU":
             raise ValueError("pattern entries must be numbers, not strings")
         if A.dtype.kind == "O":
+            for x in A.flat:
+                if not isinstance(x, numbers.Number):
+                    kind = "strings" if isinstance(x, (str, bytes)) else type(x).__name__
+                    raise ValueError(f"pattern entries must be numbers, not {kind}")
             A = A.astype(np.complex128)
         if np.iscomplexobj(A) and (A.imag != 0).any():  # a NaN one too
             raise ValueError("pattern entries must be real")
@@ -116,12 +121,18 @@ class ZeroSubmatrixWitness:
     tight_violation: bool
 
     def check(self, pattern: NonnegPattern) -> bool:
-        """Re-verify all witness invariants against a pattern."""
+        """Re-verify all witness invariants against a pattern.  A field of
+        the wrong type, as a witness rebuilt from a report may have, fails
+        the check: ``alpha`` and ``beta`` must be tuples or lists of
+        integers, ``weight`` an integer and ``tight_violation`` a bool."""
         k, m = pattern.k, pattern.m
+        if not (isinstance(self.alpha, (tuple, list)) and isinstance(self.beta, (tuple, list))
+                and isinstance(self.tight_violation, (bool, np.bool_))):
+            return False
         if not self.alpha or not self.beta:
             return False
         if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-                   for i in (*self.alpha, *self.beta)):
+                   for i in (*self.alpha, *self.beta, self.weight)):
             return False
         alpha_set, beta_set = set(self.alpha), set(self.beta)
         if len(alpha_set) != len(self.alpha) or len(beta_set) != len(self.beta):
@@ -141,7 +152,7 @@ class ZeroSubmatrixWitness:
         if self.weight > k * m:
             return True
         if self.weight == k * m:
-            return self.tight_violation == complement_nonzero and self.tight_violation
+            return bool(self.tight_violation) and complement_nonzero
         return False
 
 

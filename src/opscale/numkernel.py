@@ -16,7 +16,11 @@ required to go through these helpers instead of hand-rolling index math:
   a filter singular when ``s_min <= 1e-10 * s_max`` of its singular values.
 
 The one checked coercion, :func:`as_complex_matrix`, copies only what is not
-already a C-ordered complex128 array; :func:`frob` is numpy's norm.
+already a C-ordered complex128 array.  :func:`frob` is numpy's sum of
+squares, summed again from a scaled copy only where that sum overflows, so
+the norm of a finite matrix is finite unless it exceeds the double range
+itself.  The per-step kernels skip that guard where their operands' squares
+cannot overflow.
 """
 
 from __future__ import annotations
@@ -111,14 +115,32 @@ def hermitian_part(M) -> np.ndarray:
 
 
 def frob(M) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(M))
+    """Frobenius norm, with the bits of ``np.linalg.norm(M)`` wherever that
+    is finite; it does not overflow below the double range."""
+    x = np.asarray(M)
+    if x.dtype.kind not in "fc":
+        x = x.astype(np.float64)
+    return _guarded_frob(x.ravel(order="K"))
 
 
 def _complex_frob(x: np.ndarray) -> float:
-    """:func:`frob` of a flat complex128 array."""
+    """numpy's sum-of-squares norm of a flat array, for the per-step kernels
+    whose operands' squares cannot overflow: :func:`_guarded_frob`'s
+    ``np.errstate`` would cost a tenth of a small scaling step."""
     re, im = x.real, x.imag
     return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _guarded_frob(x: np.ndarray) -> float:
+    """:func:`frob` of a flat real or complex array: the plain sum of
+    squares, or, where that overflows, ``s * ||x / s||_F`` for the largest
+    magnitude s, whose quotient's sum cannot overflow."""
+    with np.errstate(over="ignore"):
+        norm = _complex_frob(x)
+    if norm != math.inf:
+        return norm
+    s = float(max(np.abs(x.real).max(), np.abs(x.imag).max()))
+    return s if s == math.inf else s * _complex_frob(x / s)
 
 
 def hermitian_storage(k, m, data, what: str) -> np.ndarray:
@@ -128,7 +150,10 @@ def hermitian_storage(k, m, data, what: str) -> np.ndarray:
     other than ``km x km``, and a Hermiticity defect ``||C - C*||_F`` above
     1e-8 of the norm ``||C||_F``.  Rounding a Hermitian matrix's entries
     leaves a defect of a few eps times ``||C||_F``, far below the limit, and
-    both sides scale with C, so ``c * C`` gets C's verdict for every c > 0."""
+    both sides scale with C, so ``c * C`` gets C's verdict for every c > 0
+    that keeps ``||c C||_F`` between about 1e-154, below which its squares
+    underflow, and the largest double: :func:`frob` does not overflow below
+    it."""
     if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
                for d in (k, m)):
         raise ValueError(f"dimensions must be integers, got k={k!r}, m={m!r}")
@@ -141,7 +166,7 @@ def hermitian_storage(k, m, data, what: str) -> np.ndarray:
     # One conjugate transpose, laid out as C is, serves the defect and the
     # symmetrized copy, which is written into it.
     H = np.conjugate(C.T, order="C")
-    defect = _complex_frob((C - H).reshape(-1))
+    defect = _guarded_frob((C - H).reshape(-1))
     if defect > 1e-8 * frob(C):
         raise ValueError(f"{what} is not Hermitian: defect {defect:.3e}")
     H = _hermitian_mean(C, H, out=H)
@@ -162,7 +187,8 @@ def psd_storage(k, m, data, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 def identity_defect(M: np.ndarray) -> float:
     """``frob(M - Id)`` for a C-contiguous complex128 square matrix, with
-    ``M - Id`` written into M itself."""
+    ``M - Id`` written into M itself.  Its callers are the scaling update's,
+    which refuses an overflow of this sum of squares as it does any other."""
     x = M.reshape(-1)
     x[::M.shape[0] + 1] -= _ONE
     return _complex_frob(x)
@@ -209,8 +235,11 @@ def herm_eig(H) -> tuple[np.ndarray, np.ndarray]:
     # in [1, 2), and of S H Q by dim**2 / pd_min.
     R = (V * w).dot(V.conj().T)
     R -= H
-    residual = _complex_frob(R.ravel(order="K"))
-    limit = dim * max(_complex_frob(H.ravel(order="K")), 1e-300) * _EIG_RECON_REL
+    # Below 1e140, the largest eigenvalue magnitude bounds the entries of H
+    # and of R so that no sum of their squares overflows.
+    norm = _complex_frob if -1e140 < w[-1] and w[0] < 1e140 else _guarded_frob
+    residual = norm(R.ravel(order="K"))
+    limit = dim * max(norm(H.ravel(order="K")), 1e-300) * _EIG_RECON_REL
     if not residual <= limit:
         raise NumericalFailure(
             f"eigendecomposition residual {residual:.3e} exceeds contract {limit:.3e}",

@@ -1,11 +1,12 @@
 """The public API: the names ``opscale`` exports, the parameters of its
-functions, the names and parameters of ``opscale.io``, and the modules its
-command line loads.  A change here is a change of the behavioural boundary
-and should be made on purpose."""
+functions, the names and parameters of ``opscale.io``, the modules its
+command line loads, and README's library examples.  A change here is a
+change of the behavioural boundary and should be made on purpose."""
 
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -108,15 +109,29 @@ def test_io_surface():
             if inspect.isfunction(f)} == IO_FUNCTION_PARAMETERS
 
 
-def test_the_command_line_loads_no_test_only_package():
+def run_python(*args, cwd=None):
+    """The interpreter on ``args``, in a child process that imports this
+    checkout's opscale."""
     src = os.path.dirname(os.path.dirname(opscale.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import json, sys, opscale.cli; print(json.dumps(sorted(sys.modules)))"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, cwd=cwd, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_the_command_line_loads_no_test_only_package():
+    proc = run_python(
+        "-c", "import json, sys, opscale.cli; print(json.dumps(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert [name for name in loaded
             if name.split(".")[0] in TEST_ONLY_PACKAGES] == []
+
+
+def test_readme_python_examples_run(tmp_path):
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.S | re.M)
+    assert blocks
+    for block in blocks:
+        proc = run_python("-W", "error", "-c", block, cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, ""), block

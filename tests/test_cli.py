@@ -10,11 +10,12 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -36,6 +37,15 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_cli_strict(capsys, *argv):
+    """``cli.main`` with every warning an error: (exit code, stdout, stderr)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def run_cli_json(capsys, *argv):
@@ -883,6 +893,26 @@ class TestScalingRefusals:
         assert re.match(self.OVERFLOW, rep["error"])
 
 
+class TestHugeStorages:
+    """Storages whose norms' sums of squares overflow: the norms do not, so
+    nothing reaches stderr."""
+
+    def test_fnf_on_a_scaled_state(self, capsys, tmp_path):
+        rho = fixtures.random_state_matrix(2, 3, np.random.default_rng(1))
+        path = tmp_path / "s.json"
+        atomic_write_json(str(path), {"k": 2, "m": 3, "matrix": matrix_to_obj(1e160 * rho)})
+        code, out, err = run_cli_strict(capsys, "fnf", str(path), "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verification"]["passed"] is True
+
+    def test_scale_on_a_scaled_identity(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        atomic_write_json(str(path), {"k": 2, "m": 2, "choi": matrix_to_obj(1e300 * np.eye(4))})
+        code, out, err = run_cli_strict(capsys, "scale", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == "converged-ds"
+
+
 class TestTildeCommand:
     def test_lift_file_and_check(self, capsys, workspace, tmp_path):
         out = tmp_path / "lift.json"
@@ -1414,6 +1444,119 @@ class TestBadArguments:
         assert json.loads(proc.stdout)["commutation"] == {
             "passed": False, "precondition_ok": False, "steps_run": 0,
             "first_failure": None}
+
+
+class TestOneRefusalRule:
+    """``main`` reports every library ValueError and NumericalFailure as
+    exit 2 with a {version, error} report and nothing on stderr."""
+
+    def test_a_linalg_error_inside_support_is_a_refusal(self, capsys, workspace,
+                                                        monkeypatch):
+        def singular(pattern):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(cli, "has_total_support", singular)
+        code, out, err = run_cli_strict(capsys, "support", str(workspace["pattern"]))
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {"version": cli.__version__, "error": "Singular matrix"}
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.data())
+    def test_malformed_input_files(self, capsys, tmp_path, case):
+        command = case.draw(st.sampled_from(sorted(_MALFORMED)))
+        argv, files = case.draw(_MALFORMED[command])
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        code, out, err = run_cli_strict(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+        assert code in (0, 2, 3, 4, 5)      # README's exit-code table
+        assert isinstance(json.loads(out), dict) and err == ""
+
+
+# Near-valid input files: a valid object of each kind, its entries scaled by
+# up to 1e300, then perhaps one field replaced or dropped, or one matrix
+# cell replaced, dropped or added.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+_ODD_VALUES = st.one_of(
+    st.sampled_from([0, -1, 2.5, 2.0, "2", True, None, [], {}, 10**12, 2**63, 1e300]),
+    st.integers(1, 4), _JSON_VALUES)
+
+
+@st.composite
+def _mutated(draw, obj):
+    obj = dict(obj)
+    how = draw(st.sampled_from(["keep", "keep", "field", "drop", "cell"]))
+    key = draw(st.sampled_from(sorted(obj)))
+    if how == "field":
+        obj[key] = draw(_ODD_VALUES)
+    elif how == "drop":
+        del obj[key]
+    elif how == "cell" and isinstance(obj.get("data"), list):
+        data = list(obj["data"])
+        i = draw(st.integers(0, len(data)))
+        data[i:i + draw(st.integers(0, 1))] = draw(st.lists(_ODD_VALUES, max_size=1))
+        obj["data"] = data
+    return obj
+
+
+@st.composite
+def _matrix_file(draw, make):
+    M = make(np.random.default_rng(draw(st.integers(0, 2**16))))
+    M = M * 10.0 ** draw(st.integers(-300, 300))
+    return draw(_mutated(through_text(matrix_to_obj(M))))
+
+
+def _pattern(rng):
+    k, m = rng.integers(1, 5, size=2)
+    return rng.random((k, m)) * (rng.random((k, m)) < 0.7)
+
+
+@st.composite
+def _pair_file(draw, field, make):
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    obj = {"k": k, "m": m, field: draw(_matrix_file(lambda rng: make(k, m, rng)))}
+    if field == "matrix" and draw(st.booleans()):
+        obj["kind"] = "state"       # a state given as a map file
+    return draw(_mutated(obj))
+
+
+_STATES = _pair_file("matrix", fixtures.random_state_matrix)
+_MAPS = _pair_file("choi", lambda k, m, rng: fixtures.random_cp_map(k, m, rng).choi) | _STATES
+
+
+@st.composite
+def _certificate_file(draw):
+    eye = draw(_matrix_file(lambda rng: np.eye(2)))
+    obj = {"input_projectors": [eye], "output_projectors": [eye]}
+    return draw(_mutated(obj))
+
+
+_GOOD_MAP = {"k": 2, "m": 2, "choi": through_text(matrix_to_obj(fixtures.boundary_map().choi))}
+_EYE_CERT = through_text({"input_projectors": [_EYE2], "output_projectors": [_EYE2]})
+
+
+def _one_file(argv, files):
+    return st.tuples(st.just(argv), files.map(lambda obj: {"in.json": obj}))
+
+
+# Each command's argv, with {dir} the test's directory, and its files.
+_MALFORMED = {
+    "support": _one_file(("support", "{dir}/in.json", "--total"),
+                         _matrix_file(_pattern) | _JSON_VALUES),
+    "scale": _one_file(("scale", "{dir}/in.json", "--max-iter", "50"), _MAPS | _JSON_VALUES),
+    "fnf": _one_file(("fnf", "{dir}/in.json", "--max-iter", "50"), _STATES | _JSON_VALUES),
+    "tilde": _one_file(("tilde", "{dir}/in.json"), _MAPS | _JSON_VALUES),
+    "certificate": st.one_of(
+        st.tuples(st.just(("certificate", "{dir}/map.json", "{dir}/cert.json")),
+                  st.fixed_dictionaries({"map.json": _MAPS | _JSON_VALUES,
+                                         "cert.json": st.just(_EYE_CERT)})),
+        st.tuples(st.just(("certificate", "{dir}/map.json", "{dir}/cert.json")),
+                  st.fixed_dictionaries({"map.json": st.just(_GOOD_MAP),
+                                         "cert.json": _certificate_file() | _JSON_VALUES}))),
+}
 
 
 def run_entry_point(*argv):

@@ -67,6 +67,15 @@ class TestBipartiteState:
         with pytest.raises(ValueError):
             BipartiteState(2, 2, np.diag([1.0, 1.0, 1.0, -0.2]))
 
+    @pytest.mark.parametrize("c", [1e160, 1e300])
+    def test_a_scaled_matrix_is_the_same_state(self, c):
+        # The norms of c * rho do not overflow: no RuntimeWarning, and the
+        # normal form of the scaled state verifies.
+        rho = fixtures.random_state_matrix(2, 3, np.random.default_rng(1))
+        state = BipartiteState(2, 3, c * rho)
+        assert np.abs(state.rho - BipartiteState(2, 3, rho).rho).max() < 1e-15
+        assert verify_fnf(compute_fnf(state), original=state).passed
+
     def test_rejects_wrong_dimensions(self):
         with pytest.raises(ValueError):
             BipartiteState(2, 3, np.eye(5))

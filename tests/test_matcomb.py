@@ -209,6 +209,15 @@ class TestPatternValidation:
         with pytest.raises(ValueError, match="^pattern entries must be numbers, not strings$"):
             NonnegPattern(entries)
 
+    @pytest.mark.parametrize("entry, name", [(None, "NoneType"), (object(), "object"),
+                                             ([1.0], "list")],
+                             ids=["none", "object", "list"])
+    def test_refuses_object_entries_that_are_not_numbers(self, entry, name):
+        entries = np.empty((1, 2), dtype=object)
+        entries[0, 0], entries[0, 1] = 1.0, entry
+        with pytest.raises(ValueError, match=f"^pattern entries must be numbers, not {name}$"):
+            NonnegPattern(entries)
+
     def test_object_entries_are_cast_as_numbers(self):
         with pytest.raises(ValueError, match="^pattern entries must be real$"):
             NonnegPattern(np.array([[1 + 2j, 0]], dtype=object))
@@ -331,6 +340,22 @@ class TestWitnesses:
         for alpha, beta in (((index,), (0,)), ((0,), (index,))):
             w = ZeroSubmatrixWitness(alpha=alpha, beta=beta, weight=4, tight_violation=True)
             assert w.check(pat) is valid
+
+    @pytest.mark.parametrize("field, value, valid", [
+        ("alpha", [0], True), ("weight", np.int64(4), True),
+        ("tight_violation", np.True_, True),
+        ("alpha", 5, False), ("beta", "0", False), ("alpha", None, False),
+        ("weight", 4.0, False), ("weight", True, False), ("weight", "4", False),
+        ("tight_violation", 1, False), ("tight_violation", "yes", False),
+    ], ids=["alpha-list", "weight-numpy-int", "tight-numpy-bool",
+            "alpha-int", "beta-str", "alpha-none", "weight-float", "weight-bool",
+            "weight-str", "tight-int", "tight-str"])
+    def test_witness_check_refuses_fields_of_the_wrong_type(self, field, value, valid):
+        # a witness rebuilt from a report: check returns a bool, never raises
+        pat = NonnegPattern(np.array([[0.0, 1.0], [1.0, 1.0]]))
+        fields = {"alpha": (0,), "beta": (0,), "weight": 4, "tight_violation": True}
+        w = ZeroSubmatrixWitness(**{**fields, field: value})
+        assert w.check(pat) is valid
 
     @pytest.mark.parametrize("max_dim, trials", [(4, 400), (10, 1200)])
     def test_failing_entry_is_off_every_positive_diagonal(self, max_dim, trials):

@@ -108,7 +108,7 @@ class TestHermitianStorage:
     def test_a_small_non_hermitian_storage_is_refused(self):
         rng = np.random.default_rng(0)
         G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        for c in (1.0, 1e-10):
+        for c in (1.0, 1e-10, 1e160):
             with pytest.raises(ValueError, match="is not Hermitian"):
                 ChoiMap(2, 2, c * G, check_positivity=False)
 

@@ -163,7 +163,9 @@ class TestPositivityProof:
         with pytest.raises(PositivityViolation):
             ChoiMap(2, 2, -c * fixtures.identity_map(2).choi)
 
-    @pytest.mark.parametrize("e", [-200, -100, 100, 200])
+    # 2**530 is about 3.5e159 and 2**1000 about 1.1e301: the sums of squares
+    # of those storages' norms overflow, and their norms do not.
+    @pytest.mark.parametrize("e", [-200, -100, 100, 200, 530, 1000])
     def test_scaled_storage_gets_the_same_verdict(self, e):
         # (k, m, storage, proved by Cholesky, accepted)
         cases = [(2, 3, fixtures.random_cp_map(2, 3, np.random.default_rng(14)).choi,
