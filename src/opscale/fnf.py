@@ -32,7 +32,7 @@ from .matcomb import count_bounds
 from .numkernel import (DEFAULT_TOL, NumericalFailure, Tolerances,
                         below_pd_floor, frob, hermitian_part, kron,
                         partial_trace_first, partial_trace_second, psd_storage,
-                        realign, spectral_rank, svd)
+                        realign, spectral_rank, svd, unrealign)
 from .posmap import ChoiMap
 
 
@@ -306,15 +306,19 @@ class FnfVerification:
         return all(c.passed for c in checks if c is not None)
 
 
-def _gram_defect(factors: list[np.ndarray]) -> float:
-    # tr(A B*) is the inner product of the flattened factors.
-    F = np.stack([f.ravel() for f in factors])
-    return frob(F @ F.conj().T - np.eye(len(factors)))
-
-
 def verify_fnf(result: FnfResult, tol: Tolerances = DEFAULT_TOL,
                original: BipartiteState | None = None) -> FnfVerification:
     """Independent re-check of every filter-normal-form invariant.
+
+    The expansion is checked as two factor matrices F and G, whose row i is
+    the row-major vectorization of term i's first and second factor:
+    ``tr(A B*)`` is the inner product of two rows, so both families are
+    orthonormal when ``F F* = I`` and ``G G* = I``, and ``realign(kron(A,
+    B))`` is the outer product of A's row and B's, so the expansion sums to
+    ``unrealign(F^T diag(c) G)``.  That stays independent of the SVD that
+    produced the terms: :func:`~opscale.numkernel.realign` and
+    :func:`~opscale.numkernel.unrealign` are fixed index permutations with
+    no arithmetic, and every coefficient and factor enters the product.
 
     With ``original`` supplied, additionally checks that the filtered
     original state reproduces ``state_fnf``.
@@ -334,10 +338,12 @@ def verify_fnf(result: FnfResult, tol: Tolerances = DEFAULT_TOL,
                and all(a >= b for a, b in zip(coeffs[1:], coeffs[2:])))
     coefficients = _within(0.0 if ordered else 1.0, 0.0)
 
-    orthonormal_first = _within(_gram_defect([t.first for t in result.schmidt]))
-    orthonormal_second = _within(_gram_defect([t.second for t in result.schmidt]))
-
-    recon = sum(t.coeff * kron(t.first, t.second) for t in result.schmidt)
+    F = np.stack([t.first.ravel() for t in result.schmidt])
+    G = np.stack([t.second.ravel() for t in result.schmidt])
+    eye = np.eye(len(coeffs))
+    orthonormal_first = _within(frob(F @ F.conj().T - eye))
+    orthonormal_second = _within(frob(G @ G.conj().T - eye))
+    recon = unrealign((F.T * np.array(coeffs)) @ G, k, m)
     reconstruction = _within(frob(recon - rho))
 
     inv_ok = True

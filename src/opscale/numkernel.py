@@ -1,7 +1,10 @@
 """Dense complex linear algebra shared by every other module.
 
-Two conventions are fixed here, once, and everything else in the package is
-required to go through these helpers instead of hand-rolling index math:
+Kronecker products, partial traces and realignment go through these
+helpers.  The layout of a map's block storage belongs to
+:mod:`opscale.posmap`, which indexes that storage itself, as
+:mod:`opscale.fixtures` does to build its maps.  Two conventions are fixed
+here, once:
 
 * Kronecker products are first-factor major: ``kron(A, B)`` places the block
   ``A[i, j] * B`` at block position ``(i, j)``.  A ``km x km`` matrix over a
@@ -17,10 +20,11 @@ required to go through these helpers instead of hand-rolling index math:
 
 The one checked coercion, :func:`as_complex_matrix`, copies only what is not
 already a C-ordered complex128 array.  :func:`frob` is numpy's sum of
-squares, summed again from a scaled copy only where that sum overflows, so
-the norm of a finite matrix is finite unless it exceeds the double range
-itself.  The per-step kernels skip that guard where their operands' squares
-cannot overflow.
+squares, summed again from a scaled copy only where that sum overflows or
+its root is below 1e-150, so the norm of a finite matrix is finite unless it
+exceeds the double range itself, and nonzero unless the matrix is zero.
+The per-step kernels skip that guard where their operands' squares cannot
+overflow.
 """
 
 from __future__ import annotations
@@ -116,7 +120,8 @@ def hermitian_part(M) -> np.ndarray:
 
 def frob(M) -> float:
     """Frobenius norm, with the bits of ``np.linalg.norm(M)`` wherever that
-    is finite; it does not overflow below the double range."""
+    is finite and at least 1e-150; it does not overflow below the double
+    range, and does not underflow to 0 on a nonzero matrix."""
     x = np.asarray(M)
     if x.dtype.kind not in "fc":
         x = x.astype(np.float64)
@@ -133,12 +138,18 @@ def _complex_frob(x: np.ndarray) -> float:
 
 def _guarded_frob(x: np.ndarray) -> float:
     """:func:`frob` of a flat real or complex array: the plain sum of
-    squares, or, where that overflows, ``s * ||x / s||_F`` for the largest
-    magnitude s, whose quotient's sum cannot overflow."""
+    squares, or, where that overflows or is below 1e-150, ``s * ||x / s||_F``
+    for the largest magnitude s, whose quotient's sum neither overflows nor
+    loses its largest squares.  Above 1e-150 the squares that underflow move
+    the sum by less than ``len(x) * 5e-324``, below its rounding."""
     with np.errstate(over="ignore"):
         norm = _complex_frob(x)
-    if norm != math.inf:
+    # A NaN norm is returned as it is.
+    if not (norm < 1e-150 or norm == math.inf):
         return norm
+    # A zero array, as the defect of a Hermitian storage is, skips the scan.
+    if norm == 0.0 and not x.any():
+        return 0.0
     s = float(max(np.abs(x.real).max(), np.abs(x.imag).max()))
     return s if s == math.inf else s * _complex_frob(x / s)
 
@@ -147,13 +158,17 @@ def hermitian_storage(k, m, data, what: str) -> np.ndarray:
     """The read-only, symmetrized copy of ``data`` as the Hermitian storage
     of a ``k x m`` pair, called ``what`` in the error messages.  Refuses
     with ValueError dimensions that are not integers of at least 1, a shape
-    other than ``km x km``, and a Hermiticity defect ``||C - C*||_F`` above
-    1e-8 of the norm ``||C||_F``.  Rounding a Hermitian matrix's entries
-    leaves a defect of a few eps times ``||C||_F``, far below the limit, and
-    both sides scale with C, so ``c * C`` gets C's verdict for every c > 0
-    that keeps ``||c C||_F`` between about 1e-154, below which its squares
-    underflow, and the largest double: :func:`frob` does not overflow below
-    it."""
+    other than ``km x km``, an entry larger in magnitude than
+    ``finfo(float64).max / (2km)``, and a Hermiticity defect ``||C - C*||_F``
+    above 1e-8 of the norm ``||C||_F``.  The entry bound keeps finite the
+    largest sums that construction takes: the symmetrized mean, the trace
+    of :mod:`opscale.posmap`'s Cholesky proof, and the sampled images
+    ``T(v v*)``, whose entries are at most ``k max|C|`` for a unit v.
+    Rounding a Hermitian matrix's entries leaves a defect of a few eps times
+    ``||C||_F``, far below the limit, and :func:`frob` neither overflows
+    nor underflows, so ``c * C`` gets C's verdict for every c > 0 that keeps
+    the entries of ``c * C`` normal doubles, above about 2.2e-308 in
+    magnitude, and within the entry bound."""
     if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool)
                for d in (k, m)):
         raise ValueError(f"dimensions must be integers, got k={k!r}, m={m!r}")
@@ -163,11 +178,21 @@ def hermitian_storage(k, m, data, what: str) -> np.ndarray:
     n = int(k) * int(m)
     if C.shape != (n, n):
         raise ValueError(f"{what} must be {(n, n)}, got {C.shape}")
+    # The norm bounds every entry, so only a storage near the bound pays
+    # for a pass over the magnitudes.
+    norm = frob(C)
+    bound = np.finfo(np.float64).max / (2 * n)
+    if norm > bound:
+        with np.errstate(over="ignore"):
+            largest = float(np.abs(C).max())
+        if largest > bound:
+            raise ValueError(f"{what} has an entry of magnitude {largest:.3e}, "
+                             f"above the bound {bound:.3e} = max double / (2km)")
     # One conjugate transpose, laid out as C is, serves the defect and the
     # symmetrized copy, which is written into it.
     H = np.conjugate(C.T, order="C")
     defect = _guarded_frob((C - H).reshape(-1))
-    if defect > 1e-8 * frob(C):
+    if defect > 1e-8 * norm:
         raise ValueError(f"{what} is not Hermitian: defect {defect:.3e}")
     H = _hermitian_mean(C, H, out=H)
     H.setflags(write=False)

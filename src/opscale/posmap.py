@@ -72,11 +72,12 @@ def _storage_proves_positivity(C: np.ndarray) -> bool:
     The proof counts when twice that bound, ``(n + 1) * eps * tr(A)``, stays
     below the other half, ``delta``: every image then has all eigenvalues
     above ``-_POSITIVITY_REL * ||C||_F``, the sampled check's floor.  Both
-    sides scale with C, so ``c * C`` gets C's verdict, up to rounding, for
-    every c > 0 that keeps the entries of ``c * C`` between about 1e-154,
-    below which their squares underflow in ``||C||_F``, and 1e307, above
-    which the symmetrized sums of construction and of the sampled images
-    overflow.
+    sides scale with C, and ``||C||_F`` neither overflows nor underflows, so
+    ``c * C`` gets C's verdict, up to rounding, for every c > 0 that keeps
+    the entries of ``c * C`` normal doubles, above about 2.2e-308 in
+    magnitude, and within the entry bound of
+    :func:`opscale.numkernel.hermitian_storage`, which refuses a storage
+    whose sums in construction and in the sampled images could overflow.
     Draws no random numbers.
     """
     n = C.shape[0]

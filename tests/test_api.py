@@ -1,17 +1,24 @@
 """The public API: the names ``opscale`` exports, the parameters of its
 functions, the names and parameters of ``opscale.io``, the modules its
-command line loads, and README's library examples.  A change here is a
-change of the behavioural boundary and should be made on purpose."""
+command line loads, and README's library and command-line examples.  A
+change here is a change of the behavioural boundary and should be made on
+purpose."""
 
 import inspect
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
+import numpy as np
+
 import opscale
 import opscale.io
+from opscale import fixtures
+from opscale.fnf import BipartiteState
+from opscale.io import atomic_write_json, map_to_obj, matrix_to_obj, state_to_obj
 
 PUBLIC_NAMES = [
     "BipartiteState", "BlockCertificate", "CertificateCondition",
@@ -127,11 +134,68 @@ def test_the_command_line_loads_no_test_only_package():
             if name.split(".")[0] in TEST_ONLY_PACKAGES] == []
 
 
-def test_readme_python_examples_run(tmp_path):
+def read_readme():
     readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
     with open(readme, encoding="utf-8") as fh:
-        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.S | re.M)
+        return fh.read()
+
+
+def test_readme_python_examples_run(tmp_path):
+    blocks = re.findall(r"^```python\n(.*?)^```", read_readme(), re.S | re.M)
     assert blocks
     for block in blocks:
         proc = run_python("-W", "error", "-c", block, cwd=tmp_path)
         assert (proc.returncode, proc.stderr) == (0, ""), block
+
+
+# README's exit code of a report, by subcommand.
+_SCALING_EXIT = {"converged-ds": 0, "no-support-numerical": 3,
+                 "max-iter-inconclusive": 4, "precondition-failed": 2}
+_OUTCOME_EXIT = {
+    "support": lambda rep: 0,
+    "scale": lambda rep: _SCALING_EXIT[rep["verdict"]],
+    "fnf": lambda rep: (0 if rep["verification"]["passed"] else 2)
+    if rep["outcome"] == "fnf-computed" else _SCALING_EXIT.get(rep["outcome"], 2),
+    "tilde": lambda rep: 0,
+    "certificate": lambda rep: 0 if rep["passed"] and rep.get(
+        "commutation", {"passed": True})["passed"] else 5,
+}
+
+
+def test_readme_shell_examples_run(tmp_path):
+    """Each ``opscale`` line of README's command-line block, run in a
+    directory holding the files it names and the ``results/`` directory it
+    writes into, exits with the code README's table gives its outcome and
+    prints one JSON report (``selftest``: its ``[ok]`` lines) and nothing on
+    stderr."""
+    readme = read_readme()
+    table = {int(code) for code in re.findall(r"^\| (\d+) \|", readme, re.M)}
+    lines = [line for block in re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+             for line in block.splitlines() if line.startswith("opscale ")]
+    assert {line.split()[1] for line in lines} == {*_OUTCOME_EXIT, "selftest"}
+
+    T = fixtures.boundary_map()
+    rho = fixtures.random_state_matrix(2, 3, np.random.default_rng(0))
+    inputs = {
+        "pattern.json": matrix_to_obj(np.array([[0.0, 1.0], [1.0, 1.0]])),
+        "map.json": map_to_obj(T),
+        "state.json": state_to_obj(BipartiteState(2, 3, rho)),
+        "cert.json": {"input_projectors": [matrix_to_obj(np.eye(T.k))],
+                      "output_projectors": [matrix_to_obj(np.eye(T.m))]},
+    }
+    for name, obj in inputs.items():
+        atomic_write_json(str(tmp_path / name), obj)
+    (tmp_path / "results").mkdir()
+
+    for line in lines:
+        command = shlex.split(line)[1:]
+        proc = run_python("-W", "error", "-m", "opscale.cli", *command, cwd=tmp_path)
+        assert proc.stderr == "", line
+        assert proc.returncode in table, line
+        if command[0] == "selftest":
+            assert proc.returncode == 0, line
+            assert proc.stdout.endswith("0 failure(s)\n")
+            assert all(out.startswith("[ok] ") for out in proc.stdout.splitlines()[:-1])
+            continue
+        rep = json.loads(proc.stdout)
+        assert proc.returncode == _OUTCOME_EXIT[command[0]](rep), line

@@ -912,6 +912,15 @@ class TestHugeStorages:
         assert (code, err) == (0, "")
         assert json.loads(out)["verdict"] == "converged-ds"
 
+    def test_scale_refuses_an_entry_above_the_bound(self, capsys, tmp_path):
+        # 1e308 * Id's symmetrized mean overflows: the storage is refused
+        # before it is formed, and nothing reaches stderr.
+        path = tmp_path / "m.json"
+        atomic_write_json(str(path), {"k": 2, "m": 2, "choi": matrix_to_obj(1e308 * np.eye(4))})
+        code, out, err = run_cli_strict(capsys, "scale", str(path))
+        assert (code, err) == (2, "")
+        assert set(json.loads(out)) == {"version", "error"}
+
 
 class TestTildeCommand:
     def test_lift_file_and_check(self, capsys, workspace, tmp_path):
@@ -1295,6 +1304,20 @@ REFUSED_FILES = {
         ("certificate", "{map}", "{bad}"),
         {"input_projectors": [matrix_to_obj(np.eye(3))], "output_projectors": [_EYE2]},
         "certificate dimensions do not match the map"),
+    "certificate-unequal-counts": (
+        ("certificate", "{map}", "{bad}"),
+        {"input_projectors": [_EYE2, _EYE2], "output_projectors": [_EYE2]},
+        "certificate needs equally many input and output projectors"),
+    "certificate-mixed-input-shapes": (
+        ("certificate", "{map}", "{bad}"),
+        {"input_projectors": [_EYE2, matrix_to_obj(np.eye(3))],
+         "output_projectors": [_EYE2, _EYE2]},
+        "input projectors have inconsistent shapes"),
+    "certificate-mixed-output-shapes": (
+        ("certificate", "{map}", "{bad}"),
+        {"input_projectors": [_EYE2, _EYE2],
+         "output_projectors": [_EYE2, matrix_to_obj(np.eye(3))]},
+        "output projectors have inconsistent shapes"),
     "state-not-an-object": (("fnf", "{bad}"), [1, 2], "state must be a JSON object"),
     "state-without-matrix": (("fnf", "{bad}"), {"k": 2, "m": 2},
                              'state file needs a "matrix" field'),
@@ -1307,6 +1330,10 @@ REFUSED_FILES = {
     "state-all-zero": (("fnf", "{bad}"),
                        {"k": 2, "m": 2, "matrix": matrix_to_obj(np.zeros((4, 4)))},
                        "state has nonpositive trace"),
+    "map-entry-above-bound": (("scale", "{bad}"),
+                              {"k": 2, "m": 2, "choi": matrix_to_obj(1e308 * np.eye(4))},
+                              "choi storage has an entry of magnitude 1.000e+308, above "
+                              "the bound 2.247e+307 = max double / (2km)"),
 }
 
 

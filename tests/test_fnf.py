@@ -5,13 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opscale import fixtures, scaling
 from opscale.fnf import (BipartiteState, FnfPreconditionFailed, MarginalCheck,
-                         ScalingInconclusive, _gram_defect, check_preconditions,
-                         compute_fnf, sufficient_conditions, verify_fnf)
+                         ScalingInconclusive, check_preconditions, compute_fnf,
+                         sufficient_conditions, verify_fnf)
 from opscale.numkernel import (NumericalFailure, Tolerances, frob,
                                hermitian_part, kernel_dim, kron)
 from opscale.posmap import ChoiMap, from_state, haar_unitary
@@ -425,7 +425,18 @@ class TestNormalFormIsTheScaledMap:
         assert np.array_equal(res.filter_second, tr ** -0.25 * rep.out_filter)
 
 
+def with_factors(result, side, factors):
+    """``result`` with the ``side`` ("first" or "second") factor of each
+    term replaced by the next of ``factors``."""
+    terms = tuple(dataclasses.replace(t, **{side: f})
+                  for t, f in zip(result.schmidt, factors))
+    return dataclasses.replace(result, schmidt=terms)
+
+
 class TestGramDefect:
+    """verify_fnf's orthonormality checks, ``||F F* - I||_F`` of the stacked
+    factors, against the trace inner products they stand for."""
+
     @staticmethod
     def trace_loop(factors):
         gram = np.array([[np.trace(a @ b.conj().T) for b in factors]
@@ -436,19 +447,83 @@ class TestGramDefect:
         rng = np.random.default_rng(13)
         state = BipartiteState(3, 4, fixtures.random_state_matrix(3, 4, rng))
         res = compute_fnf(state)
-        families = [[t.first for t in res.schmidt], [t.second for t in res.schmidt],
-                    [0.5 * (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
-                     for _ in range(5)]]
-        for factors in families:
-            assert abs(_gram_defect(factors) - self.trace_loop(factors)) <= 1e-14
+        ver = verify_fnf(res)
+        for side, check in (("first", ver.orthonormal_first),
+                            ("second", ver.orthonormal_second)):
+            factors = [getattr(t, side) for t in res.schmidt]
+            assert abs(check.defect - self.trace_loop(factors)) <= 1e-14
+        factors = [0.5 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+                   for _ in res.schmidt]
+        check = verify_fnf(with_factors(res, "first", factors)).orthonormal_first
+        assert abs(check.defect - self.trace_loop(factors)) <= 1e-14
 
     def test_flags_one_perturbed_factor(self):
         rng = np.random.default_rng(14)
         state = BipartiteState(2, 3, fixtures.random_state_matrix(2, 3, rng))
-        factors = [t.second for t in compute_fnf(state).schmidt]
-        assert _gram_defect(factors) <= 1e-8   # verify_fnf's limit
+        res = compute_fnf(state)
+        check = verify_fnf(res).orthonormal_second
+        assert check.passed and check.defect <= check.limit == 1e-8
+        factors = [t.second for t in res.schmidt]
         factors[2] = factors[2] + 1e-6 * factors[1]
-        assert _gram_defect(factors) > 1e-8
+        check = verify_fnf(with_factors(res, "second", factors)).orthonormal_second
+        assert not check.passed and check.defect > 1e-8
+
+
+def traceless_hermitian(dim, rng):
+    H = hermitian_part(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    H = H - np.trace(H).real / dim * np.eye(dim)
+    return H / max(frob(H), 1e-300)
+
+
+@st.composite
+def fnf_results(draw):
+    """The normal form of a state on a k x m pair with k, m <= 4: a random
+    state, one with a kernel, or the maximally mixed state plus a few
+    products of traceless factors, whose expansion stops after those few
+    terms.  Draws on which compute_fnf refuses are rejected."""
+    k, m = draw(st.integers(1, 4), label="k"), draw(st.integers(1, 4), label="m")
+    kind = draw(st.sampled_from(["random", "kernel", "products"]), label="kind")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = k * m
+    if kind == "products":
+        rho = np.eye(n, dtype=complex) / n
+        for _ in range(draw(st.integers(1, 3), label="products")):
+            A, B = traceless_hermitian(k, rng), traceless_hermitian(m, rng)
+            rho = rho + 0.2 / n * kron(A, B)
+    else:
+        ker = draw(st.integers(0, n - 1), label="kernel_dim") if kind == "kernel" else 0
+        rho = fixtures.random_state_matrix(k, m, rng, kernel_dim=ker)
+    try:
+        return compute_fnf(BipartiteState(k, m, rho))
+    except (FnfPreconditionFailed, ScalingInconclusive, NumericalFailure):
+        assume(False)
+
+
+class TestReconstruction:
+    """The reconstruction check, read through unrealign, against the sum of
+    one kron product per term that it replaced."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(res=fnf_results(), data=st.data())
+    def test_matches_the_kron_sum(self, res, data):
+        corrupt = data.draw(st.sampled_from(["none", "coeff", "first", "second"]), label="corrupt")
+        if corrupt != "none":
+            terms = list(res.schmidt)
+            i = data.draw(st.integers(0, len(terms) - 1), label="term")
+            size = data.draw(st.sampled_from([1e-12, 1e-9, 1e-7, 0.1, 1.0]), label="size")
+            t = terms[i]
+            if corrupt == "coeff":
+                terms[i] = dataclasses.replace(t, coeff=t.coeff * (1.0 + size))
+            else:
+                f = getattr(t, corrupt)
+                E = np.random.default_rng(i).standard_normal(f.shape)
+                terms[i] = dataclasses.replace(t, **{corrupt: f + size * E / frob(E)})
+            res = dataclasses.replace(res, schmidt=tuple(terms))
+        rho = res.state_fnf.rho
+        oracle = frob(sum(t.coeff * kron(t.first, t.second) for t in res.schmidt) - rho)
+        check = verify_fnf(res).reconstruction
+        assert abs(check.defect - oracle) <= 1e-15 * frob(rho)
+        assert check.passed == (oracle <= check.limit)
 
 
 class TestVerifyFnfCatchesCorruption:
@@ -496,6 +571,14 @@ class TestVerifyFnfCatchesCorruption:
             res, filter_first=res.filter_first + 0.1 * np.ones((2, 2)))
         ver2 = verify_fnf(bad2, original=state)
         assert not ver2.filtered_state.passed
+
+    def test_singular_filter_is_flagged(self):
+        state, res = self.make()
+        bad = dataclasses.replace(res, filter_first=np.array([[1.0, 2.0], [2.0, 4.0]]))
+        ver = verify_fnf(bad, original=state)
+        check = ver.filters_invertible
+        assert not check.passed and check.defect > check.limit == 1.0
+        assert not ver.passed
 
     def test_unordered_tail_is_flagged(self):
         state, res = self.make()

@@ -347,15 +347,25 @@ class TestWitnesses:
         ("alpha", 5, False), ("beta", "0", False), ("alpha", None, False),
         ("weight", 4.0, False), ("weight", True, False), ("weight", "4", False),
         ("tight_violation", 1, False), ("tight_violation", "yes", False),
+        ("alpha", (), False), ("beta", [], False), ("alpha", (0, 0), False),
+        ("beta", [0, 0], False), ("alpha", (2,), False), ("beta", (-1,), False),
     ], ids=["alpha-list", "weight-numpy-int", "tight-numpy-bool",
             "alpha-int", "beta-str", "alpha-none", "weight-float", "weight-bool",
-            "weight-str", "tight-int", "tight-str"])
+            "weight-str", "tight-int", "tight-str", "alpha-empty", "beta-empty",
+            "alpha-repeated", "beta-repeated", "alpha-out-of-range", "beta-out-of-range"])
     def test_witness_check_refuses_fields_of_the_wrong_type(self, field, value, valid):
         # a witness rebuilt from a report: check returns a bool, never raises
         pat = NonnegPattern(np.array([[0.0, 1.0], [1.0, 1.0]]))
         fields = {"alpha": (0,), "beta": (0,), "weight": 4, "tight_violation": True}
         w = ZeroSubmatrixWitness(**{**fields, field: value})
         assert w.check(pat) is valid
+
+    def test_witness_check_refuses_a_consistent_weight_below_km(self):
+        # a 1 x 1 zero block of a 3 x 3 pattern: weight 3 + 3 < 9 proves nothing
+        pat = NonnegPattern(np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]))
+        for tight in (True, False):
+            w = ZeroSubmatrixWitness(alpha=(0,), beta=(0,), weight=6, tight_violation=tight)
+            assert w.check(pat) is False
 
     @pytest.mark.parametrize("max_dim, trials", [(4, 400), (10, 1200)])
     def test_failing_entry_is_off_every_positive_diagonal(self, max_dim, trials):

@@ -1,12 +1,14 @@
 """Numeric kernel: golden values and algebraic invariants."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from opscale import numkernel
+from opscale import fixtures, numkernel
 from opscale.numkernel import (DEFAULT_TOL, NotPositiveDefinite,
                                NumericalFailure, Tolerances,
                                as_complex_matrix, frob, herm_eig,
@@ -111,6 +113,32 @@ class TestHermitianStorage:
         for c in (1.0, 1e-10, 1e160):
             with pytest.raises(ValueError, match="is not Hermitian"):
                 ChoiMap(2, 2, c * G, check_positivity=False)
+
+    @pytest.mark.parametrize("c", [1e-170, 1e-200, 1e-300])
+    def test_a_tiny_non_hermitian_storage_is_refused(self, c):
+        # The squares of both norms underflow; frob sums them from the
+        # storage over its largest entry, so the defect keeps its ratio.
+        rng = np.random.default_rng(0)
+        G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        with pytest.raises(ValueError, match="is not Hermitian"):
+            hermitian_storage(2, 2, c * G, "s")
+
+    @pytest.mark.parametrize("k, m, largest", [(2, 2, 1e308), (2, 3, 8e307), (1, 1, 1e308)])
+    def test_an_entry_above_the_bound_is_refused(self, k, m, largest):
+        n = k * m
+        bound = np.finfo(np.float64).max / (2 * n)
+        with pytest.raises(ValueError, match=re.escape(
+                f"s has an entry of magnitude {largest:.3e}, above the bound {bound:.3e}")):
+            hermitian_storage(k, m, largest * np.eye(n), "s")
+
+    @pytest.mark.parametrize("k, m", [(1, 1), (2, 2), (2, 3), (3, 3)])
+    def test_a_storage_at_the_bound_constructs_without_overflow(self, k, m):
+        # Under warnings as errors: the symmetrized mean, the Cholesky
+        # proof's trace and the sampled images all stay finite.
+        bound = np.finfo(np.float64).max / (2 * k * m)
+        assert np.isfinite(ChoiMap(k, m, bound * np.eye(k * m)).choi).all()
+        if k == m:
+            ChoiMap(k, m, bound * fixtures.identity_map(k).choi)
 
     def test_shape_message_with_numpy_integer_dimensions(self):
         with pytest.raises(ValueError, match=r"^storage must be \(6, 6\), got \(4, 4\)$"):
@@ -320,6 +348,16 @@ def assert_same_outcome(got, want):
             assert np.array_equal(a, b)
 
 
+def reference_frob(M):
+    """numpy's norm where it is at least 1e-150.  Below that its squares
+    underflow, and the norm is summed from M over its largest magnitude."""
+    want = float(np.linalg.norm(M))
+    if want >= 1e-150 or not M.any():
+        return want
+    s = float(max(np.abs(M.real).max(), np.abs(M.imag).max()))
+    return s * float(np.linalg.norm(M / s))
+
+
 class TestKernelsBitForBit:
     """frob, herm_eig and pd_inv_sqrt give exactly the results of the
     formulas they replaced."""
@@ -333,10 +371,14 @@ class TestKernelsBitForBit:
                                            allow_infinity=False)),
         arrays(np.int64, st.tuples(st.integers(0, 6), st.integers(0, 6)),
                elements=st.integers(-2**40, 2**40))))
+    # Norms below 1e-150, whose squares underflow in numpy's sum.
+    @example(np.array([[6.7e-164]]))
+    @example(np.array([[5e-324, 0.0], [-1e-320, 3e-310]]))
+    @example(np.array([[1e-200 + 2e-200j, 0.0], [0.0, -3e-180j]]))
     def test_frob_is_numpy_norm(self, M):
-        want = float(np.linalg.norm(M))
+        want = reference_frob(M)
         assert frob(M) == want
-        assert frob(M.T) == float(np.linalg.norm(M.T))
+        assert frob(M.T) == reference_frob(M.T)
         assert frob(M.tolist()) == want
 
     def test_frob_on_strided_views_and_empty(self):
@@ -502,6 +544,10 @@ class TestRealign:
             m = int(rng.integers(1, 5))
             M = random_complex(rng, k * m, k * m)
             assert np.array_equal(unrealign(realign(M, k, m), k, m), M)
+
+    def test_unrealign_refuses_a_shape_other_than_k2_by_m2(self):
+        with pytest.raises(ValueError, match=r"^expected shape \(4, 9\), got \(9, 4\)$"):
+            unrealign(np.zeros((9, 4)), 2, 3)
 
     def test_entry_convention(self):
         # realign(M)[(i, p), (j, q)] = M[(i, j), (p, q)] with first-factor-major

@@ -163,6 +163,13 @@ class TestPositivityProof:
         with pytest.raises(PositivityViolation):
             ChoiMap(2, 2, -c * fixtures.identity_map(2).choi)
 
+    @pytest.mark.parametrize("c", [1e-170, 1e-200])
+    def test_a_tiny_positive_map_is_accepted(self, c):
+        # The sampled check's floor, -1e-8 of ||c C||_F, does not underflow
+        # to 0, so rounding in the images is not read as negativity.
+        T = ChoiMap(3, 3, c * fixtures.identity_map(3).choi)
+        assert (T.k, T.m) == (3, 3)
+
     # 2**530 is about 3.5e159 and 2**1000 about 1.1e301: the sums of squares
     # of those storages' norms overflow, and their norms do not.
     @pytest.mark.parametrize("e", [-200, -100, 100, 200, 530, 1000])
@@ -657,6 +664,10 @@ class TestCertificates:
         for P in cert.input_projectors + cert.output_projectors:
             assert not P.flags.writeable
             assert not any(np.shares_memory(P, Q) for Q in given)
+
+    def test_no_block_is_refused(self):
+        with pytest.raises(ValueError, match="^certificate must contain at least one block$"):
+            BlockCertificate((), ())
 
     def test_dimension_mismatch_raises(self):
         rng = np.random.default_rng(25)
