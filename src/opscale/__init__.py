@@ -27,10 +27,9 @@ from .posmap import (BlockCertificate, CertificateCondition, CertificateReport,
                      haar_unitary, invariance_defect, is_doubly_stochastic,
                      pattern_matrix, verify_block_certificate)
 from .scaling import (VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
-                      VERDICT_NO_SUPPORT, VERDICT_PRECONDITION,
-                      CommutationReport, IterationRecord, PreconditionFailed,
-                      ScalingReport, ScalingState, block_commutation_check,
-                      init, run, step)
+                      VERDICT_NO_SUPPORT, VERDICT_PRECONDITION, IterationRecord,
+                      PreconditionFailed, ScalingReport, ScalingState, init,
+                      run, step)
 
 __version__ = "0.1.0"
 
@@ -53,7 +52,7 @@ __all__ = [
     "verify_block_certificate", "invariance_defect",
     # scaling
     "init", "step", "run", "ScalingState", "ScalingReport", "IterationRecord",
-    "PreconditionFailed", "CommutationReport", "block_commutation_check",
+    "PreconditionFailed",
     "VERDICT_CONVERGED", "VERDICT_NO_SUPPORT", "VERDICT_INCONCLUSIVE",
     "VERDICT_PRECONDITION",
     # filter normal form

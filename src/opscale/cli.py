@@ -52,9 +52,8 @@ from .numkernel import (NumericalFailure, Tolerances, frob, kron, realign,
 from .posmap import (BlockCertificate, FilteredMap, is_doubly_stochastic,
                      pattern_matrix, verify_block_certificate)
 from .scaling import (DEFAULT_MAX_ITER, VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
-                      VERDICT_NO_SUPPORT, VERDICT_PRECONDITION,
-                      block_commutation_check, check_run_limits, ds_slack,
-                      run)
+                      VERDICT_NO_SUPPORT, VERDICT_PRECONDITION, check_run_limits,
+                      ds_slack, run)
 
 _VERDICT_EXIT = {
     VERDICT_CONVERGED: 0,
@@ -90,8 +89,7 @@ def _resolve_seed(args) -> int:
 
 # The flag that sets each Tolerances field and each run limit.
 _FLAGS = {"rank_rel": "--rank-rel", "pd_min": "--pd-min", "conv_eps": "--tol",
-          "max_iter": "--max-iter", "divergence_logdet": "--divergence",
-          "n_steps": "--commutation-steps"}
+          "max_iter": "--max-iter", "divergence_logdet": "--divergence"}
 
 
 def _flag_refusal(exc: Exception) -> str:
@@ -333,19 +331,12 @@ def cmd_certificate(args, seed: int, tol: Tolerances) -> int:
     rng = np.random.default_rng(seed)
     T = parse_map(load_json(args.map), rng=rng)
     cert = _parse_certificate(load_json(args.cert))
-    steps = args.commutation_steps
     result = verify_block_certificate(T, cert, tol=tol, rng=rng)
-    # block_commutation_check refuses a negative count; 0 turns it off.
-    comm = block_commutation_check(T, cert, n_steps=steps, tol=tol) if steps else None
     report = _envelope(seed, tol)
     report.update({"map": args.map, "certificate": args.cert})
     report.update(_to_json(result))
-    passed = result.passed
-    if comm is not None:
-        report["commutation"] = _to_json(comm)
-        passed = passed and comm.passed
     _emit(report)
-    return 0 if passed else 5
+    return 0 if result.passed else 5
 
 
 # --------------------------------------------------------------- selftest
@@ -555,9 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certificate", help="verify a block certificate against a map")
     p.add_argument("map", help="map file")
     p.add_argument("cert", help="certificate file")
-    p.add_argument("--commutation-steps", type=int, default=0,
-                   help="also run this many scaling steps checking projector "
-                        "commutation")
     _add_common(p)
     p.set_defaults(func=cmd_certificate)
 

@@ -151,6 +151,10 @@ def _guarded_frob(x: np.ndarray) -> float:
     if norm == 0.0 and not x.any():
         return 0.0
     s = float(max(np.abs(x.real).max(), np.abs(x.imag).max()))
+    # numpy divides a complex array by s through 1 / s, which overflows for
+    # a subnormal s; the parts of the flat array then divide as reals.
+    if s < 1e-300 and x.dtype.kind == "c":
+        x = x.view(np.float64)
     return s if s == math.inf else s * _complex_frob(x / s)
 
 
@@ -205,7 +209,7 @@ def psd_storage(k, m, data, what: str) -> tuple[np.ndarray, np.ndarray]:
     of the largest, the one PSD floor of a state."""
     C = hermitian_storage(k, m, data, what)
     w = np.linalg.eigvalsh(C)
-    if w[0] < -1e-9 * max(float(w[-1]), 1e-300):
+    if w[0] < -1e-9 * max(float(w[-1]), 0.0):
         raise ValueError(f"{what} is not PSD: eigenvalue {w[0]:.3e}")
     return C, w
 

@@ -381,19 +381,30 @@ def invariance_defect(T: ChoiMap, cert: BlockCertificate) -> float:
     return worst
 
 
-def certificate_admissibility(T: ChoiMap, cert: BlockCertificate):
-    """The ``decomposition`` and ``invariance`` conditions of a certificate
-    for T: structure defect at most ``1e-10 * max(k, m)``, and
-    :func:`invariance_defect` at most ``_INVARIANCE_REL * ||storage||_F``.
-    The defect is linear in T and the limit scales with it, so ``c * T``
-    gets T's verdict for every c > 0.  Both are decided, not sampled, and
-    draw no random numbers.
-    Raises ValueError when the certificate's dimensions do not match T."""
-    if cert.input_projectors[0].shape[0] != T.k or cert.output_projectors[0].shape[0] != T.m:
+def verify_block_certificate(T: ChoiMap, cert: BlockCertificate,
+                             tol: Tolerances = DEFAULT_TOL,
+                             rng: np.random.Generator | None = None) -> CertificateReport:
+    """Check a block certificate against a map, condition by condition.
+
+    * decomposition: structure defect at most ``1e-10 * max(k, m)``;
+    * invariance: :func:`invariance_defect`, which is linear in T, at most
+      ``_INVARIANCE_REL * ||storage||_F``, so ``c * T`` gets T's verdict;
+    * strict rank increase: ``rank(X) * rank(W_a) < rank(T(X)) * rank(V_a)``
+      for ``_STRICT_RANK_SAMPLES`` sampled PSD X of every intermediate rank
+      inside a block (sampled, not a proof; the only draws from ``rng``);
+    * rank ratio: ``rank(W_a) / rank(V_a) = m / k`` exactly, on integer ranks.
+
+    The first two are decided, not sampled, and make every scaling filter
+    block-diagonal (see :mod:`opscale.scaling`).  Raises ValueError when the
+    certificate's dimensions do not match T.
+    """
+    k, m = T.k, T.m
+    if cert.input_projectors[0].shape[0] != k or cert.output_projectors[0].shape[0] != m:
         raise ValueError("certificate dimensions do not match the map")
+    rng = rng if rng is not None else np.random.default_rng(_CHECK_SEED)
     sdef = cert.structure_defect()
     decomposition = CertificateCondition(
-        passed=bool(sdef <= 1e-10 * max(T.k, T.m)), sampled=False,
+        passed=bool(sdef <= 1e-10 * max(k, m)), sampled=False,
         detail="projector families are orthogonal decompositions of both spaces",
         worst_defect=float(sdef))
     idef = invariance_defect(T, cert)
@@ -401,33 +412,10 @@ def certificate_admissibility(T: ChoiMap, cert: BlockCertificate):
         passed=bool(idef <= _INVARIANCE_REL * frob(T.choi)), sampled=False,
         detail="each input block maps into the matching output block",
         worst_defect=float(idef))
-    return decomposition, invariance
-
-
-def verify_block_certificate(T: ChoiMap, cert: BlockCertificate,
-                             tol: Tolerances = DEFAULT_TOL,
-                             rng: np.random.Generator | None = None) -> CertificateReport:
-    """Check a block certificate against a map, condition by condition.
-
-    * decomposition and invariance: :func:`certificate_admissibility`;
-    * strict rank increase: ``rank(X) * rank(W_a) < rank(T(X)) * rank(V_a)``
-      for ``_STRICT_RANK_SAMPLES`` sampled PSD X of every intermediate rank
-      inside a block (sampled, not a proof; the only draws from ``rng``);
-    * rank ratio: ``rank(W_a) / rank(V_a) = m / k`` exactly, on integer ranks.
-    """
-    rng = rng if rng is not None else np.random.default_rng(_CHECK_SEED)
-    decomposition, invariance = certificate_admissibility(T, cert)
-    k, m = T.k, T.m
-    ratio_ok = True
-    ranks = []
-    for Va, Wa in zip(cert.input_projectors, cert.output_projectors):
-        rv = rank_tol(Va, tol)
-        rw = rank_tol(Wa, tol)
-        ranks.append((rv, rw))
-        if rv == 0 or k * rw != m * rv:
-            ratio_ok = False
+    ranks = [(rank_tol(Va, tol), rank_tol(Wa, tol))
+             for Va, Wa in zip(cert.input_projectors, cert.output_projectors)]
     rank_ratio = CertificateCondition(
-        passed=ratio_ok, sampled=False,
+        passed=all(rv > 0 and k * rw == m * rv for rv, rw in ranks), sampled=False,
         detail=f"block rank pairs {ranks} against output/input ratio {m}/{k}",
         worst_defect=None)
 

@@ -12,8 +12,15 @@ without bound otherwise, which is the divergence heuristic.
 
 One driver, ``_iterates``, runs the update from the identity filter pair
 (``init``), then from each previous iterate (``step``), until both residuals
-reach ``tol.conv_eps`` or an iteration cap.  ``run`` consumes it with a history
-and a divergence stop, ``block_commutation_check`` with a commutator test.
+reach ``tol.conv_eps`` or an iteration cap; ``run`` is its one consumer.
+
+A certificate that passes :func:`opscale.posmap.verify_block_certificate`'s
+decomposition and invariance keeps every filter block-diagonal: invariance
+gives ``T(V_a) = W_a T(V_a) W_a``, and for unit v in V_b, u in V_c, b != c,
+and real t, ``0 <= T((v+tu)(v+tu)*) <= 2 T(vv*) + 2 t^2 T(uu*)`` puts
+``T(vu* + uv*)`` and ``T(i(vu* - uv*))`` in the W_b/W_c off-diagonal corners,
+so ``T*(W_a Y W_a) = V_a T*(W_a Y W_a) V_a``.  By induction from the identity
+pair, every marginal, root ``c M^(-w/2)`` and filter is block-diagonal.
 
 The update converges linearly, at a rate that tends to 1 near the boundary
 of scalability.  So at iterate 256 the driver switches to overrelaxed steps
@@ -49,9 +56,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .numkernel import (DEFAULT_TOL, NotPositiveDefinite, NumericalFailure,
-                        Tolerances, below_pd_floor, frob, hermitian_part,
+                        Tolerances, below_pd_floor, hermitian_part,
                         identity_defect, pd_inv_sqrt)
-from .posmap import BlockCertificate, ChoiMap, certificate_admissibility
+from .posmap import ChoiMap
 
 VERDICT_CONVERGED = "converged-ds"
 VERDICT_NO_SUPPORT = "no-support-numerical"
@@ -75,10 +82,6 @@ _RATE_MARKS = frozenset((_SWITCH_AT - _RATE_WINDOW, _SWITCH_AT - _RATE_WINDOW //
 _MIN_WINDOW_DECAY = 1e-3
 _RATE_SPREAD = 0.03
 _MAX_RELAXATION = 1.9
-
-# A filter commutes with a certificate projector when ||M P - P M||_F is at
-# most this much of ||M||_F.
-_COMMUTATION_REL = 1e-8
 
 
 class PreconditionFailed(ValueError):
@@ -415,47 +418,3 @@ def run(T: ChoiMap, tol: Tolerances = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_I
         out_residual=state.out_residual, logdet=state.logdet,
         in_filter=state.in_filter, out_filter=state.out_filter,
         history=tuple(history), failure_reason=reason, _map=T)
-
-
-@dataclass(frozen=True)
-class CommutationReport:
-    """Whether the scaling iterates commute with certificate projectors."""
-
-    passed: bool
-    precondition_ok: bool
-    steps_run: int
-    first_failure: tuple[int, str, float] | None
-
-
-def block_commutation_check(T: ChoiMap, cert: BlockCertificate,
-                            n_steps: int = 50,
-                            tol: Tolerances = DEFAULT_TOL) -> CommutationReport:
-    """Check that every iterate, 0..``n_steps`` or up to convergence,
-    commutes with the certificate's projectors.  A certificate that fails
-    :func:`opscale.posmap.certificate_admissibility`'s decomposition or
-    invariance condition, or a map whose T(Id) or T*(Id) is singular, is
-    rejected (``precondition_ok`` false).  Raises ValueError on a negative
-    ``n_steps``, which would check no step, and when the certificate's
-    dimensions do not match T's k and m, and NumericalFailure."""
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
-    rejected = CommutationReport(passed=False, precondition_ok=False,
-                                 steps_run=0, first_failure=None)
-    if not all(c.passed for c in certificate_admissibility(T, cert)):
-        return rejected
-
-    try:
-        for state in _iterates(T, tol, n_steps):
-            for label, M, family in (("input", state.in_filter, cert.input_projectors),
-                                     ("output", state.out_filter, cert.output_projectors)):
-                scale = max(frob(M), 1e-300)
-                for P in family:
-                    defect = frob(M @ P - P @ M)
-                    if defect > _COMMUTATION_REL * scale:
-                        return CommutationReport(
-                            passed=False, precondition_ok=True, steps_run=state.n,
-                            first_failure=(state.n, label, float(defect)))
-    except PreconditionFailed:
-        return rejected
-    return CommutationReport(passed=True, precondition_ok=True,
-                             steps_run=state.n, first_failure=None)

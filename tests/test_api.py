@@ -4,6 +4,7 @@ command line loads, and README's library and command-line examples.  A
 change here is a change of the behavioural boundary and should be made on
 purpose."""
 
+import argparse
 import inspect
 import json
 import os
@@ -15,6 +16,7 @@ import sys
 import numpy as np
 
 import opscale
+import opscale.cli
 import opscale.io
 from opscale import fixtures
 from opscale.fnf import BipartiteState
@@ -22,7 +24,7 @@ from opscale.io import atomic_write_json, map_to_obj, matrix_to_obj, state_to_ob
 
 PUBLIC_NAMES = [
     "BipartiteState", "BlockCertificate", "CertificateCondition",
-    "CertificateReport", "ChoiMap", "CommutationReport", "ConditionCheck",
+    "CertificateReport", "ChoiMap", "ConditionCheck",
     "DEFAULT_TOL", "DsCheck", "FnfCheck",
     "FnfPreconditionFailed", "FnfResult", "FnfVerification",
     "IterationRecord", "MarginalCheck", "NonnegPattern", "NotPositiveDefinite",
@@ -32,7 +34,7 @@ PUBLIC_NAMES = [
     "SupportResult", "Tolerances", "TotalSupportResult", "VERDICT_CONVERGED",
     "VERDICT_INCONCLUSIVE", "VERDICT_NO_SUPPORT", "VERDICT_PRECONDITION",
     "ZeroFractionReport", "ZeroSubmatrixWitness", "__version__",
-    "block_commutation_check", "check_preconditions", "compute_fnf", "frob",
+    "check_preconditions", "compute_fnf", "frob",
     "from_state", "haar_unitary", "has_support", "has_support_bruteforce",
     "has_total_support", "has_total_support_bruteforce", "hermitian_part",
     "init", "invariance_defect", "is_doubly_stochastic", "kernel_dim", "kron",
@@ -43,7 +45,6 @@ PUBLIC_NAMES = [
 ]
 
 FUNCTION_PARAMETERS = {
-    "block_commutation_check": ["T", "cert", "n_steps", "tol"],
     "check_preconditions": ["state", "tol"],
     "compute_fnf": ["state", "tol", "max_iter", "divergence_logdet"],
     "frob": ["M"],
@@ -157,8 +158,7 @@ _OUTCOME_EXIT = {
     "fnf": lambda rep: (0 if rep["verification"]["passed"] else 2)
     if rep["outcome"] == "fnf-computed" else _SCALING_EXIT.get(rep["outcome"], 2),
     "tilde": lambda rep: 0,
-    "certificate": lambda rep: 0 if rep["passed"] and rep.get(
-        "commutation", {"passed": True})["passed"] else 5,
+    "certificate": lambda rep: 0 if rep["passed"] else 5,
 }
 
 
@@ -199,3 +199,17 @@ def test_readme_shell_examples_run(tmp_path):
             continue
         rep = json.loads(proc.stdout)
         assert proc.returncode == _OUTCOME_EXIT[command[0]](rep), line
+
+
+def test_readme_flags_match_the_parser():
+    """Every ``--flag`` that README's "Command line" section names is an
+    option of some subcommand, and every option of every subcommand is
+    named there."""
+    section = re.search(r"^## Command line\n(.*?)^## ", read_readme(), re.S | re.M).group(1)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser = opscale.cli.build_parser()
+    (subcommands,) = [action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    options = {option for sub in subcommands.choices.values() for action in sub._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert named == options - {"--help"}

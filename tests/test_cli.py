@@ -30,7 +30,6 @@ from opscale.numkernel import frob
 from opscale.posmap import ChoiMap, haar_unitary
 from test_fnf import floor_crossing_state, near_psd_state, overflowing_state
 from test_matcomb import structured_patterns
-from test_scaling import trace_to_corner_map
 
 
 def run_cli(capsys, *argv):
@@ -878,14 +877,10 @@ class TestScalingRefusals:
     @pytest.mark.parametrize("argv", [
         ["scale", "{map}", "--divergence", "1e4"],
         ["tilde", "{map}", "--check", "--divergence", "1e4", "--out", "{dir}/lift.json"],
-        ["certificate", "{map}", "{cert}", "--commutation-steps", "3000"],
-    ], ids=["scale", "tilde-check", "certificate-commutation"])
+    ], ids=["scale", "tilde-check"])
     def test_overflowing_map(self, tmp_path, argv):
-        paths = {"map": tmp_path / "m.json", "cert": tmp_path / "c.json", "dir": tmp_path}
+        paths = {"map": tmp_path / "m.json", "dir": tmp_path}
         atomic_write_json(str(paths["map"]), map_to_obj(fixtures.no_support_map()))
-        identity = [matrix_to_obj(np.eye(3))]
-        atomic_write_json(str(paths["cert"]), {"input_projectors": identity,
-                                               "output_projectors": identity})
         proc = run_entry_point(*(a.format(**paths) for a in argv))
         assert (proc.returncode, proc.stderr) == (2, "")
         rep = json.loads(proc.stdout)
@@ -1032,10 +1027,9 @@ class TestCertificateCommand:
             "input_projectors": [matrix_to_obj(p) for p in cert.input_projectors],
             "output_projectors": [matrix_to_obj(p) for p in cert.output_projectors],
         })
-        code, rep = run_cli_json(capsys, "certificate", str(map_path),
-                                 str(cert_path), "--commutation-steps", "5")
+        code, rep = run_cli_json(capsys, "certificate", str(map_path), str(cert_path))
         assert code == 0
-        assert rep["passed"] is True and rep["commutation"]["passed"] is True
+        assert rep["passed"] is True and "commutation" not in rep
 
         other = tmp_path / "full.json"
         atomic_write_json(str(other), map_to_obj(fixtures.random_cp_map(3, 3, rng)))
@@ -1261,9 +1255,6 @@ BAD_ARGUMENTS = {
     "fnf-divergence-negative": ("fnf", "{state}", "--divergence", "-1"),
     "tilde-divergence-0": ("tilde", "{map}", "--check", "--divergence", "0"),
     "tilde-divergence-negative": ("tilde", "{map}", "--check", "--divergence", "-1"),
-    # Run, a negative step count would skip the commutation check.
-    "certificate-commutation-steps-negative": ("certificate", "{map}", "{cert}",
-                                               "--commutation-steps", "-3"),
     "batch-out-is-a-file": ("fnf", "{dir}", "--batch", "--out", "{pattern}"),
     "batch-out-under-a-file": ("fnf", "{dir}", "--batch",
                                "--out", "{pattern}/sub"),
@@ -1280,7 +1271,7 @@ BAD_ARGUMENTS = {
     "selftest-seed-negative": ("selftest", "--seed", "-1"),
 }
 
-RUN_LIMIT_FLAGS = ("--max-iter", "--divergence", "--commutation-steps")
+RUN_LIMIT_FLAGS = ("--max-iter", "--divergence")
 
 
 def fill(argv, workspace):
@@ -1430,13 +1421,6 @@ class TestBadArguments:
         assert code == 2
         assert flag in rep["error"]
 
-    def test_negative_commutation_steps_is_the_library_refusal(self, capsys, workspace):
-        # block_commutation_check's message, with the flag for its parameter.
-        code, rep = run_cli_json(capsys, *fill(
-            BAD_ARGUMENTS["certificate-commutation-steps-negative"], workspace))
-        assert (code, rep) == (2, {"version": cli.__version__,
-                                   "error": "--commutation-steps must be nonnegative, got -3"})
-
     @pytest.mark.parametrize("divergence", ["1e4", "inf"])
     def test_positive_divergence_is_taken(self, capsys, workspace, divergence):
         _, default = run_cli_json(capsys, "scale", str(workspace["map"]))
@@ -1458,19 +1442,6 @@ class TestBadArguments:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert set(json.loads(proc.stdout)) == {"version", "error"}
-
-    def test_singular_marginal_commutation_exits_5_without_traceback(self, tmp_path):
-        atomic_write_json(str(tmp_path / "m.json"), map_to_obj(trace_to_corner_map()))
-        identity = matrix_to_obj(np.eye(2))
-        atomic_write_json(str(tmp_path / "c.json"), {
-            "input_projectors": [identity], "output_projectors": [identity]})
-        proc = run_entry_point("certificate", str(tmp_path / "m.json"),
-                               str(tmp_path / "c.json"), "--commutation-steps", "3")
-        assert proc.returncode == 5
-        assert "Traceback" not in proc.stderr
-        assert json.loads(proc.stdout)["commutation"] == {
-            "passed": False, "precondition_ok": False, "steps_run": 0,
-            "first_failure": None}
 
 
 class TestOneRefusalRule:
@@ -1750,7 +1721,7 @@ class TestReportContract:
                             "category_match"),
         }
 
-    def test_certificate_with_commutation(self, capsys, tmp_path):
+    def test_certificate(self, capsys, tmp_path):
         rng = np.random.default_rng(4)
         parts = [fixtures.random_cp_map(2, 2, rng), fixtures.random_cp_map(1, 1, rng)]
         T, cert = fixtures.direct_sum_map(parts)
@@ -1760,8 +1731,7 @@ class TestReportContract:
             "output_projectors": [matrix_to_obj(p) for p in cert.output_projectors],
         })
         code, rep = run_cli_json(capsys, "certificate", str(tmp_path / "m.json"),
-                                 str(tmp_path / "c.json"),
-                                 "--commutation-steps", "5")
+                                 str(tmp_path / "c.json"))
         assert code == 0
         assert key_tree(rep) == {
             **ENVELOPE, "map": None, "certificate": None,
@@ -1769,12 +1739,20 @@ class TestReportContract:
                                             "strict_rank_increase",
                                             "rank_ratio")},
             "passed": None,
-            "commutation": leaves("passed", "precondition_ok", "steps_run",
-                                  "first_failure"),
         }
 
 
 class TestParser:
+    def test_commutation_steps_is_refused(self, capsys, workspace):
+        # The flag is gone: a script that still passes it fails loudly.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(fill(("certificate", "{map}", "{cert}",
+                           "--commutation-steps", "5"), workspace))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --commutation-steps 5" in err
+
     def test_main_reuses_one_parser(self, capsys, workspace, monkeypatch):
         def refuse():
             raise AssertionError("main rebuilt the parser")

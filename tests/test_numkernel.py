@@ -381,6 +381,12 @@ class TestKernelsBitForBit:
         assert frob(M.T) == reference_frob(M.T)
         assert frob(M.tolist()) == want
 
+    def test_frob_below_the_normal_range(self):
+        # numpy divides a complex array by its subnormal largest magnitude
+        # through the reciprocal, which overflows; frob divides the parts.
+        M = np.array([[1e-316 + 2e-316j, 0.0], [-3e-317j, 5e-324]])
+        assert frob(M) == frob(M.view(np.float64)) > 0.0
+
     def test_frob_on_strided_views_and_empty(self):
         rng = np.random.default_rng(20)
         M = random_complex(rng, 7, 5)

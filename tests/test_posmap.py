@@ -558,7 +558,58 @@ class TestCanonicalPattern:
         assert has_total_support(pat)
 
 
+def direct_sum_summand(kind, k, m, eps, rng):
+    """A k x m summand of a certified direct sum: a random map of ``full`` or
+    ``half`` storage rank, the ``transpose`` map on k x k, or the
+    ``triangular`` classical map of ``triu(ones) + eps`` on k x k, which
+    scales slowly as eps falls."""
+    if kind == "transpose":
+        return ChoiMap(k, k, fixtures.max_entangled_state(k), check_positivity=False)
+    if kind == "triangular":
+        return ChoiMap(k, k, classical_lift(np.triu(np.ones((k, k))) + eps),
+                       check_positivity=False)
+    rank = None if kind == "full" else max(1, k * m // 2)
+    return fixtures.random_cp_map(k, m, rng, rank=rank)
+
+
+def summed_map(parts, eps, seed):
+    """``fixtures.direct_sum_map`` of the summands ``(kind, k, m)``."""
+    rng = np.random.default_rng(seed)
+    return fixtures.direct_sum_map([direct_sum_summand(kind, k, m, eps, rng)
+                                    for kind, k, m in parts])
+
+
+direct_sums = dict(
+    parts=st.lists(st.tuples(st.sampled_from(["full", "half", "transpose", "triangular"]),
+                             st.integers(1, 3), st.integers(1, 3)),
+                   min_size=2, max_size=3),
+    eps=st.sampled_from([1e-2, 1e-4, 1e-6]),
+    seed=st.integers(0, 2**32 - 1))
+
+
+def condition_verdicts(report):
+    return [c.passed for c in (report.decomposition, report.invariance,
+                               report.strict_rank_increase, report.rank_ratio)]
+
+
 class TestCertificates:
+    # T' = 2^e V T(U X U*) V* is equivalent to T, and U* V_a U, V W_a V* is
+    # T's certificate carried over to it.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**direct_sums, e=st.integers(-200, 200))
+    def test_verdicts_depend_only_on_the_equivalence_class(self, parts, eps, seed, e):
+        T, cert = summed_map(parts, eps, seed)
+        rng = np.random.default_rng([seed, 1])
+        U, V = haar_unitary(T.k, rng), haar_unitary(T.m, rng)
+        moved = ChoiMap(T.k, T.m, 2.0 ** e * T.conjugated(U, V).choi,
+                        check_positivity=False)
+        moved_cert = BlockCertificate(
+            tuple(U.conj().T @ P @ U for P in cert.input_projectors),
+            tuple(V @ Q @ V.conj().T for Q in cert.output_projectors))
+        reports = [verify_block_certificate(S, C, rng=np.random.default_rng(seed))
+                   for S, C in ((T, cert), (moved, moved_cert))]
+        assert condition_verdicts(reports[0]) == condition_verdicts(reports[1])
+
     def test_structure_defect_zero_for_projector_families(self):
         rng = np.random.default_rng(18)
         parts = [fixtures.random_cp_map(2, 2, rng), fixtures.random_cp_map(1, 1, rng)]
@@ -759,11 +810,11 @@ class TestInvarianceDefect:
         rng = np.random.default_rng(19)
         T, cert = fixtures.direct_sum_map(
             [fixtures.random_cp_map(2, 2, rng), fixtures.random_cp_map(1, 1, rng)])
-        decomposition, invariance = posmap.certificate_admissibility(T, cert)
-        assert not invariance.sampled and not decomposition.sampled
         reports = [verify_block_certificate(T, cert, rng=np.random.default_rng(s))
                    for s in (1, 2)]
-        assert reports[0].invariance == reports[1].invariance == invariance
+        assert not reports[0].invariance.sampled and not reports[0].decomposition.sampled
+        assert reports[0].invariance == reports[1].invariance
+        assert reports[0].decomposition == reports[1].decomposition
 
 
 class TestHaar:

@@ -20,7 +20,7 @@ from opscale.io import (atomic_write_json, map_to_obj, matrix_to_obj, parse_map,
 from opscale.matcomb import NonnegPattern, zero_fraction_sufficient
 from opscale.numkernel import (NotPositiveDefinite, NumericalFailure, Tolerances,
                                pd_inv_sqrt)
-from opscale.posmap import ChoiMap, from_state
+from opscale.posmap import ChoiMap, from_state, haar_unitary
 from opscale.scaling import DEFAULT_MAX_ITER, PreconditionFailed, ds_slack, init, run
 
 STATE_LOADERS = {
@@ -59,6 +59,24 @@ def test_state_loaders_share_one_psd_floor(lowest, accepted):
     for name, load in STATE_LOADERS.items():
         exc = raised(load, rho)
         assert (None if exc is None else str(exc)) == want, name
+
+
+# The floor stays -1e-9 of the largest eigenvalue at the bottom of the
+# double range: at c = 1e-305 every nonzero entry of rho is still a normal
+# double, the smallest 1.9e-307.
+@pytest.mark.parametrize("c", [1.0, 1e-300, 1e-305])
+@pytest.mark.parametrize("lowest, accepted", [(-1e-4, False), (0.0, True)],
+                         ids=["negative", "zero"])
+def test_psd_floor_is_relative_at_every_scale(c, lowest, accepted):
+    U = haar_unitary(4, np.random.default_rng(0))
+    rho = U @ np.diag([c, c, c, lowest * c]).astype(complex) @ U.conj().T
+    refusals = [raised(load, rho) for load in STATE_LOADERS.values()]
+    messages = {None if exc is None else str(exc) for exc in refusals}
+    if accepted:
+        assert messages == {None}
+    else:
+        (message,) = messages
+        assert message is not None and message.startswith("state is not PSD: eigenvalue -")
 
 
 # A diagonal storage of trace 8 on a 1x3 or 3x1 pair: its 3x3 marginal is

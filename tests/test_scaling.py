@@ -20,11 +20,11 @@ from opscale.posmap import (BlockCertificate, ChoiMap, FilteredMap,
                             verify_block_certificate)
 from opscale.scaling import (VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
                              VERDICT_NO_SUPPORT, VERDICT_PRECONDITION,
-                             CommutationReport, IterationRecord,
-                             PreconditionFailed, block_commutation_check, init,
+                             IterationRecord, PreconditionFailed, init,
                              ds_slack, run, step)
 from test_fnf import FLOOR_TOL, floor_crossing_state
-from test_posmap import classical_lift, rotated_classical_map
+from test_posmap import (classical_lift, direct_sums, rotated_classical_map,
+                         summed_map)
 
 TOL = Tolerances()
 
@@ -519,65 +519,50 @@ def trace_to_corner_map():
     return ChoiMap(2, 2, choi)
 
 
+def block_mask(projectors):
+    """The entries of a block-diagonal matrix for diagonal 0/1 projectors."""
+    blocks = [np.diag(P).real > 0.5 for P in projectors]
+    return sum(np.outer(b, b) for b in blocks).astype(bool)
+
+
+def assert_iterates_block_diagonal(T, cert, max_iter):
+    """Every iterate's filters and marginals have exact zeros off the
+    certificate's blocks; returns the relaxations of the iterates.  A run
+    that its preconditions or contracts refuse is checked up to there."""
+    outside = ~block_mask(cert.input_projectors), ~block_mask(cert.output_projectors)
+    relaxations = []
+    try:
+        for state in scaling._iterates(T, TOL, max_iter):
+            for side, M in ((0, state.in_filter), (1, state.out_filter),
+                            (0, state.in_filter_next), (0, state.in_marginal),
+                            (1, state.out_marginal)):
+                assert not M[outside[side]].any(), state.n
+            relaxations.append(state.relaxation)
+    except (PreconditionFailed, NumericalFailure):
+        pass
+    return relaxations
+
+
 class TestCommutation:
-    def test_direct_sum_iterates_commute(self):
-        rng = np.random.default_rng(12)
-        parts = [fixtures.random_cp_map(2, 2, rng), fixtures.random_cp_map(2, 2, rng)]
-        T, cert = fixtures.direct_sum_map(parts)
-        report = block_commutation_check(T, cert, n_steps=30)
-        assert report.precondition_ok
-        assert report.passed
-        assert report.first_failure is None
+    """A certificate that passes decomposition and invariance keeps every
+    iterate block-diagonal (the scaling module's docstring has the proof):
+    on direct sums in their block basis the off-block entries stay exactly
+    0.0, through overrelaxed steps too."""
 
-    def test_invalid_certificate_is_rejected_up_front(self):
-        rng = np.random.default_rng(13)
-        _, cert = fixtures.direct_sum_map(
-            [fixtures.random_cp_map(2, 2, rng), fixtures.random_cp_map(1, 1, rng)])
-        T = fixtures.random_cp_map(3, 3, rng)
-        report = block_commutation_check(T, cert, n_steps=10)
-        assert not report.precondition_ok
-        assert not report.passed
-        assert report.steps_run == 0
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(**direct_sums)
+    def test_direct_sum_iterates_commute(self, parts, eps, seed):
+        T, cert = summed_map(parts, eps, seed)
+        report = verify_block_certificate(T, cert)
+        assert report.decomposition.passed and report.invariance.passed
+        assert_iterates_block_diagonal(T, cert, max_iter=600)
 
-    def test_last_iterate_is_checked(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        parts = [fixtures.random_cp_map(2, 2, rng), fixtures.random_cp_map(2, 2, rng)]
-        T, cert = fixtures.direct_sum_map(parts)
-        n_steps, calls, real_step = 5, [], scaling.step
-
-        def spoil_last_step(state, T, tol=TOL):
-            calls.append(state.n)
-            state = real_step(state, T, tol)
-            if len(calls) < n_steps:
-                return state
-            # mixes the two blocks, so it commutes with neither projector
-            return dataclasses.replace(state, in_filter=np.ones((T.k, T.k), complex))
-
-        monkeypatch.setattr(scaling, "step", spoil_last_step)
-        report = block_commutation_check(T, cert, n_steps=n_steps)
-        assert len(calls) == n_steps
-        assert report.precondition_ok and not report.passed
-        assert report.steps_run == n_steps
-        assert report.first_failure is not None
-        assert report.first_failure[:2] == (n_steps, "input")
-
-    def test_negative_step_count_is_refused(self):
-        # n_steps = -3 used to check iterate 0 alone and pass, as n_steps = 0
-        # does; the command line refuses it as --commutation-steps.
-        rng = np.random.default_rng(12)
-        T, cert = fixtures.direct_sum_map(
-            [fixtures.random_cp_map(2, 2, rng), fixtures.random_cp_map(2, 2, rng)])
-        with pytest.raises(ValueError, match="^n_steps must be nonnegative, got -3$"):
-            block_commutation_check(T, cert, n_steps=-3)
-        assert block_commutation_check(T, cert, n_steps=0) == CommutationReport(
-            passed=True, precondition_ok=True, steps_run=0, first_failure=None)
-
-    def test_singular_marginal_is_rejected_not_raised(self):
-        cert = BlockCertificate((np.eye(2, dtype=complex),),
-                                (np.eye(2, dtype=complex),))
-        report = block_commutation_check(trace_to_corner_map(), cert, n_steps=3)
-        assert report == CommutationReport(passed=False, precondition_ok=False,
-                                           steps_run=0, first_failure=None)
+    def test_overrelaxed_iterates_commute(self):
+        # The slow triangular summand switches to overrelaxed steps at 256.
+        T, cert = summed_map([("triangular", 3, 3), ("full", 2, 2)], 1e-6, 0)
+        relaxations = assert_iterates_block_diagonal(T, cert, max_iter=600)
+        assert len(relaxations) > 256
+        assert any(w != 1.0 for w in relaxations)
 
     # On a 2x3 map: an input family of 3x3 projectors, which numpy cannot
     # broadcast against 2x2 blocks, and an output family of 1x1 ones, which
@@ -587,10 +572,9 @@ class TestCommutation:
         T = fixtures.random_cp_map(2, 3, np.random.default_rng(14))
         cert = BlockCertificate((np.eye(k_cert, dtype=complex),),
                                 (np.eye(m_cert, dtype=complex),))
-        for check in (block_commutation_check, verify_block_certificate):
-            with pytest.raises(ValueError,
-                               match="^certificate dimensions do not match the map$"):
-                check(T, cert)
+        with pytest.raises(ValueError,
+                           match="^certificate dimensions do not match the map$"):
+            verify_block_certificate(T, cert)
 
 
 class TestRefusals:
@@ -612,12 +596,6 @@ class TestRefusals:
         assert isinstance(exc.value.__cause__, NotPositiveDefinite)
         assert str(exc.value) == str(exc.value.__cause__)
         assert str(exc.value).startswith("input-side marginal not positive definite: ")
-
-    def test_commutation_check_raises_the_same(self):
-        identity = (np.eye(3, dtype=complex),)
-        with pytest.raises(NumericalFailure, match=r"^scaling iterate \d+ is not finite: "):
-            block_commutation_check(fixtures.no_support_map(),
-                                    BlockCertificate(identity, identity), n_steps=3000)
 
 
 # ------------------------------------------------------- the update, frozen
