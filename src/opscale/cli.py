@@ -49,8 +49,8 @@ from .matcomb import (NonnegPattern, has_support, has_support_bruteforce,
                       has_total_support, has_total_support_bruteforce)
 from .numkernel import (NumericalFailure, Tolerances, frob, kron, realign,
                         unrealign)
-from .posmap import (BlockCertificate, FilteredMap, is_doubly_stochastic,
-                     pattern_matrix, verify_block_certificate)
+from .posmap import (BlockCertificate, ChoiMap, FilteredMap, PositivityViolation,
+                     haar_unitary, is_doubly_stochastic, pattern_matrix, verify_block_certificate)
 from .scaling import (DEFAULT_MAX_ITER, VERDICT_CONVERGED, VERDICT_INCONCLUSIVE,
                       VERDICT_NO_SUPPORT, VERDICT_PRECONDITION, check_run_limits,
                       ds_slack, run)
@@ -207,7 +207,7 @@ def _scale_job(path: str, args, seed: int, tol: Tolerances,
     history_path = args.history
     if history_path and prefix is not None:
         history_path = prefix + ".history.json"
-    T = parse_map(load_json(path), rng=np.random.default_rng(seed))
+    T = parse_map(load_json(path))
     result = run(T, tol, max_iter=args.max_iter,
                  divergence_logdet=args.divergence, keep_history=bool(history_path))
     report = _envelope(seed, tol)
@@ -292,7 +292,7 @@ def cmd_fnf(args, seed: int, tol: Tolerances) -> int:
 # ------------------------------------------------------------------ tilde
 
 def cmd_tilde(args, seed: int, tol: Tolerances) -> int:
-    T = parse_map(load_json(args.path), rng=np.random.default_rng(seed))
+    T = parse_map(load_json(args.path))
     lifted = T.tilde_lift()
     out = args.out or os.path.splitext(args.path)[0] + ".tilde.json"
     report = _envelope(seed, tol)
@@ -328,10 +328,9 @@ def _parse_certificate(obj) -> BlockCertificate:
 
 
 def cmd_certificate(args, seed: int, tol: Tolerances) -> int:
-    rng = np.random.default_rng(seed)
-    T = parse_map(load_json(args.map), rng=rng)
+    T = parse_map(load_json(args.map))
     cert = _parse_certificate(load_json(args.cert))
-    result = verify_block_certificate(T, cert, tol=tol, rng=rng)
+    result = verify_block_certificate(T, cert, tol=tol, rng=np.random.default_rng(seed))
     report = _envelope(seed, tol)
     report.update({"map": args.map, "certificate": args.cert})
     report.update(_to_json(result))
@@ -407,6 +406,17 @@ def _selftest_checks(seed: int, tol: Tolerances):
             with open(path, encoding="utf-8") as fh:
                 return fh.read() == json.dumps(expected, indent=2) + "\n"
 
+    def check_positivity_refusal():
+        # X -> tr(X) Id - <v|X|v> w w* / 0.95, stored as Id - x x* / 0.95 for x = v (x) w
+        x = np.kron(haar_unitary(3, rng)[:, 0], haar_unitary(3, rng)[:, 0])
+        T = ChoiMap(3, 3, np.eye(9) - np.outer(x, x.conj()) / 0.95, check_positivity=False)
+        try:
+            ChoiMap(3, 3, T.choi)
+        except PositivityViolation as exc:
+            image = T.apply(np.outer(exc.v, exc.v.conj()))
+            return exc.value < -0.05 and abs(exc.w.conj() @ image @ exc.w - exc.value) < 1e-12
+        return False
+
     def check_canonical_pattern():
         pat = pattern_matrix(fixtures.boundary_map(), np.eye(2, dtype=complex),
                              np.eye(2, dtype=complex))
@@ -424,6 +434,7 @@ def _selftest_checks(seed: int, tol: Tolerances):
         ("square lift evaluation identity", check_tilde_identity),
         ("canonical pattern of the boundary map", check_canonical_pattern),
         ("JSON writer matches the standard library layout", check_json_layout),
+        ("a rarely negative map is refused with its witness", check_positivity_refusal),
     ]
 
 

@@ -36,8 +36,8 @@ matrix must pass :func:`opscale.numkernel.hermitian_storage` and be positive
 semidefinite, and is symmetrized and trace normalized on load.  A map file is
 ``{"k": ..., "m": ..., "choi": {...}}`` holding the block storage, or
 ``{"kind": "state", ...}`` with state-file fields to load the map induced by
-a state.  A map's positivity is proved from a positive semidefinite storage
-by one Cholesky factorization, and sampled only when that proof fails (see
+a state.  A map's positivity is proved by a Cholesky factorization of its
+storage or of its partial transpose, or else searched for a refutation (see
 :mod:`opscale.posmap`); a state's map needs neither, since the state's own
 check already proved its storage positive semidefinite.
 """
@@ -339,7 +339,7 @@ def state_to_obj(state: BipartiteState) -> dict[str, Any]:
     return {"k": state.k, "m": state.m, "matrix": matrix_to_obj(state.rho)}
 
 
-def parse_map(obj, rng: np.random.Generator | None = None) -> ChoiMap:
+def parse_map(obj) -> ChoiMap:
     if not isinstance(obj, dict):
         raise ValidationError("map must be a JSON object")
     if obj.get("kind") == "state":
@@ -349,7 +349,7 @@ def parse_map(obj, rng: np.random.Generator | None = None) -> ChoiMap:
         raise ValidationError('map file needs a "choi" field (or "kind": "state")')
     C = obj_to_matrix(obj["choi"])
     try:
-        return ChoiMap(k, m, C, rng=rng)
+        return ChoiMap(k, m, C)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 

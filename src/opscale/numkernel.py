@@ -166,7 +166,7 @@ def hermitian_storage(k, m, data, what: str) -> np.ndarray:
     ``finfo(float64).max / (2km)``, and a Hermiticity defect ``||C - C*||_F``
     above 1e-8 of the norm ``||C||_F``.  The entry bound keeps finite the
     largest sums that construction takes: the symmetrized mean, the trace
-    of :mod:`opscale.posmap`'s Cholesky proof, and the sampled images
+    of :mod:`opscale.posmap`'s Cholesky proofs, and the searched images
     ``T(v v*)``, whose entries are at most ``k max|C|`` for a unit v.
     Rounding a Hermitian matrix's entries leaves a defect of a few eps times
     ``||C||_F``, far below the limit, and :func:`frob` neither overflows

@@ -13,15 +13,15 @@ state induces ``X -> transpose(X) / k``.
 
 Positivity of a map is not a property of the storage matrix: the identity
 map is stored as the swap operator, which has a negative eigenvalue.  A
-positive semidefinite storage does prove it, since
-``T(v v*) = (v (x) Id)* C (v (x) Id)``.  Every map induced by a state, the
-transpose and the random maps of :mod:`opscale.fixtures` have one; the
-identity and every sandwich map ``X -> S X S*`` with rank S >= 2 do not.
-Construction checks the storage with
-:func:`opscale.numkernel.hermitian_storage`, the one check that maps and
-states share.  It then tries that proof with one Cholesky factorization of
-the storage, and samples rank-one images only when the proof does not go
-through.
+positive semidefinite storage proves it, since ``T(v v*) = (v (x) Id)* C
+(v (x) Id)`` (T is co-completely positive, as the maps induced by states and
+the random maps of :mod:`opscale.fixtures` are), and so does a semidefinite
+partial transpose on the first factor, the usual Choi matrix (T is completely
+positive, as the identity and every sandwich map ``X -> S X S*`` are).
+Construction checks the storage with :func:`opscale.numkernel.hermitian_storage`,
+tries both proofs, and otherwise searches for a negative image without random
+numbers.  Positivity is as hard to decide as separability (Gurvits,
+quant-ph/0303055): a map the search does not refute is accepted on evidence.
 
 The map and its adjoint are applied as one matrix product each with the
 realigned storage, the contiguous ``k^2 x m^2`` matrix
@@ -42,11 +42,11 @@ import numpy as np
 
 from .matcomb import NonnegPattern, SizeGuardError
 from .numkernel import (DEFAULT_TOL, Tolerances, as_complex_matrix, frob,
-                        hermitian_part, hermitian_storage, kron, psd_storage,
-                        rank_tol)
+                        herm_eig, hermitian_part, hermitian_storage, kron,
+                        psd_storage, rank_tol, svd)
 
 _POSITIVITY_REL = 1e-8    # allowed negative eigenvalue of T(v v*), times ||C||_F
-_POSITIVITY_TRIALS = 200
+_SEARCH_STARTS, _SEARCH_ROUNDS = 4, 50   # storage eigenvectors searched from, rounds each
 _CHECK_SEED = 42
 # The lift's storage has (km)^4 entries: 2^24 complex128 (256 MiB, km <= 64),
 # and its construction holds a few more arrays of that size.
@@ -56,11 +56,15 @@ _STRICT_RANK_SAMPLES = 20   # sampled PSD X per block and intermediate rank
 
 
 class PositivityViolation(ValueError):
-    """Sampled check found a unit vector v with T(v v*) not PSD."""
+    """Unit v, w with ``w* T(v v*) w = value`` below the floor; one apply re-verifies it."""
+
+    def __init__(self, message: str, v=None, w=None, value: float | None = None):
+        super().__init__(message)
+        self.v, self.w, self.value = v, w, value
 
 
 def _storage_proves_positivity(C: np.ndarray) -> bool:
-    """Prove that the map stored in the Hermitian matrix C is positive.
+    """Prove that the map stored in C, or in its partial transpose, is positive.
 
     For a unit vector v, ``T(v v*) = (v (x) Id)* C (v (x) Id)`` has smallest
     eigenvalue at least ``lambda_min(C)``.  If the Cholesky factorization of
@@ -71,14 +75,14 @@ def _storage_proves_positivity(C: np.ndarray) -> bool:
     where ``||E||_2 <= gamma_(n+1) ||R||_F^2`` is about ``(n + 1) * eps/2 * tr(A)``.
     The proof counts when twice that bound, ``(n + 1) * eps * tr(A)``, stays
     below the other half, ``delta``: every image then has all eigenvalues
-    above ``-_POSITIVITY_REL * ||C||_F``, the sampled check's floor.  Both
+    above ``-_POSITIVITY_REL * ||C||_F``, the refutation's floor.  Both
     sides scale with C, and ``||C||_F`` neither overflows nor underflows, so
     ``c * C`` gets C's verdict, up to rounding, for every c > 0 that keeps
     the entries of ``c * C`` normal doubles, above about 2.2e-308 in
     magnitude, and within the entry bound of
     :func:`opscale.numkernel.hermitian_storage`, which refuses a storage
-    whose sums in construction and in the sampled images could overflow.
-    Draws no random numbers.
+    whose sums in construction and in the searched images could overflow.
+    The partial transpose keeps C's trace and norm.  Draws no random numbers.
     """
     n = C.shape[0]
     delta = 0.5 * _POSITIVITY_REL * frob(C)
@@ -100,11 +104,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return Q * (d / np.abs(d))
 
 
-def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def _filters(T, P, Q) -> tuple[np.ndarray, np.ndarray]:
     """The checked input and output filters of a conjugation of T."""
     P = as_complex_matrix(P)
@@ -119,33 +118,38 @@ class ChoiMap:
 
     The storage matrix must be Hermitian (equivalently blockwise
     ``C[j][i] = C[i][j]*``); it is symmetrized on construction and kept
-    read-only.  Unless ``check_positivity`` is disabled, construction checks
-    positivity: one Cholesky factorization proves it when the storage is
-    positive semidefinite within tolerance.  Otherwise ``T(v v*)`` is sampled
-    for random unit vectors and the map is rejected on an eigenvalue below
-    ``-1e-8`` times the storage's Frobenius norm.  Only the sampling draws
-    from ``rng``.
+    read-only.  Unless ``check_positivity`` is disabled, construction decides
+    positivity without random numbers: a Cholesky factorization of the
+    storage or of its partial transpose proves it.  Otherwise a search for
+    a rank-one image with an eigenvalue below ``-1e-8`` times the storage's
+    Frobenius norm raises :class:`PositivityViolation` on one, and a map it
+    does not refute is accepted on evidence, not proof.
     """
 
-    def __init__(self, k: int, m: int, choi, *, check_positivity: bool = True,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, k: int, m: int, choi, *, check_positivity: bool = True):
         C = hermitian_storage(k, m, choi, "choi storage")
         self.k = int(k)
         self.m = int(m)
         self.choi = C
         self._blocks = C.reshape(k, m, k, m)  # [i, p, j, q] = C[i][j][p, q]
-        if check_positivity and not _storage_proves_positivity(C):
-            self._sampled_positivity_check(rng)
+        if check_positivity and not (_storage_proves_positivity(C) or _storage_proves_positivity(
+                self._blocks.transpose(2, 1, 0, 3).reshape(C.shape))):
+            self._refute_positivity()
 
-    def _sampled_positivity_check(self, rng: np.random.Generator | None):
-        rng = rng if rng is not None else np.random.default_rng(_CHECK_SEED)
-        floor = -_POSITIVITY_REL * frob(self.choi)
-        for _ in range(_POSITIVITY_TRIALS):
-            v = random_unit_vector(self.k, rng)
-            w = np.linalg.eigvalsh(hermitian_part(self.apply(np.outer(v, v.conj()))))
-            if w[0] < floor:
+    def _refute_positivity(self):
+        """Alternate w = lowest eigenvector of T(v v*), v = that of T*(w w*), from the
+        product vectors nearest the lowest storage eigenvectors, while ``w* T(v v*) w`` falls."""
+        for x in herm_eig(self.choi)[1].T[::-1][:_SEARCH_STARTS]:
+            v, value = svd(x.reshape(self.k, self.m))[0][:, 0], np.inf
+            for _ in range(_SEARCH_ROUNDS):
+                u = herm_eig(hermitian_part(self.apply(np.outer(v, v.conj()))))[1][:, -1]
+                low, V = herm_eig(hermitian_part(self.apply_adjoint(np.outer(u, u.conj()))))
+                if not low[-1] < value:
+                    break
+                value, v, w = low[-1], V[:, -1], u
+            if value < -_POSITIVITY_REL * frob(self.choi):
                 raise PositivityViolation(
-                    f"map sent a rank-one projector to eigenvalue {w[0]:.3e}")
+                    f"map sent a rank-one projector to eigenvalue {value:.3e}", v, w, value)
 
     @cached_property
     def _realigned(self) -> np.ndarray:

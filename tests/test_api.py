@@ -84,7 +84,7 @@ IO_FUNCTION_PARAMETERS = {
     "map_to_obj": ["T"],
     "matrix_to_obj": ["M"],
     "obj_to_matrix": ["obj"],
-    "parse_map": ["obj", "rng"],
+    "parse_map": ["obj"],
     "parse_pattern_matrix": ["obj"],
     "parse_state": ["obj"],
     "state_to_obj": ["state"],

@@ -30,6 +30,7 @@ from opscale.numkernel import frob
 from opscale.posmap import ChoiMap, haar_unitary
 from test_fnf import floor_crossing_state, near_psd_state, overflowing_state
 from test_matcomb import structured_patterns
+from test_posmap import NEGATIVE_DIRECTION_MAPS, negative_direction_storage
 
 
 def run_cli(capsys, *argv):
@@ -915,6 +916,41 @@ class TestHugeStorages:
         code, out, err = run_cli_strict(capsys, "scale", str(path))
         assert (code, err) == (2, "")
         assert set(json.loads(out)) == {"version", "error"}
+
+
+class TestPositivityRefusal:
+    """Maps with rarely negative images are refused at every seed: construction
+    draws no random numbers."""
+
+    REFUSAL = r"^map sent a rank-one projector to eigenvalue -\d\.\d{3}e-0[12]$"
+
+    @staticmethod
+    def write_map(tmp_path, k, m, eta):
+        path = tmp_path / f"neg{k}x{m}.json"
+        atomic_write_json(str(path), {"k": k, "m": m, "choi": matrix_to_obj(
+            negative_direction_storage(k, m, eta))})
+        return str(path)
+
+    @pytest.mark.parametrize("k, m, eta", NEGATIVE_DIRECTION_MAPS,
+                             ids=[f"{k}x{m}" for k, m, _ in NEGATIVE_DIRECTION_MAPS])
+    def test_refused_at_every_seed(self, capsys, tmp_path, monkeypatch, k, m, eta):
+        path = self.write_map(tmp_path, k, m, eta)
+        for seed in range(20):
+            monkeypatch.setenv("OPSCALE_SEED", str(seed))
+            code, out, err = run_cli_strict(capsys, "scale", path)
+            assert (code, err) == (2, "")
+            rep = json.loads(out)
+            assert set(rep) == {"version", "error"}
+            assert re.match(self.REFUSAL, rep["error"])
+
+    @pytest.mark.parametrize("k, m, eta", NEGATIVE_DIRECTION_MAPS[:3],
+                             ids=[f"{k}x{m}" for k, m, _ in NEGATIVE_DIRECTION_MAPS[:3]])
+    def test_entry_point_exits_2(self, tmp_path, k, m, eta):
+        proc = run_entry_point("scale", self.write_map(tmp_path, k, m, eta))
+        assert (proc.returncode, proc.stderr) == (2, "")
+        rep = json.loads(proc.stdout)
+        assert set(rep) == {"version", "error"}
+        assert re.match(self.REFUSAL, rep["error"])
 
 
 class TestTildeCommand:

@@ -1,5 +1,7 @@
 """Positive maps in block storage: conventions, duality, lifts, certificates."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -36,31 +38,60 @@ class TestChoiMapValidation:
         with pytest.raises(ValueError):
             ChoiMap(2, 3, np.eye(4))
 
-    def test_sampled_positivity_catches_negative_direction(self):
+    def test_negative_direction_is_refused_with_its_witness(self):
+        C = np.diag([1.0, 1.0, 1.0, -1.0])
         with pytest.raises(PositivityViolation,
-                           match=r"^map sent a rank-one projector to eigenvalue -4\.996e-01$"):
-            ChoiMap(2, 2, np.diag([1.0, 1.0, 1.0, -1.0]))
+                           match=r"^map sent a rank-one projector to eigenvalue -1\.000e\+00$"
+                           ) as info:
+            ChoiMap(2, 2, C)
+        exc = info.value
+        assert exc.value == -1.0
+        assert np.allclose(np.abs(exc.v), [0.0, 1.0]) and np.allclose(np.abs(exc.w), [0.0, 1.0])
+        assert witness_value(ChoiMap(2, 2, C, check_positivity=False), exc) == exc.value
 
     def test_positivity_check_can_be_skipped(self):
         T = ChoiMap(2, 2, np.diag([1.0, 1.0, 1.0, -1.0]), check_positivity=False)
         assert T.k == 2 and T.m == 2
 
+    def test_the_sampled_path_is_gone(self):
+        assert list(inspect.signature(ChoiMap).parameters) == [
+            "k", "m", "choi", "check_positivity"]
+        for name in ("_sampled_positivity_check", "random_unit_vector", "_POSITIVITY_TRIALS"):
+            assert not hasattr(posmap, name) and not hasattr(ChoiMap, name)
 
-def _no_sampling(monkeypatch):
-    def refuse(dim, rng):
-        raise AssertionError("positivity was sampled, not proved")
-    monkeypatch.setattr(posmap, "random_unit_vector", refuse)
+
+def witness_value(T, exc) -> complex:
+    """``w* T(v v*) w`` for the witness a PositivityViolation carries."""
+    return exc.w.conj() @ T.apply(np.outer(exc.v, exc.v.conj())) @ exc.w
 
 
-def _count_samples(monkeypatch):
-    calls = []
-    draw = posmap.random_unit_vector
+def _no_search(monkeypatch):
+    def refuse(self):
+        raise AssertionError("positivity was searched for, not proved")
+    monkeypatch.setattr(ChoiMap, "_refute_positivity", refuse)
 
-    def counted(dim, rng):
-        calls.append(dim)
-        return draw(dim, rng)
-    monkeypatch.setattr(posmap, "random_unit_vector", counted)
-    return calls
+
+def partial_transpose(k, m, C):
+    """C's partial transpose on the first factor: the storage of
+    ``X -> T(transpose(X))``, completely positive when C is PSD."""
+    return np.asarray(C).reshape(k, m, k, m).transpose(2, 1, 0, 3).reshape(k * m, k * m)
+
+
+def negative_direction_storage(k, m, eta):
+    """Storage of ``T(X) = tr(X) Id - <v0|X|v0> w0 w0* / (1 - eta)`` for
+    unit vectors v0, w0 drawn from ``default_rng(5)``: ``Id - x x* / (1 - eta)``
+    with ``x = v0 (x) w0``.  ``w* T(v v*) w`` is negative exactly when
+    ``|<v0, v>|^2 |<w0, w>|^2 > 1 - eta``, which a random v meets with
+    probability about ``eta^(k-1)``; the minimum is ``-eta / (1 - eta)``."""
+    rng = np.random.default_rng(5)
+    v0, w0 = (random_complex(rng, d, 1)[:, 0] for d in (k, m))
+    x = np.kron(v0 / np.linalg.norm(v0), w0 / np.linalg.norm(w0))
+    return np.eye(k * m) - np.outer(x, x.conj()) / (1.0 - eta)
+
+
+# (k, m, eta) of the maps that random unit vectors rarely refute
+NEGATIVE_DIRECTION_MAPS = [(3, 3, 0.05), (4, 4, 0.05), (4, 3, 0.02), (5, 5, 0.05),
+                           (6, 4, 0.1)]
 
 
 def classical_lift(A):
@@ -111,39 +142,52 @@ class TestPositivityProof:
     @pytest.mark.parametrize("rank", [1, None])
     def test_psd_storage_is_proved_without_sampling(self, monkeypatch, rank):
         rng = np.random.default_rng(11)
-        _no_sampling(monkeypatch)
+        _no_search(monkeypatch)
         for k in range(1, 5):
             for m in range(1, 5):
                 C = fixtures.random_cp_map(k, m, rng, rank=rank).choi
                 T = ChoiMap(k, m, C)
                 assert np.array_equal(T.choi, C)
+                ChoiMap(k, m, partial_transpose(k, m, C))
 
     def test_state_maps_and_classical_lift_are_proved(self, monkeypatch):
         rng = np.random.default_rng(12)
-        _no_sampling(monkeypatch)
+        _no_search(monkeypatch)
         ChoiMap(3, 4, fixtures.random_state_matrix(3, 4, rng, kernel_dim=5))
         ChoiMap(3, 3, fixtures.max_entangled_state(3))     # transpose / 3
         ChoiMap(3, 2, classical_lift(rng.random((2, 3)) * (rng.random((2, 3)) < 0.5)))
 
-    @pytest.mark.parametrize("storage", [
-        fixtures.identity_map(3).choi,      # swap operator: not PSD
-    ], ids=["identity"])
-    def test_falls_back_to_sampling(self, monkeypatch, storage):
-        calls = _count_samples(monkeypatch)
-        T = ChoiMap(3, 3, storage)
-        assert (T.k, T.m) == (3, 3)
-        assert len(calls) == 200
+    def test_completely_positive_maps_are_proved_by_the_partial_transpose(self, monkeypatch):
+        # The identity is stored as the swap operator, which is not PSD; its
+        # partial transpose, k times the maximally entangled projector, is.
+        rng = np.random.default_rng(15)
+        _no_search(monkeypatch)
+        assert not posmap._storage_proves_positivity(fixtures.identity_map(3).choi)
+        maps = [fixtures.identity_map(k) for k in range(1, 5)] + [fixtures.boundary_map()]
+        for d in range(1, 5):
+            for r in range(1, d + 1):
+                maps.append(fixtures.sandwich_map(random_complex(rng, d, r)
+                                                  @ random_complex(rng, r, d)))
+        for T in maps:
+            assert posmap._storage_proves_positivity(partial_transpose(T.k, T.m, T.choi))
+            ChoiMap(T.k, T.m, T.choi)
 
-    def test_proof_draws_nothing_from_the_rng(self):
-        rng = np.random.default_rng(13)
-        ChoiMap(2, 3, fixtures.random_cp_map(2, 3, np.random.default_rng(0)).choi, rng=rng)
-        assert rng.random() == np.random.default_rng(13).random()
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(T=nonzero_maps())
+    def test_cp_and_co_cp_maps_are_proved(self, T):
+        # The strategy's maps (random, sandwich, fixture and rotated
+        # classical) are completely or co-completely positive, so one of
+        # the two Cholesky factorizations proves each.
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _no_search(monkeypatch)
+            ChoiMap(T.k, T.m, T.choi)
+            ChoiMap(T.k, T.m, partial_transpose(T.k, T.m, T.choi))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(k=st.integers(1, 3), m=st.integers(1, 3), rank=st.integers(1, 9),
            scale=st.floats(1e-3, 1e3), t=st.floats(0.0, 1.5e-8),
            seed=st.integers(0, 2**32 - 1))
-    def test_proof_accepts_only_what_sampling_accepts(self, k, m, rank, scale, t, seed):
+    def test_proof_accepts_only_what_the_search_accepts(self, k, m, rank, scale, t, seed):
         rng = np.random.default_rng(seed)
         n = k * m
         G = random_complex(rng, n, min(rank, n))
@@ -155,7 +199,38 @@ class TestPositivityProof:
         if rank < n and t > 0.6e-8:
             assert not proved
         if proved:
-            T._sampled_positivity_check(rng)
+            T._refute_positivity()
+
+    @pytest.mark.parametrize("k, m, eta", NEGATIVE_DIRECTION_MAPS,
+                             ids=[f"{k}x{m}" for k, m, _ in NEGATIVE_DIRECTION_MAPS])
+    def test_a_rarely_negative_map_is_refused_at_its_minimum(self, k, m, eta):
+        C = negative_direction_storage(k, m, eta)
+        with pytest.raises(PositivityViolation) as info:
+            ChoiMap(k, m, C)
+        exc = info.value
+        assert exc.value == pytest.approx(-eta / (1.0 - eta), rel=1e-12)
+        assert np.linalg.norm(exc.v) == pytest.approx(1.0) and np.linalg.norm(exc.w) == pytest.approx(1.0)
+        assert witness_value(ChoiMap(k, m, C, check_positivity=False), exc) == pytest.approx(
+            exc.value, abs=1e-14)
+
+    def test_chois_non_decomposable_map_is_accepted(self):
+        # Positive, neither completely nor co-completely positive, with
+        # minimum exactly 0: the search must not read rounding as negativity.
+        def choi(X):
+            return np.array([[X[0, 0] + X[2, 2], -X[0, 1], -X[0, 2]],
+                             [-X[1, 0], X[1, 1] + X[0, 0], -X[1, 2]],
+                             [-X[2, 0], -X[2, 1], X[2, 2] + X[1, 1]]])
+        blocks = np.zeros((3, 3, 3, 3), dtype=complex)
+        for i in range(3):
+            for j in range(3):
+                E = np.zeros((3, 3))
+                E[j, i] = 1.0
+                blocks[i, :, j, :] = choi(E)         # block (i, j) is T(E_ji)
+        C = blocks.reshape(9, 9)
+        assert not posmap._storage_proves_positivity(C)
+        assert not posmap._storage_proves_positivity(partial_transpose(3, 3, C))
+        T = ChoiMap(3, 3, C)
+        assert frob(T.apply(np.diag([1.0, 0.0, 0.0])) - np.diag([1.0, 1.0, 0.0])) == 0.0
 
     @pytest.mark.parametrize("c", [1e-10, 2.0 ** -200], ids=["1e-10", "2**-200"])
     def test_a_small_negative_map_is_refused(self, c):
@@ -179,7 +254,8 @@ class TestPositivityProof:
                   True, True),
                  (2, 2, np.diag([1.0, 1.0, 1.0, -1e-9]), True, True),
                  (3, 3, fixtures.identity_map(3).choi, False, True),
-                 (2, 2, -fixtures.identity_map(2).choi, False, False)]
+                 (2, 2, -fixtures.identity_map(2).choi, False, False),
+                 (3, 3, negative_direction_storage(3, 3, 0.05), False, False)]
         for k, m, C, proved, accepted in cases:
             for storage in (C, 2.0 ** e * C):
                 T = ChoiMap(k, m, storage, check_positivity=False)
